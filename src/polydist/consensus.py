@@ -10,11 +10,16 @@ sizes, but two approximations have guarantees in the metric range:
   unrooted).  For p >= 2/3 and a fully resolved profile, a non-worsening
   candidate always exists (votes split 1 agreeing : 2 disagreeing), so a
   fully resolved tree is reached without increasing the profile distance.
+
+best_refinement is the one routine that chooses the next step from the
+vote tallies; polydist.hausdorff's adversarial refinement runs it against
+the one-tree profile (T2,) with score A - 2F in place of the distance change.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,13 +123,6 @@ class VoteTally:
         return -p * self.f + (1 - p) * self.a + p * self.nv
 
 
-def _group_of(tree: Phylogeny, v: int, taxon: int) -> int:
-    for c in tree.children[v]:
-        if taxon in tree.subtree_taxa(c):
-            return c
-    return tree.parent[v]
-
-
 def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, VoteTally]:
     """Votes per child q of polytomy v, over triplets with leaves in three
     distinct child groups, one of them the q group."""
@@ -193,6 +191,34 @@ class GreedyResult:
     steps: int
 
 
+def best_refinement(tree: Phylogeny, profile: Profile,
+                    cost: Callable[[VoteTally], Fraction | None]
+                    ) -> tuple[Fraction, Phylogeny] | None:
+    """The cheapest refinement step of `tree` against `profile`.
+
+    Every candidate at every polytomy (a child to Pull-Out for rooted
+    trees, a neighbor pair to Pull-2-Out for unrooted ones) is scored by
+    `cost(tally)` on its VoteTally; a cost of None drops the candidate.
+    Returns (cost, refined tree) for the cheapest candidate, ties going to
+    the smallest (node, sorted candidate), or None if no candidate is left.
+    """
+    rooted = tree.kind is Kind.ROOTED
+    tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
+    best = None
+    for v in tree.unresolved_nodes():
+        for candidate, votes in tally_at(tree, v, profile).items():
+            c = cost(votes)
+            if c is None:
+                continue
+            key = (c, v, (candidate,) if rooted else tuple(sorted(candidate)))
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    c, _, nodes = best
+    return c, (pull_out if rooted else pull_2_out)(tree, *nodes)
+
+
 def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:
     """Refine `tree` to full resolution, greedily minimizing the exact
     distance change at each step (tie: lexicographically smallest candidate)."""
@@ -202,33 +228,8 @@ def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:
     initial = profile_distance(tree, profile, p)
     current = tree
     steps = 0
-    while True:
-        polytomies = current.unresolved_nodes()
-        if not polytomies:
-            break
-        best_key = None
-        best_delta = None
-        best_apply = None
-        if current.kind is Kind.ROOTED:
-            for v in polytomies:
-                for q, tally in rooted_vote_tally(current, v, profile).items():
-                    delta = tally.delta(p)
-                    key = (v, q)
-                    if best_delta is None or delta < best_delta or \
-                            (delta == best_delta and key < best_key):
-                        best_key, best_delta = key, delta
-                        best_apply = (pull_out, (q,))
-        else:
-            for w in polytomies:
-                for pr, tally in unrooted_vote_tally(current, w, profile).items():
-                    delta = tally.delta(p)
-                    key = (w, tuple(sorted(pr)))
-                    if best_delta is None or delta < best_delta or \
-                            (delta == best_delta and key < best_key):
-                        best_key, best_delta = key, delta
-                        best_apply = (pull_2_out, tuple(sorted(pr)))
-        fn, args = best_apply
-        current = fn(current, *args)
+    while (step := best_refinement(current, profile, lambda votes: votes.delta(p))) is not None:
+        _, current = step
         steps += 1
     final = profile_distance(current, profile, p)
     guaranteed = p >= Fraction(2, 3) and all(m.is_fully_resolved() for m in profile.trees)

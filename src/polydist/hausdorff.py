@@ -12,26 +12,22 @@ plus the constructive step behind the lower bound: an adversarial
 refinement of T1 that turns at least two thirds of R2 into disagreements,
 and the certificate that the Hausdorff and parametric distances are
 equivalent up to factor 3 + 3*beta whenever |U| <= beta(|D|+|R1|+|R2|).
+
+The adversarial refinement is the greedy refinement loop of
+polydist.consensus run against the one-tree profile (T2,): each step takes
+the Pull-Out (rooted) or Pull-2-Out (unrooted) with the highest score
+A - 2F, where F and A count the triplets/quartets resolved in T2 that the
+step makes agree and disagree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from polydist.consensus import Profile, VoteTally, best_refinement
 from polydist.oracle import Classification, classify, classify_quartets
-from polydist.trees import (
-    Kind,
-    Phylogeny,
-    QuartetTopology,
-    TreeError,
-    TripletTopology,
-    pull_2_out,
-    pull_out,
-    quartet_topology,
-    triplet_topology,
-)
+from polydist.trees import Kind, Phylogeny, TreeError
 from polydist.triplet import build_tables, count_R_U, count_r1, count_shared
 
 
@@ -77,82 +73,6 @@ def hausdorff_bounds(t1: Phylogeny, t2: Phylogeny) -> HausdorffBounds:
 # Adversarial refinement
 # ---------------------------------------------------------------------------
 
-def _group_of(tree: Phylogeny, v: int, taxon: int) -> int:
-    """The neighbor of v whose side contains `taxon` (v not the leaf itself)."""
-    for c in tree.children[v]:
-        if taxon in tree.subtree_taxa(c):
-            return c
-    return tree.parent[v]
-
-
-def _rooted_votes(t1: Phylogeny, t2: Phylogeny):
-    """Per (polytomy v, child q) of t1: F (T2 agrees with pulling q out)
-    and A (T2 disagrees), over triplets resolved in t2, unresolved in t1."""
-    F: dict = {}
-    A: dict = {}
-    node1, _ = t1.leaf_lca_tables()
-    unresolved = set(t1.unresolved_nodes())
-    apart_of = {TripletTopology.A_BC: 0, TripletTopology.B_AC: 1, TripletTopology.C_AB: 2}
-    for X in itertools.combinations(range(t1.n), 3):
-        if triplet_topology(t1, X) is not TripletTopology.FAN:
-            continue
-        top2 = triplet_topology(t2, X)
-        if top2 is TripletTopology.FAN:
-            continue
-        v = node1[X[0]][X[1]]  # the associated polytomy: all pairwise LCAs agree
-        assert v in unresolved
-        groups = [_group_of(t1, v, x) for x in X]
-        apart_group = groups[apart_of[top2]]
-        for g in set(groups):
-            key = (v, g)
-            if g == apart_group:
-                F[key] = F.get(key, 0) + 1
-            else:
-                A[key] = A.get(key, 0) + 1
-    return F, A
-
-
-def _unrooted_votes(t1: Phylogeny, t2: Phylogeny):
-    """Per (polytomy w, neighbor pair {q,r}) of t1: F/A over quartets
-    resolved in t2, unresolved in t1."""
-    F: dict = {}
-    A: dict = {}
-    pair_of = {QuartetTopology.AB_CD: (0, 1), QuartetTopology.AC_BD: (0, 2),
-               QuartetTopology.AD_BC: (0, 3)}
-    node1, dep1 = t1.leaf_lca_tables()
-
-    def median(x, y, z):
-        best, bd = node1[x][y], dep1[x][y]
-        for u, v in ((x, z), (y, z)):
-            if dep1[u][v] > bd:
-                best, bd = node1[u][v], dep1[u][v]
-        return best
-
-    unresolved = set(t1.unresolved_nodes())
-    for X in itertools.combinations(range(t1.n), 4):
-        if quartet_topology(t1, X) is not QuartetTopology.STAR:
-            continue
-        top2 = quartet_topology(t2, X)
-        if top2 is QuartetTopology.STAR:
-            continue
-        w = median(X[0], X[1], X[2])
-        if w not in unresolved:
-            continue  # star by coincidence of shallow medians cannot happen
-        groups = [_group_of(t1, w, x) for x in X]
-        if len(set(groups)) != 4:
-            continue
-        i, j = pair_of[top2]
-        agree_pairs = {frozenset((groups[i], groups[j])),
-                       frozenset(set(groups) - {groups[i], groups[j]})}
-        for q, r in itertools.combinations(sorted(set(groups)), 2):
-            key = (w, frozenset((q, r)))
-            if frozenset((q, r)) in agree_pairs:
-                F[key] = F.get(key, 0) + 1
-            else:
-                A[key] = A.get(key, 0) + 1
-    return F, A
-
-
 @dataclass(frozen=True)
 class AdversarialResult:
     refined: Phylogeny
@@ -165,40 +85,30 @@ class AdversarialResult:
         return Fraction(self.d_initial) + Fraction(2, 3) * self.r2_initial
 
 
+def _adversarial_cost(votes: VoteTally) -> int | None:
+    """2F - A for a candidate with votes (a triplet/quartet resolved in t2,
+    unresolved in the current tree), None for one without."""
+    if votes.f == votes.a == 0:
+        return None
+    return 2 * votes.f - votes.a
+
+
 def adversarial_refinement(t1: Phylogeny, t2: Phylogeny) -> AdversarialResult:
     """Refine t1 so that no triplet/quartet stays resolved only in t2.
 
     Each step pulls out a group with disagreement votes A >= 2F (one always
     exists because every vote set splits 1 agreeing : 2 disagreeing), so the
     achieved disagreement count is >= |D| + (2/3)|R2| of the input pair.
+    The loop ends when no candidate has votes, that is when r2 = 0.
     """
     start = classify(t1, t2)
     current = t1
-    while True:
-        c = classify(current, t2)
-        if c.r2 == 0:
-            break
-        if current.kind is Kind.ROOTED:
-            F, A = _rooted_votes(current, t2)
-            candidates = sorted(set(F) | set(A))
-            best = max(candidates,
-                       key=lambda k: (A.get(k, 0) - 2 * F.get(k, 0), [-x for x in k]))
-            if A.get(best, 0) - 2 * F.get(best, 0) < 0:
-                # guaranteed not to happen; guard against silent looping
-                raise AssertionError("no admissible pull-out candidate")
-            v, q = best
-            current = pull_out(current, q)
-        else:
-            F, A = _unrooted_votes(current, t2)
-            candidates = sorted(set(F) | set(A), key=lambda k: (k[0], sorted(k[1])))
-            best = max(candidates,
-                       key=lambda k: (A.get(k, 0) - 2 * F.get(k, 0),
-                                      [-k[0]] + [-x for x in sorted(k[1])]))
-            if A.get(best, 0) - 2 * F.get(best, 0) < 0:
-                raise AssertionError("no admissible pull-2-out candidate")
-            w, pair = best
-            q, r = sorted(pair)
-            current = pull_2_out(current, q, r)
+    profile = Profile((t2,))
+    while (step := best_refinement(current, profile, _adversarial_cost)) is not None:
+        cost, current = step
+        if cost > 0:
+            # guaranteed not to happen; the certified lower bound needs A >= 2F
+            raise AssertionError("no admissible refinement candidate")
     final = classify(current, t2)
     return AdversarialResult(current, start.d, start.r2, final.d)
 

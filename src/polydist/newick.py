@@ -89,9 +89,11 @@ class _Scanner:
                 raise NewickError("expected branch length after ':'", start)
 
 
-def parse_newick(text: str, kind: Kind) -> Phylogeny:
-    """Parse one ';'-terminated Newick statement into a Phylogeny."""
-    sc = _Scanner(text)
+def _statement(sc: _Scanner, kind: Kind) -> Phylogeny:
+    """Parse the ';'-terminated statement at the scanner's position.  Errors
+    that concern the whole tree point at the statement's first character."""
+    sc.skip_trivia()
+    first = sc.pos
     labels: list[str] = []
     children: list[list[int]] = []
     leaf_label: list[str | None] = []
@@ -120,39 +122,44 @@ def parse_newick(text: str, kind: Kind) -> Phylogeny:
 
     root = node()
     sc.expect(";")
-    sc.skip_trivia()
-    if sc.pos != len(sc.text):
-        raise NewickError("trailing text after ';'", sc.pos)
 
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
-        raise NewickError(f"duplicate leaf label {dup!r}", 0)
+        raise NewickError(f"duplicate leaf label {dup!r}", first)
     if not labels:
-        raise NewickError("tree has no leaves", 0)
+        raise NewickError("tree has no leaves", first)
     taxa = TaxonSet(tuple(sorted(labels)))
     leaf_taxon = [taxa.index(l) if l is not None else None for l in leaf_label]
     if kind is Kind.UNROOTED and leaf_label[root] is None and len(children[root]) < 3 \
             and taxa.n > 2:
-        raise NewickError("unrooted tree must have top-level degree >= 3", 0)
+        raise NewickError("unrooted tree must have top-level degree >= 3", first)
     try:
         tree = Phylogeny(kind, taxa, children, root, leaf_taxon)
         problems = tree.validate()
     except TreeError as exc:
-        raise NewickError(str(exc), 0) from exc
+        raise NewickError(str(exc), first) from exc
     if problems:
-        raise NewickError("; ".join(problems), 0)
+        raise NewickError("; ".join(problems), first)
+    return tree
+
+
+def parse_newick(text: str, kind: Kind) -> Phylogeny:
+    """Parse one ';'-terminated Newick statement into a Phylogeny."""
+    sc = _Scanner(text)
+    tree = _statement(sc, kind)
+    if sc.peek():
+        raise NewickError("trailing text after ';'", sc.pos)
     return tree
 
 
 def parse_newick_many(text: str, kind: Kind) -> list[Phylogeny]:
-    """Parse a multi-tree document (statements separated by ';')."""
+    """Parse a multi-tree document: statements one after another, each
+    ended by a ';' outside quotes and comments.  Error positions are
+    offsets into the whole text."""
+    sc = _Scanner(text)
     trees = []
-    chunks = text.split(";")
-    for chunk in chunks[:-1]:
-        trees.append(parse_newick(chunk + ";", kind))
-    tail = chunks[-1]
-    if tail.strip():
-        raise NewickError("trailing text after last ';'", len(text) - len(tail))
+    while sc.peek():
+        trees.append(_statement(sc, kind))
     if not trees:
         raise NewickError("no trees in input", 0)
     return trees

@@ -11,21 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from polydist.newick import write_newick
-from polydist.trees import (
-    Kind,
-    Phylogeny,
-    QuartetTopology,
-    TaxonSet,
-    TreeError,
-    TripletTopology,
-    quartet_topology,
-    triplet_topology,
-)
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
 
 ROOTED_ENUM_CAP = 7
 UNROOTED_ENUM_CAP = 8
@@ -179,18 +169,6 @@ def classify(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classificat
     if t1.kind is Kind.ROOTED:
         return classify_triplets(t1, t2, listing)
     return classify_quartets(t1, t2, listing)
-
-
-# Slow single-subset classification, kept as a second independent route for
-# cross-checking the vectorized LCA/median codes in tests.
-def triplet_topology_slow(tree: Phylogeny, triplet) -> TripletTopology:
-    from polydist.trees import topology_by_restriction
-    return topology_by_restriction(tree, triplet)
-
-
-def quartet_topology_slow(tree: Phylogeny, quartet) -> QuartetTopology:
-    from polydist.trees import topology_by_restriction
-    return topology_by_restriction(tree, quartet)
 
 
 # ---------------------------------------------------------------------------

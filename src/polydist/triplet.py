@@ -160,7 +160,7 @@ def count_r1(tables: RootedIntersectionTables) -> int:
 
     cs = lambda vec: _childsum_rows(t2, vec)  # noqa: E731
 
-    def term(uk: int, e: np.ndarray, cse: np.ndarray) -> np.ndarray:
+    def term(uk: int, e: np.ndarray) -> np.ndarray:
         Ik = I[uk]
         c2 = Ik * (Ik - 1) // 2
         # pairs under uk inside v, z under v outside u, all in distinct
@@ -172,10 +172,9 @@ def count_r1(tables: RootedIntersectionTables) -> int:
         if u == t1.root:
             continue
         e = alpha2 - I[u]
-        cse = cs(e)
-        row = term(u, e, cse)
+        row = term(u, e)
         for x in t1.children[u]:
-            row -= term(x, e, cse)
+            row -= term(x, e)
         total += int(row[unresolved2].sum())
     return total
 

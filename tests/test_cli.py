@@ -16,6 +16,7 @@ def trees(tmp_path):
         "profile.nwk": "((a,b),c); ((a,c),b); ((b,c),a);\n",
         "fan3.nwk": "(a,b,c);\n",
         "bad.nwk": "((a,b),c\n",
+        "semicolons.nwk": "(('a;b',c),d[x;y]);\n",
     }.items():
         p = tmp_path / name
         p.write_text(text)
@@ -98,6 +99,11 @@ class TestErrorsAndUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_semicolons_in_quotes_and_comments(self, capsys, trees):
+        code, out, err = run(capsys, ["dist", "triplet",
+                                      trees["semicolons.nwk"], trees["semicolons.nwk"]])
+        assert code == 0 and "value: 0/1" in out
 
     def test_multi_tree_file_rejected_where_one_expected(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "triplet",

@@ -13,6 +13,7 @@ from polydist.consensus import (
     rooted_vote_tally,
     unrooted_vote_tally,
 )
+from polydist.newick import parse_newick
 from polydist.oracle import classify, median_exhaustive
 from polydist.randgen import random_binary
 from polydist.trees import Kind, Phylogeny, TreeError
@@ -162,3 +163,112 @@ class TestGreedyRefine:
         tree = Phylogeny.rooted("abcd", ("a", "b", "c", "d"))
         with pytest.raises(TreeError):
             greedy_refine_median(tree, THREE_LEAF_PROFILE, Fraction(1))
+
+
+# (kind, p, start, profile, result.canonical_key(), steps, initial, final).
+# Fixed inputs with fixed answers: the property tests above accept any
+# admissible refinement, these pin the choice and tie-breaking of each step.
+GREEDY_GOLDEN = [
+    (Kind.ROOTED, '2/3',
+     '(((((t0,t4),(t2,t7,t9)),t3),t1,t6),t5,t8,t10,t11);',
+     ('(((t0,t5,((t6,t11),t7),t9),t1,t8),(t2,t3,(t4,t10)));',
+      '(t0,((t1,t2,t3,t5,t6,t9),(t4,t7,t11),t8),t10);',
+      '(((t0,t3,(t4,t11)),t9,t10),(t1,t7),(t2,(t5,t6)),t8);'),
+     "R(((((((((L't7',L't9'),L't2'),(L't0',L't4')),L't3'),(L't1',L't6')),L't11'),L't5'),"
+     "L't8'),L't10')",
+     5, '412', '1205/3'),
+    (Kind.ROOTED, '3/4',
+     '(((((t0,t4),(t2,t7,t9)),t3),t1,t6),t5,t8,t10,t11);',
+     ('(((t0,t5,((t6,t11),t7),t9),t1,t8),(t2,t3,(t4,t10)));',
+      '(t0,((t1,t2,t3,t5,t6,t9),(t4,t7,t11),t8),t10);',
+      '(((t0,t3,(t4,t11)),t9,t10),(t1,t7),(t2,(t5,t6)),t8);'),
+     "R(((((((((L't7',L't9'),L't2'),(L't0',L't4')),L't3'),(L't1',L't6')),L't11'),L't5'),"
+     "L't8'),L't10')",
+     5, '863/2', '1655/4'),
+    (Kind.ROOTED, '2/3',
+     '((((((t0,t3,(t4,t14)),t11),t5,t6,t13),((t10,t12),t15)),t1,t2,t7,t9),t8);',
+     ('((t0,(t1,(t2,t15)),(t4,t7),(t5,t10),t12,t14),(t3,((t8,t9),t11),t13),t6);',
+      '((t0,t2,t4,((t6,t12),t14),(t7,t8),t9,t13),(t1,t5,t10,t11),t3,t15);',
+      '(((((t0,t10),t6),t8,t14),t12),(t1,(t3,((t7,t15),t13)),t5,t9),t2,t4,t11);'),
+     "R((((((((((((L't14',L't4'),L't0'),L't3'),L't11'),L't13'),L't6'),L't5'),((L't10',"
+     "L't12'),L't15')),(L't2',L't7')),L't9'),L't1'),L't8')",
+     6, '3353/3', '3470/3'),
+    (Kind.ROOTED, '3/4',
+     '((((((t0,t3,(t4,t14)),t11),t5,t6,t13),((t10,t12),t15)),t1,t2,t7,t9),t8);',
+     ('((t0,(t1,(t2,t15)),(t4,t7),(t5,t10),t12,t14),(t3,((t8,t9),t11),t13),t6);',
+      '((t0,t2,t4,((t6,t12),t14),(t7,t8),t9,t13),(t1,t5,t10,t11),t3,t15);',
+      '(((((t0,t10),t6),t8,t14),t12),(t1,(t3,((t7,t15),t13)),t5,t9),t2,t4,t11);'),
+     "R((((((((((((L't14',L't4'),L't0'),L't3'),L't11'),L't13'),L't6'),L't5'),((L't10',"
+     "L't12'),L't15')),(L't2',L't7')),L't9'),L't1'),L't8')",
+     6, '4673/4', '4795/4'),
+    (Kind.UNROOTED, '2/3',
+     '((t0,t10),((t1,(t5,t6,t11)),t7),(t2,t4,t9),t3,t8);',
+     ('((((t0,t3),t5,t11),t8),t1,((t2,t9,t10),t7),t4,t6);',
+      '((t0,((t4,t7),t9),t8,t11),((t1,t3),t5,t6,t10),t2);',
+      '(t0,((t1,(t4,(t5,(t7,t9))),t8),t10),(t2,t3,t11),t6);'),
+     "U(L't0'|(((((((L't5',L't6'),L't11'),L't1'),L't7'),(((L't4',L't9'),L't2'),L't8')),"
+     "L't3'),L't10'))",
+     4, '2914/3', '2921/3'),
+    (Kind.UNROOTED, '3/4',
+     '((t0,t10),((t1,(t5,t6,t11)),t7),(t2,t4,t9),t3,t8);',
+     ('((((t0,t3),t5,t11),t8),t1,((t2,t9,t10),t7),t4,t6);',
+      '((t0,((t4,t7),t9),t8,t11),((t1,t3),t5,t6,t10),t2);',
+      '(t0,((t1,(t4,(t5,(t7,t9))),t8),t10),(t2,t3,t11),t6);'),
+     "U(L't0'|(((((((L't5',L't6'),L't11'),L't1'),L't7'),(((L't4',L't9'),L't2'),L't8')),"
+     "L't3'),L't10'))",
+     4, '4047/4', '1991/2'),
+    (Kind.UNROOTED, '2/3',
+     '((t0,t4,t9),(t1,t12),(t2,t3,(((t6,t11),t10),t7)),t5,t8);',
+     ('(t0,t1,(((t2,t3,t5),t4,t8,t9,(t10,t12),t11),(t6,t7)));',
+      '(t0,t1,(t2,(t4,t6)),(((t3,(t5,t9,t10)),t8),t7),t11,t12);',
+      '(t0,t1,t2,(((t3,t5),t8,t11),((t4,t9),t6,t7,t10)),t12);'),
+     "U(L't0'|(((((((L't11',L't6'),L't10'),L't7'),(L't2',L't3')),(L't5',L't8')),(L't1',"
+     "L't12')),(L't4',L't9')))",
+     4, '4189/3', '1395'),
+    (Kind.UNROOTED, '3/4',
+     '((t0,t4,t9),(t1,t12),(t2,t3,(((t6,t11),t10),t7)),t5,t8);',
+     ('(t0,t1,(((t2,t3,t5),t4,t8,t9,(t10,t12),t11),(t6,t7)));',
+      '(t0,t1,(t2,(t4,t6)),(((t3,(t5,t9,t10)),t8),t7),t11,t12);',
+      '(t0,t1,t2,(((t3,t5),t8,t11),((t4,t9),t6,t7,t10)),t12);'),
+     "U(L't0'|(((((((L't11',L't6'),L't10'),L't7'),(L't2',L't3')),(L't5',L't8')),(L't1',"
+     "L't12')),(L't4',L't9')))",
+     4, '5855/4', '5769/4'),
+    (Kind.ROOTED, '2/3',
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9);',
+     ('(t0,(t1,(t7,t8)),(t2,(((t3,t5),t9),t4)),t6);',
+      '(t0,(t1,(t2,t4,t5,t6,t7,t8),t3,t9));',
+      '((((t0,t1,(t5,t6)),t7),t4,(t8,t9)),t2,t3);'),
+     "R(((((((((L't5',L't6'),L't7'),L't8'),L't4'),L't1'),L't9'),L't2'),L't3'),L't0')",
+     8, '526/3', '512/3'),
+    (Kind.ROOTED, '3/4',
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9);',
+     ('(t0,(t1,(t7,t8)),(t2,(((t3,t5),t9),t4)),t6);',
+      '(t0,(t1,(t2,t4,t5,t6,t7,t8),t3,t9));',
+      '((((t0,t1,(t5,t6)),t7),t4,(t8,t9)),t2,t3);'),
+     "R(((((((((L't5',L't6'),L't7'),L't8'),L't4'),L't1'),L't9'),L't2'),L't3'),L't0')",
+     8, '789/4', '715/4'),
+    (Kind.UNROOTED, '2/3',
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8);',
+     ('(t0,(t1,(t4,t7),t6),t2,t3,(t5,t8));',
+      '(((((t0,t6),(t5,t7),t8),t3),t4),t1,t2);',
+      '(t0,(t1,t5),(t2,t3,t7,t8),t4,t6);'),
+     "U(L't0'|((((L't1',L't4'),(L't2',L't3')),((L't5',L't8'),L't7')),L't6'))",
+     6, '542/3', '580/3'),
+    (Kind.UNROOTED, '3/4',
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8);',
+     ('(t0,(t1,(t4,t7),t6),t2,t3,(t5,t8));',
+      '(((((t0,t6),(t5,t7),t8),t3),t4),t1,t2);',
+      '(t0,(t1,t5),(t2,t3,t7,t8),t4,t6);'),
+     "U(L't0'|(((((L't5',L't8'),L't7'),(L't2',L't3')),(L't1',L't4')),L't6'))",
+     6, '813/4', '809/4'),
+]
+
+
+@pytest.mark.parametrize("kind,p,start,members,key,steps,initial,final", GREEDY_GOLDEN,
+                         ids=[f"{row[0].name.lower()}{i}" for i, row in enumerate(GREEDY_GOLDEN)])
+def test_greedy_golden(kind, p, start, members, key, steps, initial, final):
+    profile = Profile(tuple(parse_newick(m, kind) for m in members))
+    g = greedy_refine_median(parse_newick(start, kind), profile, Fraction(p))
+    assert g.tree.canonical_key() == key
+    assert (g.steps, g.initial_distance, g.final_distance) == \
+        (steps, Fraction(initial), Fraction(final))

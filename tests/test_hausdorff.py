@@ -10,6 +10,7 @@ from polydist.hausdorff import (
     equivalence_certificate,
     hausdorff_bounds,
 )
+from polydist.newick import parse_newick
 from polydist.oracle import classify, enumerate_phylogenies, hausdorff_exact
 from polydist.trees import Kind, Phylogeny, is_refinement
 
@@ -89,6 +90,71 @@ class TestAdversarial:
         r1 = adversarial_refinement(a, b)
         r2 = adversarial_refinement(a, b)
         assert r1.refined.canonical_key() == r2.refined.canonical_key()
+
+
+# (kind, t1, t2, refined.canonical_key(), d_initial, r2_initial, d_achieved).
+# Fixed inputs with fixed answers: the property tests above accept any
+# admissible refinement, these pin the choice and tie-breaking of each step.
+ADVERSARIAL_GOLDEN = [
+    (Kind.ROOTED,
+     '(t0,t1,(t2,((t3,t4),t10),(t9,t11)),t5,(t6,t8),t7,t12,t13);',
+     '((((t0,t5),((((((t2,t10),t6,t8),t7,t9),t11),t13),t4)),t1,t12),t3);',
+     "R(((((((((((L't3',L't4'),L't10'),(L't11',L't9')),L't2'),L't12'),L't1'),L't5'),L't0'),"
+     "L't13'),L't7'),(L't6',L't8'))",
+     81, 205, 282),
+    (Kind.ROOTED,
+     '(((((t0,(t1,((t5,t10),t17)),t12),(t2,t9)),t6),((((t3,t13),t16),t8),t7,t11,t15)),t4,t14);',
+     '(((((t0,t8),t3,t11),t1),(t4,t17),(((t5,t6,t12,t15),t13),t7)),((t2,t10,(t14,t16)),t9));',
+     "R(((((((((L't10',L't5'),L't17'),L't1'),L't12'),L't0'),(L't2',L't9')),L't6'),"
+     "(((((L't13',L't3'),L't16'),L't8'),(L't11',L't7')),L't15')),(L't14',L't4'))",
+     467, 32, 495),
+    (Kind.ROOTED,
+     '(((t0,t5,(t9,t14),t15),((t1,t6,t8),t12)),((((t2,t3),t11,t16),(t7,t17),t13),t4),((t10,'
+     't19),t18));',
+     '(((((t0,t1),t7),((((t2,t16),t11,t19),((t8,t14),t12),(t13,t17)),t18),(t6,(t10,t15))),'
+     '(t4,t5,t9)),t3);',
+     "R((((((((L't2',L't3'),L't11'),L't16'),(L't17',L't7')),L't13'),L't4'),((((L't15',"
+     "L't5'),L't0'),(L't14',L't9')),((L't1',L't6',L't8'),L't12'))),((L't10',L't19'),L't18'))",
+     540, 209, 706),
+    (Kind.UNROOTED,
+     '((((t0,t3,t4,t8),t9,t10),(t5,t6,t7)),t1,t2,t11);',
+     '(t0,((t1,t6),t3,(t4,t10),t7,t8,t11),t2,(t5,t9));',
+     "U(L't0'|(((((((L't1',L't2'),L't11'),((L't5',L't6'),L't7')),(L't10',L't9')),L't3'),"
+     "L't8'),L't4'))",
+     173, 35, 208),
+    (Kind.UNROOTED,
+     '((t0,t9,t13),t1,t2,((t3,(t5,t8)),t6),(t4,t7,t10,t12),t11);',
+     '(((((t0,t6,t11),t3),t7,t8,t9,t10),t5,t12),t1,t2,t4,t13);',
+     "U(L't0'|(((((((L't5',L't8'),L't3'),L't6'),L't1'),(((L't10',L't12'),(L't4',L't7')),"
+     "(L't11',L't2'))),L't9'),L't13'))",
+     357, 237, 558),
+    (Kind.UNROOTED,
+     '((((t0,t4),t9),(t7,t14)),(((t1,t11),t6,t12,t15),t5),((t2,t10),t3),t8,t13);',
+     '((t0,t11),(((t1,(t3,t15),t9),t6,t13),t10),t2,t4,(t5,(t7,t8,t12),t14));',
+     "U(L't0'|(((((((((L't12',L't15'),L't6'),(L't1',L't11')),L't5'),(((L't10',L't2'),L't3'),"
+     "L't8')),L't13'),(L't14',L't7')),L't9'),L't4'))",
+     887, 274, 1109),
+    (Kind.ROOTED,
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11);',
+     '((((t0,t1,t5,t6,t7,(t10,t11)),t2),t3,t4,t9),t8);',
+     "R(((((((((((L't11',L't8'),L't9'),L't4'),L't3'),L't2'),L't7'),L't6'),L't5'),L't1'),"
+     "L't0'),L't10')",
+     0, 165, 165),
+    (Kind.UNROOTED,
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9);',
+     '(t0,(((t1,t4,t6,t9),t7),t3,t5),t2,t8);',
+     "U(L't0'|(((((L't2',L't4'),(L't3',L't9')),((L't6',L't8'),L't7')),L't5'),L't1'))",
+     0, 163, 138),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,t1,t2,key,d_initial,r2_initial,d_achieved", ADVERSARIAL_GOLDEN,
+    ids=[f"{row[0].name.lower()}{i}" for i, row in enumerate(ADVERSARIAL_GOLDEN)])
+def test_adversarial_golden(kind, t1, t2, key, d_initial, r2_initial, d_achieved):
+    ar = adversarial_refinement(parse_newick(t1, kind), parse_newick(t2, kind))
+    assert ar.refined.canonical_key() == key
+    assert (ar.d_initial, ar.r2_initial, ar.d_achieved) == (d_initial, r2_initial, d_achieved)
 
 
 class TestEquivalenceCertificate:

@@ -66,6 +66,23 @@ def test_multi_tree_document():
     assert len(trees) == 2
     with pytest.raises(NewickError):
         parse_newick_many("((a,b),c); trailing", Kind.ROOTED)
+    # a ';' inside a quoted label or a comment does not end a statement
+    for text in ("('a;b',c,d);", "(a,b[x;y],c);"):
+        single = parse_newick(text, Kind.UNROOTED)
+        trees = parse_newick_many(f"{text}\n(a,b,c,d);\n", Kind.UNROOTED)
+        assert len(trees) == 2
+        assert trees[0].isomorphic(single)
+
+
+def test_multi_tree_error_positions_are_absolute():
+    with pytest.raises(NewickError) as exc:
+        parse_newick_many("((a,b),c); ((a,c),b", Kind.ROOTED)
+    assert exc.value.pos == 19
+    with pytest.raises(NewickError) as exc:
+        parse_newick_many("((a,b),c);\n  ((a,a),b);", Kind.ROOTED)
+    assert exc.value.pos == 13  # the start of the second statement
+    with pytest.raises(NewickError):
+        parse_newick_many(" [only a comment] ", Kind.ROOTED)
 
 
 def test_writer_is_canonical():
