@@ -81,7 +81,7 @@ def _emit(report: dict, as_json: bool, elapsed: float | None = None):
         print(f"elapsed_s: {elapsed:.3f}")
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
     if args.metric == "triplet":
         kind = Kind.ROOTED
@@ -128,7 +128,7 @@ def _cmd_dist(args) -> int:
     return 0, report
 
 
-def _cmd_hausdorff(args) -> int:
+def _cmd_hausdorff(args) -> tuple[int, dict]:
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     t1 = _load_one(args.tree1, kind)
     t2 = _load_one(args.tree2, kind)
@@ -154,7 +154,7 @@ def _cmd_hausdorff(args) -> int:
     return 0, report
 
 
-def _cmd_consensus(args) -> int:
+def _cmd_consensus(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     profile = cns.Profile(tuple(_load_trees(args.profile, kind)))
@@ -184,7 +184,7 @@ def _greedy_report(g: cns.GreedyResult) -> dict:
     }
 
 
-def _cmd_refine(args) -> int:
+def _cmd_refine(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     tree = _load_one(args.tree, kind)
@@ -200,7 +200,7 @@ def _cmd_refine(args) -> int:
     return 0, report
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, dict]:
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     try:
         total = 0
@@ -219,7 +219,7 @@ def _cmd_enumerate(args) -> int:
     return 0, report
 
 
-def _cmd_expected(args) -> int:
+def _cmd_expected(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     try:
@@ -246,7 +246,7 @@ def _cmd_expected(args) -> int:
     return 0, report
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[int, dict]:
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
@@ -358,10 +358,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, report = args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (TreeError, oracle.CapacityError) as exc:
+    except (InputError, TreeError, oracle.CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start

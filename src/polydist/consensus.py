@@ -23,18 +23,19 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from polydist.oracle import classify_quartets
 from polydist.quartet import parametric_quartet_distance
 from polydist.trees import (
+    UNRESOLVED,
     Kind,
     Phylogeny,
-    QuartetTopology,
     TreeError,
-    TripletTopology,
     pull_2_out,
     pull_out,
-    quartet_topology,
-    triplet_topology,
+    quartet_codes,
+    triplet_codes,
 )
 from polydist.triplet import parametric_triplet_distance
 
@@ -123,63 +124,68 @@ class VoteTally:
         return -p * self.f + (1 - p) * self.a + p * self.nv
 
 
+def _votes(groups: list[list[int]], profile: Profile,
+           rooted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, a and nv per candidate at a polytomy with the given groups of
+    taxa, over the triplets (rooted) or quartets with taxa in distinct groups.
+
+    Each subset is a sorted row; `cand[row]` holds the candidates it votes
+    on: the group of each taxon (rooted), or the group pair g*K + h of each
+    taxon pair (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) (unrooted, not yet
+    symmetrised).  A resolved code c makes column c agree (the apart taxon;
+    the pair {0, c+1}) and, unrooted, column 5 - c (the other side of the
+    split); every other candidate of the row disagrees.
+    """
+    size, K = (3 if rooted else 4), len(groups)
+    group = np.zeros(profile.taxa.n, dtype=np.int64)
+    for g, taxa in enumerate(groups):
+        group[taxa] = g
+    rows = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.product(*(groups[g] for g in gs))
+        for gs in itertools.combinations(range(K), size))),
+        dtype=np.int64).reshape(-1, size)
+    rows.sort(axis=1)
+    cand = group[rows]
+    if not rooted:
+        cand = np.stack([cand[:, i] * K + cand[:, j]
+                         for i, j in itertools.combinations(range(4), 2)], axis=1)
+    width = K if rooted else K * K
+    seen = profile.k * np.bincount(cand.ravel(), minlength=width)
+    f = np.zeros(width, dtype=np.int64)
+    nv = np.zeros(width, dtype=np.int64)
+    codes_of = triplet_codes if rooted else quartet_codes
+    for member in profile.trees:
+        codes = codes_of(member, rows)
+        unresolved = codes == UNRESOLVED
+        nv += np.bincount(cand[unresolved].ravel(), minlength=width)
+        voters, codes = cand[~unresolved], codes[~unresolved]
+        at = np.arange(len(codes))
+        f += np.bincount(voters[at, codes], minlength=width)
+        if not rooted:
+            f += np.bincount(voters[at, 5 - codes], minlength=width)
+    return f, seen - f - nv, nv
+
+
 def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, VoteTally]:
     """Votes per child q of polytomy v, over triplets with leaves in three
     distinct child groups, one of them the q group."""
-    apart_of = {TripletTopology.A_BC: 0, TripletTopology.B_AC: 1, TripletTopology.C_AB: 2}
-    counts: dict[int, list[int]] = {q: [0, 0, 0] for q in tree.children[v]}
     children = tree.children[v]
-    taxa_by_child = [sorted(tree.subtree_taxa(c)) for c in children]
-    for ga, gb, gc in itertools.combinations(range(len(children)), 3):
-        for X in itertools.product(taxa_by_child[ga], taxa_by_child[gb], taxa_by_child[gc]):
-            Xs = tuple(sorted(X))
-            group = {x: children[g] for x, g in zip(X, (ga, gb, gc))}
-            for member in profile.trees:
-                top = triplet_topology(member, Xs)
-                if top is TripletTopology.FAN:
-                    for g in (ga, gb, gc):
-                        counts[children[g]][2] += 1
-                else:
-                    apart = group[Xs[apart_of[top]]]
-                    for g in (ga, gb, gc):
-                        q = children[g]
-                        counts[q][0 if q == apart else 1] += 1
-    return {q: VoteTally(f, a, nv) for q, (f, a, nv) in counts.items()}
+    f, a, nv = _votes([sorted(tree.subtree_taxa(c)) for c in children], profile, rooted=True)
+    return {q: VoteTally(int(f[g]), int(a[g]), int(nv[g])) for g, q in enumerate(children)}
 
 
 def unrooted_vote_tally(tree: Phylogeny, w: int, profile: Profile) -> dict[frozenset, VoteTally]:
     """Votes per unordered neighbor pair {q, r} of polytomy w, over quartets
     with leaves in four distinct neighbor groups, two of them q and r."""
-    pair_of = {QuartetTopology.AB_CD: (0, 1), QuartetTopology.AC_BD: (0, 2),
-               QuartetTopology.AD_BC: (0, 3)}
     nbrs = tree.neighbors(w)
-    everything = set(range(tree.n))
-    group_taxa = []
-    for x in nbrs:
-        if tree.parent[x] == w:
-            group_taxa.append(sorted(tree.subtree_taxa(x)))
-        else:
-            group_taxa.append(sorted(everything - tree.subtree_taxa(w)))
-    counts: dict[frozenset, list[int]] = {
-        frozenset(pr): [0, 0, 0] for pr in itertools.combinations(nbrs, 2)}
-    for gs in itertools.combinations(range(len(nbrs)), 4):
-        for X in itertools.product(*(group_taxa[g] for g in gs)):
-            Xs = tuple(sorted(X))
-            group = {x: nbrs[g] for x, g in zip(X, gs)}
-            pairs_here = [frozenset((nbrs[ga], nbrs[gb]))
-                          for ga, gb in itertools.combinations(gs, 2)]
-            for member in profile.trees:
-                top = quartet_topology(member, Xs)
-                if top is QuartetTopology.STAR:
-                    for pr in pairs_here:
-                        counts[pr][2] += 1
-                    continue
-                i, j = pair_of[top]
-                mate = frozenset((group[Xs[i]], group[Xs[j]]))
-                other = frozenset(set(group[x] for x in Xs) - mate)
-                for pr in pairs_here:
-                    counts[pr][0 if pr in (mate, other) else 1] += 1
-    return {pr: VoteTally(f, a, nv) for pr, (f, a, nv) in counts.items()}
+    outside = sorted(set(range(tree.n)) - tree.subtree_taxa(w))
+    groups = [sorted(tree.subtree_taxa(x)) if tree.parent[x] == w else outside
+              for x in nbrs]
+    K = len(nbrs)
+    f, a, nv = (x.reshape(K, K) + x.reshape(K, K).T
+                for x in _votes(groups, profile, rooted=False))
+    return {frozenset((nbrs[g], nbrs[h])): VoteTally(int(f[g, h]), int(a[g, h]), int(nv[g, h]))
+            for g, h in itertools.combinations(range(K), 2)}
 
 
 @dataclass(frozen=True)

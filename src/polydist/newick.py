@@ -98,29 +98,41 @@ def _statement(sc: _Scanner, kind: Kind) -> Phylogeny:
     children: list[list[int]] = []
     leaf_label: list[str | None] = []
 
-    def node() -> int:
-        vid = len(children)
+    def new_node(parent: int) -> int:
         children.append([])
         leaf_label.append(None)
+        if parent >= 0:
+            children[parent].append(len(children) - 1)
+        return len(children) - 1
+
+    # Iterative descent: `open_groups` holds the internal nodes whose ')'
+    # is still to come, so nesting depth costs no Python recursion.
+    open_groups: list[int] = []
+    root = vid = new_node(-1)
+    while True:
         if sc.peek() == "(":
             sc.expect("(")
-            children[vid].append(node())
-            while sc.peek() == ",":
-                sc.expect(",")
-                children[vid].append(node())
+            open_groups.append(vid)
+            vid = new_node(vid)
+            continue
+        start = sc.pos
+        lab = sc.label()
+        if not lab:
+            raise NewickError("empty leaf label", start)
+        leaf_label[vid] = lab
+        labels.append(lab)
+        sc.skip_branch_length()
+        # the node is complete: close groups until a sibling follows
+        while open_groups and sc.peek() != ",":
             sc.expect(")")
             sc.label()  # internal label, discarded
-        else:
-            start = sc.pos
-            lab = sc.label()
-            if not lab:
-                raise NewickError("empty leaf label", start)
-            leaf_label[vid] = lab
-            labels.append(lab)
-        sc.skip_branch_length()
-        return vid
+            sc.skip_branch_length()
+            open_groups.pop()
+        if not open_groups:
+            break
+        sc.expect(",")
+        vid = new_node(open_groups[-1])
 
-    root = node()
     sc.expect(";")
 
     if len(set(labels)) != len(labels):

@@ -15,7 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from polydist.newick import write_newick
-from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
+from polydist.trees import (
+    UNRESOLVED,
+    Kind,
+    Phylogeny,
+    TaxonSet,
+    TreeError,
+    quartet_codes,
+    triplet_codes,
+)
 
 ROOTED_ENUM_CAP = 7
 UNROOTED_ENUM_CAP = 8
@@ -72,93 +80,44 @@ def _check_comparable(t1: Phylogeny, t2: Phylogeny, kind: Kind):
         raise TreeError("trees are over different taxon sets")
 
 
-def _triplet_codes(tree: Phylogeny, combos: np.ndarray) -> np.ndarray:
-    """Topology code per sorted triplet row: 0=a|bc, 1=b|ac, 2=c|ab, 3=fan."""
-    _, dep = tree.leaf_lca_tables()
-    d = np.asarray(dep, dtype=np.int64)
-    a, b, c = combos[:, 0], combos[:, 1], combos[:, 2]
-    stacked = np.stack([d[b, c], d[a, c], d[a, b]])  # deepest pair leaves x apart
-    codes = np.argmax(stacked, axis=0).astype(np.int8)
-    fan = (stacked[0] == stacked[1]) & (stacked[1] == stacked[2])
-    codes[fan] = 3
-    return codes
-
-
-def _quartet_codes(tree: Phylogeny, combos: np.ndarray) -> np.ndarray:
-    """Topology code per sorted quartet row: 0=ab|cd, 1=ac|bd, 2=ad|bc, 3=star.
-
-    Uses the median trick: med(x,y,z) is the deepest of the three pairwise
-    LCAs; the quartet is ab|cd iff med(a,b,c) == med(a,b,d).
-    """
-    node_l, dep_l = tree.leaf_lca_tables()
-    node = np.asarray(node_l, dtype=np.int64)
-    dep = np.asarray(dep_l, dtype=np.int64)
-    a, b, c, d = combos[:, 0], combos[:, 1], combos[:, 2], combos[:, 3]
-
-    def median(x, y, z):
-        depths = np.stack([dep[x, y], dep[x, z], dep[y, z]])
-        nodes = np.stack([node[x, y], node[x, z], node[y, z]])
-        return np.take_along_axis(nodes, np.argmax(depths, axis=0)[None, :], 0)[0]
-
-    m1 = median(a, b, c)
-    m2 = median(a, b, d)
-    m3 = median(a, c, d)
-    codes = np.full(len(combos), 2, dtype=np.int8)
-    codes[m1 == m2] = 0
-    codes[m1 == m3] = 1
-    codes[(m1 == m2) & (m1 == m3)] = 3
-    return codes
-
-
-def _classify_codes(codes1: np.ndarray, codes2: np.ndarray, star: int) -> tuple:
-    res1 = codes1 != star
-    res2 = codes2 != star
-    s = int(np.count_nonzero(res1 & res2 & (codes1 == codes2)))
-    d = int(np.count_nonzero(res1 & res2 & (codes1 != codes2)))
+def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind, listing: bool) -> Classification:
+    """Classify every triplet (rooted) or quartet (unrooted), as sorted rows,
+    by its topology code (trees.triplet_codes / quartet_codes) in each tree."""
+    _check_comparable(t1, t2, kind)
+    size, codes_of = (3, triplet_codes) if kind is Kind.ROOTED else (4, quartet_codes)
+    rows = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(t1.n), size)), dtype=np.int64).reshape(-1, size)
+    c1 = codes_of(t1, rows)
+    c2 = codes_of(t2, rows)
+    res1 = c1 != UNRESOLVED
+    res2 = c2 != UNRESOLVED
+    s = int(np.count_nonzero(res1 & res2 & (c1 == c2)))
+    d = int(np.count_nonzero(res1 & res2 & (c1 != c2)))
     r1 = int(np.count_nonzero(res1 & ~res2))
     r2 = int(np.count_nonzero(~res1 & res2))
     u = int(np.count_nonzero(~res1 & ~res2))
-    return s, d, r1, r2, u
+    members = _list_members(rows, c1, c2) if listing else None
+    return Classification(s, d, r1, r2, u, members)
 
 
 def classify_triplets(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classification:
     """Classify all C(n,3) triplets of two rooted trees by direct enumeration."""
-    _check_comparable(t1, t2, Kind.ROOTED)
-    n = t1.n
-    combos = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64) \
-        if n >= 3 else np.empty((0, 3), dtype=np.int64)
-    c1 = _triplet_codes(t1, combos) if len(combos) else np.empty(0, dtype=np.int8)
-    c2 = _triplet_codes(t2, combos) if len(combos) else np.empty(0, dtype=np.int8)
-    s, d, r1, r2, u = _classify_codes(c1, c2, star=3)
-    members = None
-    if listing:
-        members = _list_members(combos, c1, c2, star=3)
-    return Classification(s, d, r1, r2, u, members)
+    return _classify(t1, t2, Kind.ROOTED, listing)
 
 
 def classify_quartets(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classification:
     """Classify all C(n,4) quartets of two unrooted trees by direct enumeration."""
-    _check_comparable(t1, t2, Kind.UNROOTED)
-    n = t1.n
-    combos = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64) \
-        if n >= 4 else np.empty((0, 4), dtype=np.int64)
-    c1 = _quartet_codes(t1, combos) if len(combos) else np.empty(0, dtype=np.int8)
-    c2 = _quartet_codes(t2, combos) if len(combos) else np.empty(0, dtype=np.int8)
-    s, d, r1, r2, u = _classify_codes(c1, c2, star=3)
-    members = None
-    if listing:
-        members = _list_members(combos, c1, c2, star=3)
-    return Classification(s, d, r1, r2, u, members)
+    return _classify(t1, t2, Kind.UNROOTED, listing)
 
 
-def _list_members(combos, c1, c2, star):
+def _list_members(rows, c1, c2):
     members = {"s": [], "d": [], "r1": [], "r2": [], "u": []}
-    for row, a, b in zip(combos.tolist(), c1.tolist(), c2.tolist()):
-        if a != star and b != star:
+    for row, a, b in zip(rows.tolist(), c1.tolist(), c2.tolist()):
+        if a != UNRESOLVED and b != UNRESOLVED:
             members["s" if a == b else "d"].append(tuple(row))
-        elif a != star:
+        elif a != UNRESOLVED:
             members["r1"].append(tuple(row))
-        elif b != star:
+        elif b != UNRESOLVED:
             members["r2"].append(tuple(row))
         else:
             members["u"].append(tuple(row))
@@ -417,9 +376,3 @@ def median_exhaustive(profile, p, kind: Kind, cap: int | None = None) -> MedianR
             winners.append(cand)
     winners.sort(key=write_newick)
     return MedianResult(winners[0], best, tuple(winners))
-
-
-def profile_distance_brute(tree: Phylogeny, profile, p) -> Fraction:
-    p = Fraction(p)
-    return sum((classify(tree, member).to_distance_pair().evaluate(p)
-                for member in profile), Fraction(0))

@@ -89,10 +89,9 @@ def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
     return R, comb(n, 4) - R
 
 
-def count_shared_quartets(t1: Phylogeny, t2: Phylogeny, method: str = "brute") -> int:
-    """|S|: quartets resolved identically in both trees."""
-    if method != "brute":
-        raise ValueError("only the brute shared-quartet count is implemented")
+def count_shared_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
+    """|S|: quartets resolved identically in both trees, by the brute
+    C(n,4) classification."""
     return classify_quartets(t1, t2).s
 
 
@@ -175,7 +174,8 @@ def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
                                 mode: str = "approx") -> ApproxDistance:
     """Parametric quartet distance with a certified interval.
 
-    mode="approx": the O(n^2)-style sandwich value (p >= 1/2 required);
+    mode="approx": the sandwich value (p >= 1/2 required); its |S| term
+    is the brute C(n,4) classification, the rest is O(n^2);
     mode="brute": exact via full classification (any p in [0, 1]).
     """
     if t1.kind is not Kind.UNROOTED or t2.kind is not Kind.UNROOTED:

@@ -8,8 +8,14 @@ traversal code a place to start.
 
 The module also provides the elementary editing operations used by the
 consensus and Hausdorff machinery (`pull_out`, `pull_2_out`, `contract`),
-restriction to a taxon subset, induced triplet/quartet topologies, the
-refinement partial order, and canonical forms for isomorphism checks.
+restriction to a taxon subset, the refinement partial order, and
+canonical forms for isomorphism checks.
+
+The topology kernels `triplet_codes` / `quartet_codes` live here too: they
+read the induced topologies of whole arrays of sorted triplet / quartet
+rows off the cached LCA tables for the oracle, the consensus vote tallies
+and the scalar `triplet_topology` / `quartet_topology` queries alike;
+`topology_by_restriction` is the independent route the tests check.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class TreeError(ValueError):
@@ -66,6 +74,9 @@ class TaxonSet:
     def of(cls, labels: Iterable[str], sort: bool = False) -> "TaxonSet":
         labs = sorted(labels) if sort else list(labels)
         return cls(tuple(labs))
+
+
+UNRESOLVED = 3  # topology code of a fan triplet or a star quartet
 
 
 class TripletTopology(Enum):
@@ -226,37 +237,40 @@ class Phylogeny:
             self._cache["subtree_taxa"] = sets
         return sets[v]
 
-    def leaf_lca_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(lca_node, lca_depth) for every ordered pair of taxon indices.
+    def leaf_lca_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lca_node, lca_depth): (n, n) int64 arrays over taxon indices.
 
-        Computed once per tree in the stored orientation; O(n^2 * depth).
+        Computed once per tree in the stored orientation, in O(n^2): with
+        the leaves numbered in postorder each subtree holds a range of
+        them, and the pairs whose LCA is v are the blocks between each
+        child's range and the rest of v's range.
         """
         cached = self._cache.get("leaf_lca")
         if cached is not None:
             return cached
         n = self.n
-        depth = self.depths()
-        leaf = [self.leaf_of_taxon(i) for i in range(n)]
-        anc_pos = []  # taxon -> {ancestor node: position from leaf}
-        for i in range(n):
-            path = {}
-            v = leaf[i]
-            while v != -1:
-                path[v] = len(path)
-                v = self.parent[v]
-            anc_pos.append(path)
-        lca_node = [[0] * n for _ in range(n)]
-        lca_depth = [[0] * n for _ in range(n)]
-        for i in range(n):
-            pi = anc_pos[i]
-            for j in range(n):
-                v = leaf[j]
-                while v not in pi:
-                    v = self.parent[v]
-                lca_node[i][j] = v
-                lca_depth[i][j] = depth[v]
-        self._cache["leaf_lca"] = (lca_node, lca_depth)
-        return lca_node, lca_depth
+        lo, hi = [0] * self.num_nodes, [0] * self.num_nodes
+        leaf_order: list[int] = []  # taxon of each position in leaf order
+        node = np.empty((n, n), dtype=np.int64)
+        for v in self.postorder():
+            t = self.leaf_taxon[v]
+            if t is not None:
+                lo[v] = len(leaf_order)
+                hi[v] = lo[v] + 1
+                node[lo[v], lo[v]] = v
+                leaf_order.append(t)
+                continue
+            lo[v] = min(lo[c] for c in self.children[v])
+            hi[v] = max(hi[c] for c in self.children[v])
+            for c in self.children[v]:
+                node[lo[c]:hi[c], lo[v]:lo[c]] = v
+                node[lo[c]:hi[c], hi[c]:hi[v]] = v
+        rank = np.empty(n, dtype=np.int64)
+        rank[leaf_order] = np.arange(n)
+        node = node[np.ix_(rank, rank)]
+        depth = np.asarray(self.depths(), dtype=np.int64)[node]
+        self._cache["leaf_lca"] = (node, depth)
+        return node, depth
 
     # -- validation ------------------------------------------------------
 
@@ -464,57 +478,66 @@ def _compact(kind: Kind, taxa: TaxonSet, children, root, leaf_taxon) -> Phylogen
     return Phylogeny(kind, taxa, new_children, remap[root], new_leaf)
 
 
-def triplet_topology(tree: Phylogeny, triplet) -> TripletTopology:
-    """Induced topology of a rooted tree on three taxa (LCA-depth method)."""
-    if tree.kind is not Kind.ROOTED:
-        raise TreeError("triplet topologies are defined for rooted trees")
-    a, b, c = sorted(tree.taxa.index(x) for x in triplet)
-    if len({a, b, c}) != 3:
-        raise TreeError("triplet must contain three distinct taxa")
-    _, d = tree.leaf_lca_tables()
-    dab, dac, dbc = d[a][b], d[a][c], d[b][c]
-    top = max(dab, dac, dbc)
-    if dab == dac == dbc:
-        return TripletTopology.FAN
-    if dbc == top:
-        return TripletTopology.A_BC
-    if dac == top:
-        return TripletTopology.B_AC
-    return TripletTopology.C_AB
+def triplet_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
+    """Topology code per sorted triplet row a < b < c of a rooted tree:
+    0 = a|bc, 1 = b|ac, 2 = c|ab, UNRESOLVED (3) = fan.
 
-
-def quartet_topology(tree: Phylogeny, quartet) -> QuartetTopology:
-    """Induced topology of an unrooted tree on four taxa.
-
-    Uses path-median nodes: for quartet {a,b,c,d}, med(a,b,c) == med(a,b,d)
-    exactly when the topology is ab|cd; all medians coincide for a star.
+    The pair with the deepest LCA leaves the third taxon apart; in a fan
+    all three LCAs coincide.
     """
-    if tree.kind is not Kind.UNROOTED:
-        raise TreeError("quartet topologies are defined for unrooted trees")
-    a, b, c, d = sorted(tree.taxa.index(x) for x in quartet)
-    if len({a, b, c, d}) != 4:
-        raise TreeError("quartet must contain four distinct taxa")
+    _, dep = tree.leaf_lca_tables()
+    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
+    stacked = np.stack([dep[b, c], dep[a, c], dep[a, b]])
+    codes = np.argmax(stacked, axis=0).astype(np.int8)
+    codes[(stacked[0] == stacked[1]) & (stacked[1] == stacked[2])] = UNRESOLVED
+    return codes
+
+
+def quartet_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
+    """Topology code per sorted quartet row a < b < c < d of an unrooted
+    tree: 0 = ab|cd, 1 = ac|bd, 2 = ad|bc, UNRESOLVED (3) = star.
+
+    Uses path medians in any orientation: med(x, y, z) is the deepest of
+    the three pairwise LCAs, the quartet is ab|cd iff med(a,b,c) ==
+    med(a,b,d), and all medians coincide for a star.
+    """
     node, dep = tree.leaf_lca_tables()
+    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
 
     def median(x, y, z):
-        best = node[x][y]
-        bd = dep[x][y]
-        for u, v in ((x, z), (y, z)):
-            if dep[u][v] > bd:
-                bd = dep[u][v]
-                best = node[u][v]
-        return best
+        depths = np.stack([dep[x, y], dep[x, z], dep[y, z]])
+        nodes = np.stack([node[x, y], node[x, z], node[y, z]])
+        return np.take_along_axis(nodes, np.argmax(depths, axis=0)[None, :], 0)[0]
 
     m1 = median(a, b, c)
     m2 = median(a, b, d)
     m3 = median(a, c, d)
-    if m1 == m2:
-        if m1 == m3:
-            return QuartetTopology.STAR
-        return QuartetTopology.AB_CD
-    if m1 == m3:
-        return QuartetTopology.AC_BD
-    return QuartetTopology.AD_BC
+    codes = np.full(len(rows), 2, dtype=np.int8)
+    codes[m1 == m2] = 0
+    codes[m1 == m3] = 1
+    codes[(m1 == m2) & (m1 == m3)] = UNRESOLVED
+    return codes
+
+
+def _subset_row(tree: Phylogeny, subset, size: int) -> np.ndarray:
+    row = sorted(tree.taxa.index(x) for x in subset)
+    if len(row) != size or len(set(row)) != size:
+        raise TreeError(f"subset must contain {size} distinct taxa")
+    return np.array([row], dtype=np.int64)
+
+
+def triplet_topology(tree: Phylogeny, triplet) -> TripletTopology:
+    """Induced topology of a rooted tree on three taxa."""
+    if tree.kind is not Kind.ROOTED:
+        raise TreeError("triplet topologies are defined for rooted trees")
+    return tuple(TripletTopology)[triplet_codes(tree, _subset_row(tree, triplet, 3))[0]]
+
+
+def quartet_topology(tree: Phylogeny, quartet) -> QuartetTopology:
+    """Induced topology of an unrooted tree on four taxa."""
+    if tree.kind is not Kind.UNROOTED:
+        raise TreeError("quartet topologies are defined for unrooted trees")
+    return tuple(QuartetTopology)[quartet_codes(tree, _subset_row(tree, quartet, 4))[0]]
 
 
 def topology_by_restriction(tree: Phylogeny, subset):

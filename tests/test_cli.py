@@ -69,6 +69,17 @@ class TestDist:
                                       trees["u2.nwk"], "--p", "1/4"])
         assert code == 3 and "error:" in err
 
+    def test_deep_caterpillar(self, capsys, tmp_path):
+        # 1200 nesting levels: parsing must not recurse once per level
+        text = "t0"
+        for i in range(1, 1200):
+            text = f"({text},t{i})"
+        path = tmp_path / "cat.nwk"
+        path.write_text(text + ";\n")
+        code, rep, err = run_json(capsys, ["dist", "triplet", str(path), str(path)])
+        assert code == 0
+        assert (rep["result"]["d_count"], rep["result"]["r_count"]) == (0, 0)
+
     def test_json_is_deterministic(self, capsys, trees):
         argv = ["dist", "triplet", trees["t1.nwk"], trees["t2.nwk"]]
         _, out1, _ = run(capsys, argv + ["--json"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,8 +16,17 @@ from polydist.consensus import (
 )
 from polydist.newick import parse_newick
 from polydist.oracle import classify, median_exhaustive
-from polydist.randgen import random_binary
-from polydist.trees import Kind, Phylogeny, TreeError
+from polydist.randgen import random_binary, random_partial
+from polydist.trees import (
+    Kind,
+    Phylogeny,
+    QuartetTopology,
+    TreeError,
+    TripletTopology,
+    pull_2_out,
+    pull_out,
+    topology_by_restriction,
+)
 
 
 THREE_LEAF_PROFILE = Profile((
@@ -108,14 +118,87 @@ class TestVoteTallies:
         assert sum(t.nv for t in tallies.values()) == 0
 
     def test_delta_is_exact(self):
-        # applying the chosen pull-out changes the profile distance by delta
-        fan = Phylogeny.rooted("abc", ("a", "b", "c"))
-        p = Fraction(3, 4)
-        before = profile_distance(fan, THREE_LEAF_PROFILE, p)
-        for q, tally in rooted_vote_tally(fan, fan.root, THREE_LEAF_PROFILE).items():
-            from polydist.trees import pull_out
-            after = profile_distance(pull_out(fan, q), THREE_LEAF_PROFILE, p)
-            assert after - before == tally.delta(p)
+        # applying any candidate's pull-out / pull-2-out changes the profile
+        # distance by its delta: on the three-leaf fan and on seeded partially
+        # resolved trees against partially and fully resolved profiles
+        cases = [(Phylogeny.rooted("abc", ("a", "b", "c")), THREE_LEAF_PROFILE)]
+        cases += _seeded_tally_cases(random.Random(12), 3)
+        checked = {Kind.ROOTED: 0, Kind.UNROOTED: 0}
+        for tree, profile in cases:
+            rooted = tree.is_rooted()
+            tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
+            for p in (Fraction(2, 3), Fraction(3, 4)):
+                before = profile_distance(tree, profile, p)
+                for v in tree.unresolved_nodes():
+                    for candidate, tally in tally_at(tree, v, profile).items():
+                        refined = pull_out(tree, candidate) if rooted \
+                            else pull_2_out(tree, *sorted(candidate))
+                        after = profile_distance(refined, profile, p)
+                        assert after - before == tally.delta(p)
+                        checked[tree.kind] += 1
+        assert min(checked.values()) >= 20
+
+    def test_tallies_match_subset_enumeration(self):
+        # the array tallies against a one-subset-at-a-time count that reads
+        # each member's topology by explicit restriction
+        polytomies = 0
+        for tree, profile in _seeded_tally_cases(random.Random(13), 6):
+            tally_at = rooted_vote_tally if tree.is_rooted() else unrooted_vote_tally
+            for v in tree.unresolved_nodes():
+                expected = _enumerated_tally(tree, v, profile)
+                assert {c: (t.f, t.a, t.nv) for c, t in tally_at(tree, v, profile).items()} \
+                    == expected
+                polytomies += 1
+        assert polytomies >= 12
+
+
+def _seeded_tally_cases(rng: random.Random, per_kind: int) -> list:
+    """Partially resolved trees (n = 6..10) with profiles of partially and
+    fully resolved members, `per_kind` rooted and as many unrooted."""
+    cases = []
+    for kind in (Kind.ROOTED, Kind.UNROOTED):
+        for _ in range(per_kind):
+            n = rng.randint(6, 10)
+            tree = random_partial(n, kind, rng, contract_prob=0.6)
+            members = [random_partial(n, kind, rng, contract_prob=rng.choice([0.2, 0.5]),
+                                      taxa=tree.taxa) for _ in range(rng.randint(1, 3))]
+            members.append(random_binary(n, kind, rng, taxa=tree.taxa))
+            cases.append((tree, Profile(tuple(members))))
+    return cases
+
+
+def _enumerated_tally(tree: Phylogeny, v: int, profile: Profile) -> dict:
+    """(f, a, nv) per candidate at polytomy v, one subset at a time."""
+    rooted = tree.is_rooted()
+    if rooted:
+        groups = {q: tree.subtree_taxa(q) for q in tree.children[v]}
+    else:
+        outside = frozenset(range(tree.n)) - tree.subtree_taxa(v)
+        groups = {x: tree.subtree_taxa(x) if tree.parent[x] == v else outside
+                  for x in tree.neighbors(v)}
+    group_of = {t: g for g, taxa in groups.items() for t in taxa}
+    size = 3 if rooted else 4
+    counts = {c: [0, 0, 0] for c in
+              (groups if rooted else map(frozenset, combinations(groups, 2)))}
+    for subset in combinations(sorted(group_of), size):
+        gs = [group_of[t] for t in subset]
+        if len(set(gs)) < size:
+            continue
+        candidates = gs if rooted else [frozenset(pair) for pair in combinations(gs, 2)]
+        for member in profile.trees:
+            top = topology_by_restriction(member, subset)
+            unresolved = top in (TripletTopology.FAN, QuartetTopology.STAR)
+            if unresolved:
+                agree = []
+            elif rooted:  # A_BC, B_AC, C_AB: the first, second, third taxon is apart
+                agree = [gs[list(TripletTopology).index(top)]]
+            else:  # AB_CD, AC_BD, AD_BC: taxon 0 pairs with taxon 1, 2, 3
+                mate = 1 + list(QuartetTopology).index(top)
+                agree = [frozenset((gs[0], gs[mate])),
+                         frozenset(g for i, g in enumerate(gs) if i not in (0, mate))]
+            for c in candidates:
+                counts[c][2 if unresolved else 0 if c in agree else 1] += 1
+    return {c: tuple(x) for c, x in counts.items()}
 
 
 class TestGreedyRefine:

@@ -55,11 +55,6 @@ class TestShared:
         t2 = Phylogeny.unrooted("abcde", (("a", "c"), "b", ("d", "e")))
         assert count_shared_quartets(t1, t2) == classify_quartets(t1, t2).s
 
-    def test_unknown_method_rejected(self):
-        t = Phylogeny.unrooted("abcd", ("a", "b", "c", "d"))
-        with pytest.raises(ValueError):
-            count_shared_quartets(t, t, method="fast")
-
 
 class TestApproxR1:
     def test_single_quartet(self):
