@@ -28,11 +28,18 @@ class InputError(Exception):
     pass
 
 
+# --method values accepted by each dist metric
+DIST_METHODS = {"triplet": ("fast", "brute"), "quartet": ("approx", "exact", "brute")}
+
+
 def _parse_p(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        p = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid rational {text!r}: {exc}") from exc
+    if not 0 <= p <= 1:
+        raise InputError(f"p must lie in [0, 1], got {p}")
+    return p
 
 
 def _load_trees(path: str, kind: Kind):
@@ -88,8 +95,6 @@ def _cmd_dist(args) -> tuple[int, dict]:
         t1 = _load_one(args.tree1, kind)
         t2 = _load_one(args.tree2, kind)
         method = args.method or "fast"
-        if method not in ("fast", "brute"):
-            raise InputError("triplet method must be fast or brute")
         if method == "fast":
             dp = triplet.parametric_triplet_distance(t1, t2)
         else:
@@ -109,12 +114,14 @@ def _cmd_dist(args) -> tuple[int, dict]:
         t1 = _load_one(args.tree1, kind)
         t2 = _load_one(args.tree2, kind)
         method = args.method or "approx"
-        if method not in ("approx", "brute"):
-            raise InputError("quartet method must be approx or brute")
-        try:
-            ad = quartet.parametric_quartet_distance(t1, t2, p, mode=method)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        if method == "brute":
+            d = oracle.classify_quartets(t1, t2).to_distance_pair().evaluate(p)
+            ad = quartet.ApproxDistance(d, d, d, exact=True, method="brute")
+        else:
+            try:
+                ad = quartet.parametric_quartet_distance(t1, t2, p, mode=method)
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
         report = {
             "command": "dist quartet",
             "inputs": {"tree1": args.tree1, "tree2": args.tree2,
@@ -262,6 +269,8 @@ def _cmd_selftest(args) -> tuple[int, dict]:
         a = randgen.random_partial(n, Kind.UNROOTED, rng)
         b = randgen.random_partial(n, Kind.UNROOTED, rng, taxa=a.taxa)
         c = oracle.classify_quartets(a, b)
+        if quartet.quartet_classification(a, b) != c:
+            failures.append(f"quartet classification mismatch at trial {trial} (n={n})")
         for p in (Fraction(1, 2), Fraction(3, 4), Fraction(1)):
             ad = quartet.parametric_quartet_distance(a, b, p)
             d = c.to_distance_pair().evaluate(p)
@@ -294,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("tree1")
     d.add_argument("tree2")
     d.add_argument("--p", default="1/2", help='rational, e.g. "1/2" or "0.75"')
-    d.add_argument("--method", choices=["fast", "brute", "approx"],
-                   help="fast|brute (triplet), approx|brute (quartet)")
+    methods = sorted({m for ms in DIST_METHODS.values() for m in ms})
+    d.add_argument("--method", choices=methods,
+                   help="fast|brute (triplet), approx|exact|brute (quartet)")
     d.add_argument("--unrooted", action="store_true",
                    help="accepted for symmetry; quartet input is always unrooted")
     common(d)
@@ -355,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "dist" and args.method not in (None, *DIST_METHODS[args.metric]):
+        ap.error(f"{args.metric} method must be one of {', '.join(DIST_METHODS[args.metric])}")
     start = time.perf_counter()
     try:
         code, report = args.fn(args)

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from polydist.oracle import classify_quartets
 from polydist.quartet import parametric_quartet_distance
 from polydist.trees import (
     UNRESOLVED,
@@ -70,9 +69,7 @@ class Profile:
 def _member_distance(tree: Phylogeny, member: Phylogeny, p: Fraction) -> Fraction:
     if tree.kind is Kind.ROOTED:
         return parametric_triplet_distance(tree, member).evaluate(p)
-    if p == Fraction(1, 2):
-        return parametric_quartet_distance(tree, member, p, mode="approx").value
-    return classify_quartets(tree, member).to_distance_pair().evaluate(p)
+    return parametric_quartet_distance(tree, member, p, mode="exact").value
 
 
 def profile_distance(tree: Phylogeny, profile: Profile, p) -> Fraction:
@@ -92,15 +89,23 @@ class BestOfProfile:
 
 
 def best_of_profile(profile: Profile, p) -> BestOfProfile:
-    """The profile member closest to the whole profile (tie: lowest index)."""
+    """The profile member closest to the whole profile (tie: lowest index).
+
+    d^(p) is symmetric and zero on the diagonal, so each of the k(k-1)/2
+    member pairs is computed once and added to both members' totals.
+    """
     p = Fraction(p)
-    best_i, best_total = 0, None
-    for i, member in enumerate(profile.trees):
-        total = profile_distance(member, profile, p)
-        if best_total is None or total < best_total:
-            best_i, best_total = i, total
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    trees = profile.trees
+    totals = [Fraction(0)] * profile.k
+    for i, j in itertools.combinations(range(profile.k), 2):
+        d = _member_distance(trees[i], trees[j], p)
+        totals[i] += d
+        totals[j] += d
+    best_i = min(range(profile.k), key=totals.__getitem__)
     cert = "2-approx" if Fraction(1, 2) <= p <= 1 else None
-    return BestOfProfile(profile.trees[best_i], best_i, best_total, cert)
+    return BestOfProfile(trees[best_i], best_i, totals[best_i], cert)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from polydist.consensus import Profile, VoteTally, best_refinement
-from polydist.oracle import Classification, classify, classify_quartets
+from polydist.oracle import Classification
+from polydist.quartet import quartet_classification
 from polydist.trees import Kind, Phylogeny, TreeError
 from polydist.triplet import build_tables, count_R_U, count_r1, count_shared
 
@@ -43,9 +44,11 @@ class HausdorffBounds:
 
 
 def classification_counts(t1: Phylogeny, t2: Phylogeny) -> Classification:
-    """Five-set counts: O(n^2) triplet path for rooted, oracle for unrooted."""
+    """Exact five-class counts (s, d, r1, r2, u): the O(n^2) triplet kernels
+    of polydist.triplet for rooted trees, quartet_classification's node-pair
+    kernel for unrooted ones."""
     if t1.kind is Kind.UNROOTED:
-        return classify_quartets(t1, t2)
+        return quartet_classification(t1, t2)
     if t1.taxa.labels != t2.taxa.labels:
         raise TreeError("trees are over different taxon sets")
     from math import comb
@@ -101,7 +104,7 @@ def adversarial_refinement(t1: Phylogeny, t2: Phylogeny) -> AdversarialResult:
     achieved disagreement count is >= |D| + (2/3)|R2| of the input pair.
     The loop ends when no candidate has votes, that is when r2 = 0.
     """
-    start = classify(t1, t2)
+    start = classification_counts(t1, t2)
     current = t1
     profile = Profile((t2,))
     while (step := best_refinement(current, profile, _adversarial_cost)) is not None:
@@ -109,7 +112,7 @@ def adversarial_refinement(t1: Phylogeny, t2: Phylogeny) -> AdversarialResult:
         if cost > 0:
             # guaranteed not to happen; the certified lower bound needs A >= 2F
             raise AssertionError("no admissible refinement candidate")
-    final = classify(current, t2)
+    final = classification_counts(current, t2)
     return AdversarialResult(current, start.d, start.r2, final.d)
 
 

@@ -187,11 +187,13 @@ def write_newick(tree: Phylogeny) -> str:
         lab = tree.taxa.label(t)
         return "'" + lab.replace("'", "''") + "'" if needs_quotes(lab) else lab
 
-    def emit(v: int) -> tuple[int, str]:
+    # (smallest taxon, text) per node, children before parents
+    emitted: dict[int, tuple[int, str]] = {}
+    for v in tree.postorder():
         t = tree.leaf_taxon[v]
         if t is not None:
-            return t, emit_label(t)
-        parts = sorted(emit(c) for c in tree.children[v])
-        return parts[0][0], "(" + ",".join(s for _, s in parts) + ")"
-
-    return emit(tree.root)[1] + ";"
+            emitted[v] = t, emit_label(t)
+            continue
+        parts = sorted(emitted.pop(c) for c in tree.children[v])
+        emitted[v] = parts[0][0], "(" + ",".join(s for _, s in parts) + ")"
+    return emitted[tree.root][1] + ";"

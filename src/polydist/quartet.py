@@ -1,16 +1,26 @@
-"""Parametric quartet distance between unrooted trees: exact at p = 1/2,
-2-approximate for p > 1/2, all in O(n^2) except the shared-quartet count.
+"""Quartet distances between unrooted trees.
 
-The approximation returns x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p-1)y,
+`quartet_classification` counts the five quartet classes (s, d, r1, r2,
+u) exactly, from pairs of internal nodes instead of subsets of leaves,
+the way Brodal et al. (SODA 2013) and tqDist (Sand et al. 2014) count
+them.  A resolved quartet ab|cd has an *anchor* at each end of its middle
+path: a node where a and b lie in distinct sides and c and d together in
+a third.  For internal nodes x1 of T1 and x2 of T2 with sides A_j and B_k
+(children, plus the complement of the subtree), M[j, k] = |A_j ∩ B_k|
+decides how many quartets both nodes anchor with the same together pair
+(twice |S|) and how many they anchor with together pairs sharing one
+taxon (four times |D|).  The arithmetic over all pairs costs
+O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d; the
+(m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the memory.
+
+`parametric_quartet_distance` evaluates d^(p) exactly from those counts
+(mode="exact", any p), or returns the paper's 2-approximation
+(mode="approx", p >= 1/2): x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p-1)y,
 where y over-counts |R1| by at most a factor of two (each resolved-in-T1-
 only quartet is strictly induced by exactly two directed edges, and the
 rooted sum hits one or both of them).  This sandwiches the true distance:
 d^(p) <= x <= 2 d^(p) for p >= 1/2, with equality throughout at p = 1/2
 where the y term vanishes.
-
-|S| is counted by the brute-force classifier: the input scales this
-package targets keep O(n^4) affordable, and the approximation's novel part
-(the y sum) stays O(n^2).
 """
 
 from __future__ import annotations
@@ -21,9 +31,15 @@ from math import comb
 
 import numpy as np
 
-from polydist.oracle import classify_quartets
+from polydist.oracle import CapacityError, Classification
 from polydist.trees import Kind, Phylogeny, TreeError
-from polydist.triplet import RootedIntersectionTables, build_tables
+from polydist.triplet import build_tables
+
+# Largest n whose quartet counts the int64 kernels read out exactly (see
+# quartet_classification), and the number of array cells one block of
+# node pairs or edges may hold.
+MAX_EXACT_N = 86251
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,6 +55,10 @@ class ApproxDistance:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise ValueError("invalid certificate interval")
+
+
+def _c2(x):
+    return x * (x - 1) // 2
 
 
 def _reroot(tree: Phylogeny) -> Phylogeny:
@@ -78,25 +98,144 @@ def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
     side = _side_sizes(tree)
     twice_R = 0
     for u in tree.internal_nodes():
-        nbrs = tree.neighbors(u)
-        sizes = {x: side(u, x) for x in nbrs}
-        for v in nbrs:
-            p = n - sizes[v]
-            split_pairs = comb(p, 2) - sum(comb(sizes[x], 2) for x in nbrs if x != v)
-            twice_R += split_pairs * comb(n - p, 2)
+        sizes = [side(u, x) for x in tree.neighbors(u)]
+        together = sum(comb(s, 2) for s in sizes)
+        for s in sizes:
+            split_pairs = comb(n - s, 2) - (together - comb(s, 2))
+            twice_R += split_pairs * comb(s, 2)
     assert twice_R % 2 == 0
     R = twice_R // 2
     return R, comb(n, 4) - R
 
 
+def _node_sides(tree: Phylogeny) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Internal nodes grouped by child count, as (rows, sizes) per group.
+
+    Row j of a node lists its sides: its children, then the node itself
+    standing for the complement of its subtree (empty at the root).
+    sizes[., j] is the number of leaves in side j.
+    """
+    alpha = np.asarray(tree.subtree_sizes(), dtype=np.int64)
+    by_count: dict[int, list[int]] = {}
+    for v in tree.internal_nodes():
+        by_count.setdefault(len(tree.children[v]), []).append(v)
+    groups = []
+    for _, nodes in sorted(by_count.items()):
+        rows = np.array([tree.children[v] + (v,) for v in nodes], dtype=np.int64)
+        sizes = alpha[rows]
+        sizes[:, -1] = tree.n - sizes[:, -1]
+        groups.append((rows, sizes))
+    return groups
+
+
+def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per node pair, from M[..., j, k] = |A_j ∩ B_k| with side sizes R
+    (rows) and C (columns): twice the shared quartets it anchors, and four
+    times the differently resolved ones.
+
+    Shared: {c, d} in cell (i, k), {a, b} outside row i and column k in
+    distinct rows and distinct columns.  Different: d in cell (i, k), c in
+    (i, l), b in (j, k) with j != i, l != k, and a outside rows i, j and
+    columns k, l; the a-count splits into terms that are row and column
+    sums, except the sum over M[j, l], which is (M·Mᵀ·M)[i, k] and enters
+    as the squared Frobenius norm of M·Mᵀ.
+    """
+    def rows(A):
+        return A.sum(-1, keepdims=True)
+
+    def cols(A):
+        return A.sum(-2, keepdims=True)
+
+    M2 = _c2(M)
+    G = _c2(R - M)   # pairs in row j outside column k
+    H = _c2(C - M)   # pairs in column l outside row i
+    pairs = (_c2(n - R - C + M) - (cols(G) - G) - (rows(H) - H)
+             + rows(cols(M2)) - rows(M2) - cols(M2) + M2)
+    twice_s = (M2 * pairs).sum((-2, -1))
+
+    X, Y = R - M, C - M
+    RM, MC, Msq = R * M, M * C, M * M
+    outside = (X * Y * (n - R - C + M)
+               - X * (cols(RM) - RM) - Y * (rows(MC) - MC)
+               + Y * (rows(Msq) - Msq) + X * (cols(Msq) - Msq)
+               - M * (rows(Msq) + cols(Msq) - Msq))
+    Mt = M.swapaxes(-1, -2)
+    gram = M @ Mt if M.shape[-2] <= M.shape[-1] else Mt @ M
+    four_d = (M * outside).sum((-2, -1)) + (gram * gram).sum((-2, -1))
+    return twice_s, four_d
+
+
+def quartet_classification(t1: Phylogeny, t2: Phylogeny) -> Classification:
+    """Exact (s, d, r1, r2, u) over all C(n, 4) quartets of two unrooted
+    trees, from node pairs grouped by (child count in T1, in T2).
+
+    r1 = R(T1) - s - d, r2 = R(T2) - s - d and u is the rest.
+
+    int64 bound: numpy's int64 addition, subtraction and multiplication
+    are exact modulo 2^64, so intermediates may wrap as long as every value
+    that is divided or read out is exact.  The only divisions are the
+    C(x, 2) of side counts 0 <= x <= n; the values read out are the sums
+    of one block's per-pair counts, at most 2|S| and 4|D| <= 4·C(n, 4).
+    Hence the counts are exact while 4·C(n, 4) < 2^63, that is for
+    n <= MAX_EXACT_N = 86251; larger n raises CapacityError.  Long before
+    that, the I-table's 8·m1·m2 bytes are the limit.
+    """
+    if t1.kind is not Kind.UNROOTED or t2.kind is not Kind.UNROOTED:
+        raise TreeError("quartet classification applies to unrooted trees")
+    if t1.taxa.labels != t2.taxa.labels:
+        raise TreeError("trees are over different taxon sets")
+    n = t1.n
+    if n < 4:
+        return Classification(0, 0, 0, 0, 0)
+    if n > MAX_EXACT_N:
+        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
+    tables = build_tables(t1, t2)
+    I, alpha2 = tables.I, tables.alpha2
+    twice_s = four_d = 0
+    sides2 = _node_sides(t2)
+    for rows1, sizes1 in _node_sides(t1):
+        for rows2, sizes2 in sides2:
+            per_node = len(rows2) * rows1.shape[1] * rows2.shape[1]
+            step = max(1, _BLOCK_CELLS // per_node)
+            for lo in range(0, len(rows1), step):
+                r1, s1 = rows1[lo:lo + step], sizes1[lo:lo + step]
+                M = I[r1[:, None, :, None], rows2[None, :, None, :]]
+                # the last side of each node is the complement of its subtree
+                M[:, :, -1, :] = alpha2[rows2] - M[:, :, -1, :]
+                M[:, :, :, -1] = s1[:, None, :] - M[:, :, :, -1]
+                s, d = _anchor_counts(M, s1[:, None, :, None],
+                                      sizes2[None, :, None, :], n)
+                twice_s += int(s.sum())
+                four_d += int(d.sum())
+    s, d = twice_s // 2, four_d // 4
+    r1 = count_R_U_quartets(t1)[0] - s - d
+    r2 = count_R_U_quartets(t2)[0] - s - d
+    return Classification(s, d, r1, r2, comb(n, 4) - s - d - r1 - r2)
+
+
 def count_shared_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
-    """|S|: quartets resolved identically in both trees, by the brute
-    C(n,4) classification."""
-    return classify_quartets(t1, t2).s
+    """|S|: quartets resolved identically in both trees."""
+    return quartet_classification(t1, t2).s
 
 
-def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny,
-                       tables: RootedIntersectionTables | None = None) -> int:
+def _gamma(a: np.ndarray, b: np.ndarray, size_p: np.ndarray,
+           size_q: np.ndarray) -> np.ndarray:
+    """gamma per (directed edge, polytomy) for sides P, Q: a[..., i] =
+    |side(x_i) ∩ P|, b[..., i] = |side(x_i) ∩ Q| over the polytomy's
+    neighbors x_i; size_p and size_q hold |P| and |Q| per edge."""
+    ar = size_p[:, None, None] - a
+    br = size_q[:, None, None] - b
+    c2a, c2b, ab = _c2(a), _c2(b), a * b
+    n1 = (c2a * c2b).sum(-1)
+    n2 = (c2a * b * br + c2b * a * ar).sum(-1)
+    n3 = (((c2a.sum(-1, keepdims=True) - c2a) * c2b).sum(-1)
+          + ((ab.sum(-1, keepdims=True) - ab) * ab).sum(-1) // 2)
+    n4 = (c2a * _c2(br) + c2b * _c2(ar) + ab * ar * br).sum(-1) - 2 * n3
+    return (_c2(size_p) * _c2(size_q))[:, None] - n1 - n2 - n3 - n4
+
+
+def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     """y with |R1| <= y <= 2|R1|: the rooted directed-edge sum.
 
     T1 is rooted at its lowest-id internal node; for each non-root internal
@@ -104,69 +243,52 @@ def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny,
     side Q = the rest.  gamma(P, Q, w) counts quartets with two leaves in P,
     two in Q, all four in distinct components around the polytomy w; the
     four subtracted terms n1..n4 remove the other containment patterns by
-    inclusion-exclusion over w's neighbors.
+    inclusion-exclusion over w's neighbors.  Each edge's sum is gamma at u
+    minus gamma at u's internal children (a leaf child's gamma is 0),
+    evaluated for blocks of edges against all polytomies of one degree.
     """
     r1 = _reroot(t1)
     r2 = _reroot(t2)
-    polytomies = [w for w in r2.internal_nodes() if r2.degree(w) > 3]
-    if not polytomies:
+    by_degree: dict[int, list[int]] = {}
+    for w in r2.internal_nodes():
+        if r2.degree(w) > 3:
+            by_degree.setdefault(r2.degree(w), []).append(w)
+    if not by_degree:
         return 0
-    if tables is None or tables.t1 is not r1 or tables.t2 is not r2:
-        tables = build_tables(r1, r2)
-    I = tables.I
-    alpha1 = tables.alpha1
+    tables = build_tables(r1, r2)
+    I, alpha1, alpha2 = tables.I, tables.alpha1, tables.alpha2
     n = r1.n
-
-    # Per polytomy w: the neighbor list and, for a T1-node u, the vector of
-    # |side(x_i, w) ∩ subtree1(u)| over neighbors x_i of w.
-    poly_nbrs = {w: r2.neighbors(w) for w in polytomies}
-
-    def side_inter(u: int, w: int) -> np.ndarray:
-        out = []
-        for x in poly_nbrs[w]:
-            if r2.parent[x] == w:
-                out.append(I[u, x])
-            else:  # x is w's parent: side is the complement of subtree(w)
-                out.append(alpha1[u] - I[u, w])
-        return np.asarray(out, dtype=np.int64)
-
-    def c2(v: np.ndarray) -> np.ndarray:
-        return v * (v - 1) // 2
-
-    side2 = _side_sizes(r2)
-    side_sizes = {w: np.asarray([side2(w, x) for x in poly_nbrs[w]], dtype=np.int64)
-                  for w in polytomies}
-
-    def gamma_value(a: np.ndarray, b: np.ndarray, size_p: int, size_q: int) -> int:
-        """gamma for sides P, Q at a polytomy: a[i] = |side(x_i) ∩ P|,
-        b[i] = |side(x_i) ∩ Q|.  Q is the far side of the directed edge and
-        is shared by the parent term and all child terms."""
-        ar = size_p - a
-        br = size_q - b
-        c2a, c2b = c2(a), c2(b)
-        n1 = int((c2a * c2b).sum())
-        n2 = int((c2a * b * br).sum() + (c2b * a * ar).sum())
-        alpha_acc = int(c2a.sum())
-        beta_acc = int((a * b).sum())
-        pair_sum = int(((beta_acc - a * b) * a * b).sum())
-        assert pair_sum % 2 == 0
-        n3 = int(((alpha_acc - c2a) * c2b).sum()) + pair_sum // 2
-        n4 = int((c2a * c2(br)).sum() + (c2b * c2(ar)).sum()
-                 + (a * b * ar * br).sum()) - 2 * n3
-        return comb(size_p, 2) * comb(size_q, 2) - n1 - n2 - n3 - n4
+    edges = np.array([u for u in r1.internal_nodes() if u != r1.root], dtype=np.int64)
+    below = [(i, x) for i, u in enumerate(edges.tolist())
+             for x in r1.children[u] if not r1.is_leaf(x)]
+    child_edge = np.array([i for i, _ in below], dtype=np.int64)
+    child = np.array([x for _, x in below], dtype=np.int64)
+    parent2 = np.asarray(r2.parent, dtype=np.int64)
 
     total = 0
-    for u in r1.internal_nodes():
-        if u == r1.root:
-            continue
-        size_q = n - int(alpha1[u])
-        for w in polytomies:
-            a_u = side_inter(u, w)
-            b = side_sizes[w] - a_u
-            val = gamma_value(a_u, b, int(alpha1[u]), size_q)
-            for x in r1.children[u]:
-                val -= gamma_value(side_inter(x, w), b, int(alpha1[x]), size_q)
-            total += val
+    for _, polys in sorted(by_degree.items()):
+        polys = np.array(polys, dtype=np.int64)
+        nbrs = np.array([r2.neighbors(w) for w in polys], dtype=np.int64)
+        up = parent2[polys][:, None] == nbrs          # neighbor is w's parent
+        cols = np.where(up, polys[:, None], nbrs)
+        sizes = np.where(up, n - alpha2[cols], alpha2[cols])
+
+        def inter(nodes: np.ndarray) -> np.ndarray:
+            """|side(x_i, w) ∩ subtree1(u)| for u in nodes, per polytomy w."""
+            g = I[nodes[:, None, None], cols[None]]
+            return np.where(up, alpha1[nodes][:, None, None] - g, g)
+
+        step = max(1, _BLOCK_CELLS // nbrs.size)
+        for lo in range(0, len(edges), step):
+            u = edges[lo:lo + step]
+            a = inter(u)
+            b = sizes - a
+            size_q = n - alpha1[u]
+            val = _gamma(a, b, alpha1[u], size_q)
+            first, last = np.searchsorted(child_edge, [lo, lo + len(u)])
+            x, at = child[first:last], child_edge[first:last] - lo
+            np.subtract.at(val, at, _gamma(inter(x), b[at], alpha1[x], size_q[at]))
+            total += int(val.sum())
     return total
 
 
@@ -174,9 +296,9 @@ def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
                                 mode: str = "approx") -> ApproxDistance:
     """Parametric quartet distance with a certified interval.
 
-    mode="approx": the sandwich value (p >= 1/2 required); its |S| term
-    is the brute C(n,4) classification, the rest is O(n^2);
-    mode="brute": exact via full classification (any p in [0, 1]).
+    mode="exact": d^(p) for any p in [0, 1] from quartet_classification;
+    mode="approx": the paper's sandwich value (p >= 1/2 required), with
+    |S| from quartet_classification and the y term of approx_r1_quartets.
     """
     if t1.kind is not Kind.UNROOTED or t2.kind is not Kind.UNROOTED:
         raise TreeError("quartet distance applies to unrooted trees")
@@ -186,14 +308,14 @@ def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
-    if mode == "brute":
-        d = classify_quartets(t1, t2).to_distance_pair().evaluate(p)
-        return ApproxDistance(d, d, d, exact=True, method="brute")
+    if mode == "exact":
+        d = quartet_classification(t1, t2).to_distance_pair().evaluate(p)
+        return ApproxDistance(d, d, d, exact=True, method="exact")
     if mode != "approx":
         raise ValueError(f"unknown mode {mode!r}")
     if p < Fraction(1, 2):
         raise ValueError(
-            "the approximation guarantee only covers p >= 1/2; use mode='brute'")
+            "the approximation guarantee only covers p >= 1/2; use mode='exact'")
 
     R1tree, U1tree = count_R_U_quartets(t1)
     _, U2tree = count_R_U_quartets(t2)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from polydist import oracle, quartet
 from polydist.cli import main
+from polydist.oracle import Classification, classify_quartets
 
 
 @pytest.fixture
@@ -64,6 +66,41 @@ class TestDist:
             return int(num) / int(den)
         assert val(lo) <= val(brute["result"]["value"]) <= val(hi)
 
+    def test_quartet_exact_method(self, capsys, trees):
+        for p in ("1/4", "3/4"):
+            argv = ["dist", "quartet", trees["u1.nwk"], trees["u2.nwk"], "--p", p]
+            code, exact, _ = run_json(capsys, argv + ["--method", "exact"])
+            assert code == 0 and exact["method"] == "exact"
+            assert exact["result"]["status"] == "exact"
+            value = exact["result"]["value"]
+            assert exact["result"]["interval"] == [value, value]
+            _, brute, _ = run_json(capsys, argv + ["--method", "brute"])
+            assert brute["result"]["value"] == value
+
+    def test_quartet_brute_is_the_oracle(self, capsys, trees, monkeypatch):
+        calls = []
+
+        def counted(t1, t2, listing=False):
+            calls.append(1)
+            return classify_quartets(t1, t2, listing)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("brute must not run the node-pair kernel")
+        monkeypatch.setattr(oracle, "classify_quartets", counted)
+        monkeypatch.setattr(quartet, "quartet_classification", unused)
+        code, rep, _ = run_json(capsys, ["dist", "quartet", trees["u1.nwk"],
+                                         trees["u2.nwk"], "--p", "1/4", "--method", "brute"])
+        assert code == 0 and calls == [1]
+        assert rep["result"]["status"] == "exact" and rep["result"]["value"] == "5/4"
+
+    @pytest.mark.parametrize("metric, method", [
+        ("triplet", "approx"), ("triplet", "exact"), ("quartet", "fast"), ("quartet", "zebra")])
+    def test_bad_method_exit_2(self, capsys, trees, metric, method):
+        t1, t2 = ("t1.nwk", "t2.nwk") if metric == "triplet" else ("u1.nwk", "u2.nwk")
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", metric, trees[t1], trees[t2], "--method", method])
+        assert exc.value.code == 2
+
     def test_quartet_small_p_without_brute_fails(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "quartet", trees["u1.nwk"],
                                       trees["u2.nwk"], "--p", "1/4"])
@@ -102,6 +139,16 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, ["dist", "triplet", trees["t1.nwk"],
                                       trees["t2.nwk"], "--p", "zebra"])
         assert code == 3 and "invalid rational" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "triplet", "t1.nwk", "t2.nwk"],
+        ["dist", "quartet", "u1.nwk", "u2.nwk", "--method", "brute"],
+        ["consensus", "profile.nwk"],
+    ])
+    def test_p_outside_unit_interval(self, capsys, trees, argv):
+        argv = [trees.get(arg, arg) for arg in argv]
+        code, out, err = run(capsys, argv + ["--p", "3/2"])
+        assert code == 3 and "p must lie in [0, 1]" in err
 
     def test_usage_error_exit_2(self, capsys, trees):
         with pytest.raises(SystemExit) as exc:
@@ -153,6 +200,42 @@ class TestConsensusAndRefine:
         g = rep["greedy_refinement"]
         assert g["status"] == "non-increase-guaranteed"
 
+    @pytest.mark.parametrize("text, options, expected", [
+        # reports of the recursive writer, recorded before it was replaced
+        ("((('x y',b),(c,d)),e,f); (('x y',(b,c)),d,e,f); ((('x y',f),e),(d,c),b);\n",
+         ["--p", "1/3", "--refine"],
+         {"best_of_profile": {"index": 0, "status": "no-guarantee", "total": "43/3",
+                              "tree": "(((b,'x y'),(c,d)),e,f);"},
+          "greedy_refinement": {"final_distance": "50/3", "initial_distance": "43/3",
+                                "status": "no-guarantee", "steps": 1,
+                                "tree": "(((b,'x y'),(c,d)),(e,f));"}}),
+        ("((a,b),c,d,(e,f),g); ((a,b),(c,d),e,(f,g)); (a,(b,c),(d,e),f,g);\n",
+         ["--unrooted", "--p", "3/4", "--refine"],
+         {"best_of_profile": {"index": 0, "status": "2-approx", "total": "75/2",
+                              "tree": "((a,b),c,d,(e,f),g);"},
+          "greedy_refinement": {"final_distance": "49/1", "initial_distance": "75/2",
+                                "status": "no-guarantee", "steps": 2,
+                                "tree": "(((a,b),((e,f),g)),c,d);"}}),
+    ])
+    def test_consensus_reports_unchanged(self, capsys, tmp_path, text, options, expected):
+        path = tmp_path / "profile.nwk"
+        path.write_text(text)
+        code, rep, _ = run_json(capsys, ["consensus", str(path)] + options)
+        assert code == 0
+        assert {key: rep[key] for key in expected} == expected
+
+    def test_consensus_deep_caterpillar(self, capsys, tmp_path):
+        # 1200 nesting levels: writing the tree must not recurse per level
+        text = "t0"
+        for i in range(1, 1200):
+            text = f"({text},t{i})"
+        path = tmp_path / "cat.nwk"
+        path.write_text(text + ";\n")
+        code, rep, _ = run_json(capsys, ["consensus", str(path)])
+        assert code == 0
+        assert rep["best_of_profile"]["tree"] == text + ";"
+        assert rep["best_of_profile"]["total"] == "0/1"
+
     def test_refine_from_fan(self, capsys, trees):
         code, rep, _ = run_json(capsys, ["refine", trees["fan3.nwk"],
                                          trees["profile.nwk"], "--p", "2/3"])
@@ -183,3 +266,13 @@ class TestEnumerateExpectedSelftest:
         code, rep, _ = run_json(capsys, ["selftest", "--trials", "3", "--seed", "1"])
         assert code == 0
         assert rep["result"]["status"] == "pass"
+
+    def test_selftest_checks_the_quartet_kernel(self, capsys, monkeypatch):
+        def off_by_one(t1, t2):
+            c = classify_quartets(t1, t2)
+            return Classification(c.s, c.d, c.r1, c.r2, c.u + 1)
+        monkeypatch.setattr(quartet, "quartet_classification", off_by_one)
+        code, rep, _ = run_json(capsys, ["selftest", "--trials", "3", "--seed", "1"])
+        assert code == 1 and rep["result"]["status"] == "fail"
+        assert sum("quartet classification mismatch" in f
+                   for f in rep["result"]["failures"]) == 3

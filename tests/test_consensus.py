@@ -71,6 +71,29 @@ class TestBestOfProfile:
         bp = best_of_profile(THREE_LEAF_PROFILE, Fraction(1, 3))
         assert bp.certificate is None
 
+    @pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
+    def test_matches_all_ordered_pairs(self, kind, p):
+        # the k(k-1)/2 symmetric distances give the totals and the
+        # lowest-index tie rule of one profile_distance per member; repeated
+        # members make ties
+        rng = random.Random(31)
+        for _ in range(4):
+            n, k = rng.randint(5, 9), rng.randint(1, 5)
+            trees = [seeded_partial(kind, n, rng.randrange(10**6)) for _ in range(k)]
+            trees += trees[:rng.randint(0, k)]
+            rng.shuffle(trees)
+            profile = Profile(tuple(trees))
+            totals = [profile_distance(m, profile, p) for m in profile.trees]
+            bp = best_of_profile(profile, p)
+            assert bp.index == totals.index(min(totals))
+            assert bp.total == min(totals)
+            assert bp.tree is profile.trees[bp.index]
+
+    def test_rejects_p_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            best_of_profile(Profile(THREE_LEAF_PROFILE.trees[:1]), Fraction(3, 2))
+
     def test_two_approximation_bound(self):
         rng = random.Random(7)
         for _ in range(10):

@@ -1,18 +1,27 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_pair, unrooted_pairs, unrooted_trees
-from polydist.oracle import classify_quartets, enumerate_phylogenies
+from polydist.oracle import CapacityError, classify_quartets, enumerate_phylogenies
 from polydist.quartet import (
+    MAX_EXACT_N,
+    _anchor_counts,
+    _reroot,
     approx_r1_quartets,
     count_R_U_quartets,
     count_shared_quartets,
     parametric_quartet_distance,
+    quartet_classification,
 )
-from polydist.trees import Kind, Phylogeny
+from polydist.randgen import random_binary, random_partial
+from polydist.trees import Kind, Phylogeny, TaxonSet, contract
 
 P_GRID = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1))
 
@@ -56,6 +65,34 @@ class TestShared:
         assert count_shared_quartets(t1, t2) == classify_quartets(t1, t2).s
 
 
+def _approx_r1_reference(t1: Phylogeny, t2: Phylogeny) -> int:
+    """y by its definition: for each non-root internal u of T1 (rooted at
+    its lowest-id internal node) and each polytomy w of T2, the quartets
+    with two taxa in distinct children of u, two outside u, and all four
+    in distinct components around w."""
+    r1, r2 = _reroot(t1), _reroot(t2)
+    everything = frozenset(range(r1.n))
+    y = 0
+    for w in r2.internal_nodes():
+        if r2.degree(w) <= 3:
+            continue
+        component = {}
+        for x in r2.neighbors(w):
+            side = r2.subtree_taxa(x) if r2.parent[x] == w else everything - r2.subtree_taxa(w)
+            component.update(dict.fromkeys(side, x))
+        for u in r1.internal_nodes():
+            if u == r1.root:
+                continue
+            near = r1.subtree_taxa(u)
+            child = {t: c for c in r1.children[u] for t in r1.subtree_taxa(c)}
+            for p1, p2 in combinations(sorted(near), 2):
+                if child[p1] == child[p2]:
+                    continue
+                for q1, q2 in combinations(sorted(everything - near), 2):
+                    y += len({component[t] for t in (p1, p2, q1, q2)}) == 4
+    return y
+
+
 class TestApproxR1:
     def test_single_quartet(self):
         ab_cd = Phylogeny.unrooted("abcd", (("a", "b"), "c", "d"))
@@ -74,6 +111,20 @@ class TestApproxR1:
         r1 = classify_quartets(a, b).r1
         y = approx_r1_quartets(a, b)
         assert r1 <= y <= 2 * r1
+
+    @given(unrooted_pairs(max_n=9))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_definition(self, pair):
+        a, b = pair
+        assert approx_r1_quartets(a, b) == _approx_r1_reference(a, b)
+
+    @pytest.mark.parametrize("n", [30, 80])
+    def test_sandwich_against_kernel(self, n):
+        for seed in range(4):
+            a, b = seeded_pair(Kind.UNROOTED, n, seed, contract_prob=0.3 + 0.1 * seed)
+            r1 = quartet_classification(a, b).r1
+            y = approx_r1_quartets(a, b)
+            assert r1 <= y <= 2 * r1
 
 
 class TestParametricDistance:
@@ -96,15 +147,20 @@ class TestParametricDistance:
         t = Phylogeny.unrooted("abcd", ("a", "b", "c", "d"))
         with pytest.raises(ValueError):
             parametric_quartet_distance(t, t, Fraction(1, 3))
-        # brute mode covers the full range
-        assert parametric_quartet_distance(t, t, Fraction(1, 3), mode="brute").value == 0
+        # exact mode covers the full range
+        assert parametric_quartet_distance(t, t, Fraction(1, 3), mode="exact").value == 0
 
-    def test_brute_mode_is_exact(self):
+    def test_exact_mode_matches_oracle(self):
         a, b = seeded_pair(Kind.UNROOTED, 9, 5)
-        for p in P_GRID:
-            bd = parametric_quartet_distance(a, b, p, mode="brute")
+        for p in P_GRID + (Fraction(0), Fraction(1, 4)):
+            bd = parametric_quartet_distance(a, b, p, mode="exact")
             assert bd.exact and bd.lower == bd.value == bd.upper
             assert bd.value == classify_quartets(a, b).to_distance_pair().evaluate(p)
+
+    def test_unknown_mode_rejected(self):
+        t = Phylogeny.unrooted("abcd", ("a", "b", "c", "d"))
+        with pytest.raises(ValueError):
+            parametric_quartet_distance(t, t, Fraction(3, 4), mode="brute")
 
     @given(unrooted_pairs())
     @settings(max_examples=40, deadline=None)
@@ -128,3 +184,131 @@ def test_two_r1_identity_under_both_rootings():
         r1 = classify_quartets(a, b).r1
         y = approx_r1_quartets(a, b)
         assert r1 <= y <= 2 * r1
+
+
+# ---------------------------------------------------------------------------
+# The node-pair classification kernel
+# ---------------------------------------------------------------------------
+
+SHAPES = ("partial", "binary", "star", "caterpillar")
+
+
+def _shaped(shape: str, taxa: TaxonSet, rng: random.Random) -> Phylogeny:
+    n = taxa.n
+    if n < 3 or shape == "binary":
+        return random_binary(n, Kind.UNROOTED, rng, taxa)
+    if shape == "star":
+        return Phylogeny.unrooted(taxa, tuple(range(n)))
+    if shape == "caterpillar":
+        order = rng.sample(range(n), n)
+        nested = (order[0], order[1])
+        for t in order[2:-1]:
+            nested = (nested, t)
+        return Phylogeny.unrooted(taxa, nested + (order[-1],))
+    return random_partial(n, Kind.UNROOTED, rng, rng.choice((0.3, 0.6)), taxa)
+
+
+def _contraction(tree: Phylogeny, rng: random.Random) -> Phylogeny:
+    """`tree` with each of its internal edges contracted with probability 1/2."""
+    for _ in range(tree.num_nodes):
+        edges = [v for v in tree.internal_nodes()
+                 if tree.parent[v] >= 0 and not tree.is_leaf(tree.parent[v])]
+        if not edges or rng.random() < 0.5:
+            break
+        tree = contract(tree, rng.choice(edges))
+    return tree
+
+
+@st.composite
+def classification_pairs(draw, max_n=14):
+    """Pairs over 1..max_n taxa: stars, caterpillars, binary and partially
+    resolved trees, and trees paired with one of their contractions."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+    a = _shaped(draw(st.sampled_from(SHAPES)), taxa, rng)
+    if draw(st.booleans()):
+        return a, _contraction(a, rng)
+    return a, _shaped(draw(st.sampled_from(SHAPES)), taxa, rng)
+
+
+def _crossed_double_stars(n: int):
+    """T1 splits the taxa into halves X | Y, T2 into X_a + Y_a | X_b + Y_b
+    (quarters of size h = n/4), with the closed-form counts: shared
+    quartets pair two of X_a with two of Y_b or two of X_b with two of Y_a,
+    and the h^4 quartets with one taxon in each quarter are resolved
+    differently."""
+    h = n // 4
+    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+    xa, xb, ya, yb = (list(range(q * h, (q + 1) * h)) for q in range(4))
+    # a double star: two adjacent internal nodes, each holding half the leaves
+    t1 = Phylogeny.unrooted(taxa, tuple(xa + xb) + (tuple(ya + yb),))
+    t2 = Phylogeny.unrooted(taxa, tuple(xa + ya) + (tuple(xb + yb),))
+    resolved = comb(2 * h, 2) ** 2
+    s, d = 2 * comb(h, 2) ** 2, h**4
+    r = resolved - s - d
+    return t1, t2, (s, d, r, r, comb(n, 4) - s - d - 2 * r)
+
+
+def _anchor_reference(M: list[list[int]]) -> tuple[int, int]:
+    """Twice the shared and four times the differently resolved quartets a
+    node pair anchors, by choosing cells one by one with Python integers."""
+    cells = [(j, l) for j in range(len(M)) for l in range(len(M[0]))]
+    twice_s = four_d = 0
+    for i, k in cells:
+        free = [(j, l) for j, l in cells if j != i and l != k]
+        apart = sum(M[j][l] * M[jj][ll] for (j, l), (jj, ll) in combinations(free, 2)
+                    if j != jj and l != ll)
+        twice_s += comb(M[i][k], 2) * apart
+        for j, l in free:
+            fourth = sum(M[jj][ll] for jj, ll in cells if jj not in (i, j) and ll not in (k, l))
+            four_d += M[i][k] * M[i][l] * M[j][k] * fourth
+    return twice_s, four_d
+
+
+class TestClassification:
+    @given(classification_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle(self, pair):
+        a, b = pair
+        assert quartet_classification(a, b) == classify_quartets(a, b)
+
+    @pytest.mark.parametrize("n", [12, 400])
+    def test_crossed_double_stars(self, n):
+        t1, t2, counts = _crossed_double_stars(n)
+        c = quartet_classification(t1, t2)
+        assert (c.s, c.d, c.r1, c.r2, c.u) == counts
+        if n <= 12:
+            assert c == classify_quartets(t1, t2)
+
+    def test_int64_exact_at_largest_supported_n(self):
+        # the bound: 4 C(n, 4), the largest count read out, fits int64
+        n = MAX_EXACT_N
+        assert 4 * comb(n, 4) < 2**63 <= 4 * comb(n + 1, 4)
+        # node pairs with a few large sides: one side pair holding almost
+        # every taxon (its Gram term, about n^4, wraps around in int64),
+        # crossed halves, crossed quarters, and random splits into 3-5 sides
+        h = n // 4
+        rng = random.Random(2)
+        blocks = [
+            [[n - 3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[h, h, 0], [h, n - 3 * h - 1, 0], [0, 0, 1]],
+            [[n // 16] * 4 for _ in range(3)] + [[n // 16] * 3 + [n - 15 * (n // 16)]],
+        ]
+        for _ in range(6):
+            d1, d2 = rng.randint(3, 5), rng.randint(3, 5)
+            cuts = sorted(rng.sample(range(1, n), d1 * d2 - 1))
+            sizes = np.diff([0] + cuts + [n])
+            blocks.append(sizes.reshape(d1, d2).tolist())
+        for block in blocks:
+            M = np.array(block, dtype=np.int64)
+            assert M.sum() == n
+            s, d = _anchor_counts(M[None, None], M.sum(1)[None, None, :, None],
+                                  M.sum(0)[None, None, None, :], n)
+            assert (int(s[0, 0]), int(d[0, 0])) == _anchor_reference(block)
+
+    def test_refuses_n_beyond_int64_bound(self):
+        taxa = TaxonSet(tuple(f"t{i}" for i in range(MAX_EXACT_N + 1)))
+        star = Phylogeny.unrooted(taxa, tuple(range(taxa.n)))
+        with pytest.raises(CapacityError):
+            quartet_classification(star, star)
