@@ -9,7 +9,9 @@ a third.  For internal nodes x1 of T1 and x2 of T2 with sides A_j and B_k
 (children, plus the complement of the subtree), M[j, k] = |A_j ∩ B_k|
 decides how many quartets both nodes anchor with the same together pair
 (twice |S|) and how many they anchor with together pairs sharing one
-taxon (four times |D|).  The arithmetic over all pairs costs
+taxon (four times |D|).  The M blocks come from
+`polydist.triplet.node_pair_blocks`, the node-pair loop the rooted triplet
+counts share.  The arithmetic over all pairs costs
 O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d; the
 (m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the memory.
 
@@ -33,13 +35,11 @@ import numpy as np
 
 from polydist.oracle import CapacityError, Classification
 from polydist.trees import Kind, Phylogeny, TreeError
-from polydist.triplet import build_tables
+from polydist.triplet import BLOCK_CELLS, build_tables, c2, node_pair_blocks
 
 # Largest n whose quartet counts the int64 kernels read out exactly (see
-# quartet_classification), and the number of array cells one block of
-# node pairs or edges may hold.
+# quartet_classification).
 MAX_EXACT_N = 86251
-_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class ApproxDistance:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise ValueError("invalid certificate interval")
-
-
-def _c2(x):
-    return x * (x - 1) // 2
 
 
 def _reroot(tree: Phylogeny) -> Phylogeny:
@@ -108,26 +104,6 @@ def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
     return R, comb(n, 4) - R
 
 
-def _node_sides(tree: Phylogeny) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Internal nodes grouped by child count, as (rows, sizes) per group.
-
-    Row j of a node lists its sides: its children, then the node itself
-    standing for the complement of its subtree (empty at the root).
-    sizes[., j] is the number of leaves in side j.
-    """
-    alpha = np.asarray(tree.subtree_sizes(), dtype=np.int64)
-    by_count: dict[int, list[int]] = {}
-    for v in tree.internal_nodes():
-        by_count.setdefault(len(tree.children[v]), []).append(v)
-    groups = []
-    for _, nodes in sorted(by_count.items()):
-        rows = np.array([tree.children[v] + (v,) for v in nodes], dtype=np.int64)
-        sizes = alpha[rows]
-        sizes[:, -1] = tree.n - sizes[:, -1]
-        groups.append((rows, sizes))
-    return groups
-
-
 def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per node pair, from M[..., j, k] = |A_j ∩ B_k| with side sizes R
@@ -147,10 +123,10 @@ def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
     def cols(A):
         return A.sum(-2, keepdims=True)
 
-    M2 = _c2(M)
-    G = _c2(R - M)   # pairs in row j outside column k
-    H = _c2(C - M)   # pairs in column l outside row i
-    pairs = (_c2(n - R - C + M) - (cols(G) - G) - (rows(H) - H)
+    M2 = c2(M)
+    G = c2(R - M)   # pairs in row j outside column k
+    H = c2(C - M)   # pairs in column l outside row i
+    pairs = (c2(n - R - C + M) - (cols(G) - G) - (rows(H) - H)
              + rows(cols(M2)) - rows(M2) - cols(M2) + M2)
     twice_s = (M2 * pairs).sum((-2, -1))
 
@@ -190,24 +166,11 @@ def quartet_classification(t1: Phylogeny, t2: Phylogeny) -> Classification:
         return Classification(0, 0, 0, 0, 0)
     if n > MAX_EXACT_N:
         raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
-    tables = build_tables(t1, t2)
-    I, alpha2 = tables.I, tables.alpha2
     twice_s = four_d = 0
-    sides2 = _node_sides(t2)
-    for rows1, sizes1 in _node_sides(t1):
-        for rows2, sizes2 in sides2:
-            per_node = len(rows2) * rows1.shape[1] * rows2.shape[1]
-            step = max(1, _BLOCK_CELLS // per_node)
-            for lo in range(0, len(rows1), step):
-                r1, s1 = rows1[lo:lo + step], sizes1[lo:lo + step]
-                M = I[r1[:, None, :, None], rows2[None, :, None, :]]
-                # the last side of each node is the complement of its subtree
-                M[:, :, -1, :] = alpha2[rows2] - M[:, :, -1, :]
-                M[:, :, :, -1] = s1[:, None, :] - M[:, :, :, -1]
-                s, d = _anchor_counts(M, s1[:, None, :, None],
-                                      sizes2[None, :, None, :], n)
-                twice_s += int(s.sum())
-                four_d += int(d.sum())
+    for M, sizes1, sizes2 in node_pair_blocks(build_tables(t1, t2)):
+        s, d = _anchor_counts(M, sizes1, sizes2, n)
+        twice_s += int(s.sum())
+        four_d += int(d.sum())
     s, d = twice_s // 2, four_d // 4
     r1 = count_R_U_quartets(t1)[0] - s - d
     r2 = count_R_U_quartets(t2)[0] - s - d
@@ -226,13 +189,13 @@ def _gamma(a: np.ndarray, b: np.ndarray, size_p: np.ndarray,
     neighbors x_i; size_p and size_q hold |P| and |Q| per edge."""
     ar = size_p[:, None, None] - a
     br = size_q[:, None, None] - b
-    c2a, c2b, ab = _c2(a), _c2(b), a * b
+    c2a, c2b, ab = c2(a), c2(b), a * b
     n1 = (c2a * c2b).sum(-1)
     n2 = (c2a * b * br + c2b * a * ar).sum(-1)
     n3 = (((c2a.sum(-1, keepdims=True) - c2a) * c2b).sum(-1)
           + ((ab.sum(-1, keepdims=True) - ab) * ab).sum(-1) // 2)
-    n4 = (c2a * _c2(br) + c2b * _c2(ar) + ab * ar * br).sum(-1) - 2 * n3
-    return (_c2(size_p) * _c2(size_q))[:, None] - n1 - n2 - n3 - n4
+    n4 = (c2a * c2(br) + c2b * c2(ar) + ab * ar * br).sum(-1) - 2 * n3
+    return (c2(size_p) * c2(size_q))[:, None] - n1 - n2 - n3 - n4
 
 
 def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
@@ -278,7 +241,7 @@ def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
             g = I[nodes[:, None, None], cols[None]]
             return np.where(up, alpha1[nodes][:, None, None] - g, g)
 
-        step = max(1, _BLOCK_CELLS // nbrs.size)
+        step = max(1, BLOCK_CELLS // nbrs.size)
         for lo in range(0, len(edges), step):
             u = edges[lo:lo + step]
             a = inter(u)

@@ -191,6 +191,7 @@ class Phylogeny:
     # -- traversals and per-node tables ---------------------------------
 
     def postorder(self) -> list[int]:
+        """Children before parents, each node's children in stored order."""
         order = self._cache.get("postorder")
         if order is None:
             order, stack = [], [(self.root, False)]
@@ -200,7 +201,7 @@ class Phylogeny:
                     order.append(v)
                 else:
                     stack.append((v, True))
-                    for c in self.children[v]:
+                    for c in reversed(self.children[v]):
                         stack.append((c, False))
             self._cache["postorder"] = order
         return order
@@ -368,13 +369,19 @@ class Phylogeny:
         if key is not None:
             return key
 
-        def enc(v: int, banned: int) -> str:
-            t = self.leaf_taxon[v]
-            if t is not None:
-                return f"L{self.taxa.label(t)!r}"
-            parts = sorted(enc(c, v) for c in self.neighbors(v) if c != banned) \
-                if self.kind is Kind.UNROOTED else sorted(enc(c, v) for c in self.children[v])
-            return "(" + ",".join(parts) + ")"
+        def enc(top: int, banned: int) -> str:
+            # the tree oriented away from `banned`, children before parents
+            order, stack = [], [(top, banned)]
+            while stack:
+                v, up = stack.pop()
+                order.append((v, up))
+                stack.extend((c, v) for c in self.neighbors(v) if c != up)
+            code: dict[int, str] = {}
+            for v, up in reversed(order):
+                t = self.leaf_taxon[v]
+                code[v] = f"L{self.taxa.label(t)!r}" if t is not None else "(" + ",".join(
+                    sorted(code.pop(c) for c in self.neighbors(v) if c != up)) + ")"
+            return code[top]
 
         if self.kind is Kind.ROOTED:
             key = "R" + enc(self.root, -1)
@@ -433,24 +440,20 @@ def restrict(tree: Phylogeny, subset) -> Phylogeny:
     children: list[list[int]] = []
     leaf_taxon: list[int | None] = []
 
-    def build(v: int):
+    # node of the restriction below each node, None where no taxon is kept
+    built: dict[int, int | None] = {}
+    for v in tree.postorder():
         t = tree.leaf_taxon[v]
-        if t is not None:
-            if t not in keep:
-                return None
-            children.append([])
-            leaf_taxon.append(remap[t])
-            return len(children) - 1
-        kept = [c for c in (build(c) for c in tree.children[v]) if c is not None]
-        if not kept:
-            return None
-        if len(kept) == 1:
-            return kept[0]
-        children.append(kept)
-        leaf_taxon.append(None)
-        return len(children) - 1
-
-    root = build(tree.root)
+        kept = [built[c] for c in tree.children[v] if built[c] is not None]
+        if t is None and len(kept) <= 1:
+            built[v] = kept[0] if kept else None
+        elif t is not None and t not in keep:
+            built[v] = None
+        else:
+            children.append(kept)
+            leaf_taxon.append(None if t is None else remap[t])
+            built[v] = len(children) - 1
+    root = built[tree.root]
     if tree.kind is Kind.ROOTED or len(idx) <= 2:
         return Phylogeny(tree.kind, sub_taxa, children, root, leaf_taxon)
     # Unrooted: a handle of degree 2 is not a real node; splice it out.

@@ -1,4 +1,4 @@
-"""Exact parametric triplet distance between rooted trees in O(n^2).
+"""Exact parametric triplet distance between rooted trees.
 
 The distance d^(p) = |D| + p(|R1| + |R2|) is assembled from three counted
 quantities instead of classifying triplets one by one:
@@ -8,13 +8,20 @@ quantities instead of classifying triplets one by one:
 
 where R(T)/U(T) are the per-tree resolved/unresolved triplet counts, |S|
 is the number of identically resolved triplets, and |R1| the number
-resolved only in T1.  |S| and |R1| reduce to sums over node pairs of
-closed-form expressions in the leaf-set intersection sizes
-I[u, v] = |L(T1(u)) ∩ L(T2(v))|, all computed with integer numpy kernels.
+resolved only in T1.  |S| and |R1| are sums over pairs (u, v) of internal
+nodes of closed forms in M[j, k] = |A_j ∩ B_k|, the overlaps of the sides
+of u and of v (their children, then the complement of their subtree).
+`node_pair_blocks` is the one loop over node pairs: it gathers M from the
+intersection table I[u, v] = |L(T1(u)) ∩ L(T2(v))| of `build_tables`, in
+blocks of node pairs with the same child counts, for these kernels and for
+`polydist.quartet.quartet_classification`.  The arithmetic costs
+O(sum over node pairs of d(u)·d(v)) = O(n²); the (m1 × m2) int64 I-table
+(8·m1·m2 bytes) sets the memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -23,14 +30,16 @@ import numpy as np
 from polydist.oracle import DistancePair
 from polydist.trees import Kind, Phylogeny, TreeError
 
+# The number of array cells one block of node pairs (or of edges, in
+# polydist.quartet) may hold.
+BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class RootedIntersectionTables:
     """Pairwise leaf-set intersection sizes and per-tree size vectors.
 
-    I[u, v] = |L(T1(u)) ∩ L(T2(v))|.  The other three quadrant counts
-    follow from complement identities and are exposed as methods to avoid
-    materializing three more n^2 tables.
+    I[u, v] = |L(T1(u)) ∩ L(T2(v))|.
     """
 
     t1: Phylogeny
@@ -39,21 +48,10 @@ class RootedIntersectionTables:
     alpha1: np.ndarray     # (m1,) subtree leaf counts of T1
     alpha2: np.ndarray     # (m2,) subtree leaf counts of T2
 
-    @property
-    def n(self) -> int:
-        return self.t1.n
 
-    def inter_comp(self) -> np.ndarray:
-        """|L(T1(u)) ∩ complement(L(T2(v)))|"""
-        return self.alpha1[:, None] - self.I
-
-    def comp_inter(self) -> np.ndarray:
-        """|complement(L(T1(u))) ∩ L(T2(v))|"""
-        return self.alpha2[None, :] - self.I
-
-    def comp_comp(self) -> np.ndarray:
-        """|complement(L(T1(u))) ∩ complement(L(T2(v)))|"""
-        return self.n - self.alpha1[:, None] - self.alpha2[None, :] + self.I
+def c2(x):
+    """C(x, 2), elementwise."""
+    return x * (x - 1) // 2
 
 
 def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
@@ -83,6 +81,53 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     return RootedIntersectionTables(t1, t2, I, alpha1, alpha2)
 
 
+def _node_sides(tree: Phylogeny) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Internal nodes grouped by child count, as (rows, sizes) per group.
+
+    Row j of a node lists its sides: its children, then the node itself
+    standing for the complement of its subtree (empty at the root).
+    sizes[., j] is the number of leaves in side j.
+    """
+    alpha = np.asarray(tree.subtree_sizes(), dtype=np.int64)
+    by_count: dict[int, list[int]] = {}
+    for v in tree.internal_nodes():
+        by_count.setdefault(len(tree.children[v]), []).append(v)
+    groups = []
+    for _, nodes in sorted(by_count.items()):
+        rows = np.array([tree.children[v] + (v,) for v in nodes], dtype=np.int64)
+        sizes = alpha[rows]
+        sizes[:, -1] = tree.n - sizes[:, -1]
+        groups.append((rows, sizes))
+    return groups
+
+
+def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every pair (u, v) of internal nodes of T1 and T2 whose v has at
+    least `min_children2` children, in blocks of at most BLOCK_CELLS cells.
+
+    A block holds the pairs of a run of T1 nodes with d1 children and all
+    T2 nodes with d2 children, as (M, sizes1, sizes2):
+    M[a, b, j, k] = |A_j ∩ B_k| for the sides A of the a-th T1 node and B
+    of the b-th T2 node (children first, the complement of the subtree
+    last), with side sizes sizes1[a, 0, j, 0] and sizes2[0, b, 0, k].
+    """
+    I, alpha2 = tables.I, tables.alpha2
+    sides2 = [(rows, sizes) for rows, sizes in _node_sides(tables.t2)
+              if rows.shape[1] > min_children2]
+    for rows1, sizes1 in _node_sides(tables.t1):
+        for rows2, sizes2 in sides2:
+            per_node = len(rows2) * rows1.shape[1] * rows2.shape[1]
+            step = max(1, BLOCK_CELLS // per_node)
+            for lo in range(0, len(rows1), step):
+                r1, s1 = rows1[lo:lo + step], sizes1[lo:lo + step]
+                M = I[r1[:, None, :, None], rows2[None, :, None, :]]
+                # the last side of each node is the complement of its subtree
+                M[:, :, -1, :] = alpha2[rows2] - M[:, :, -1, :]
+                M[:, :, :, -1] = s1[:, None, :] - M[:, :, :, -1]
+                yield M, s1[:, None, :, None], sizes2[None, :, None, :]
+
+
 def count_R_U(tree: Phylogeny) -> tuple[int, int]:
     """Resolved/unresolved triplet counts of one rooted tree, O(n).
 
@@ -101,86 +146,69 @@ def count_R_U(tree: Phylogeny) -> tuple[int, int]:
     return R, comb(n, 3) - R
 
 
-def _childsum_rows(tree: Phylogeny, M: np.ndarray) -> np.ndarray:
-    """out[v] = sum of M[c] over children c of v (rows indexed by tree nodes)."""
-    out = np.zeros_like(M)
-    parent = np.asarray(tree.parent)
-    nonroot = parent >= 0
-    np.add.at(out, parent[nonroot], M[nonroot])
-    return out
+def _split_pairs(C: np.ndarray) -> np.ndarray:
+    """Per node pair, the pairs of taxa in distinct rows and distinct
+    columns of the children block C[..., j, k]."""
+    R, Q = C.sum(-1), C.sum(-2)
+    return c2(R.sum(-1)) - c2(R).sum(-1) - c2(Q).sum(-1) + c2(C).sum((-2, -1))
 
 
-def _childsum_cols(tree: Phylogeny, M: np.ndarray) -> np.ndarray:
-    """out[:, v] = sum of M[:, c] over children c of v."""
-    return _childsum_rows(tree, M.T).T
+def _shared_in_block(M: np.ndarray) -> int:
+    """|S| anchored at a block of node pairs: xy|z with x and y in distinct
+    children of u and of v, and z outside both subtrees."""
+    return int((_split_pairs(M[..., :-1, :-1]) * M[..., -1, -1]).sum())
 
 
-def _internal_nonroot_mask(tree: Phylogeny) -> np.ndarray:
-    mask = np.zeros(tree.num_nodes, dtype=bool)
-    for v in tree.internal_nodes():
-        mask[v] = True
-    mask[tree.root] = False
-    return mask
+def _r1_in_block(M: np.ndarray) -> int:
+    """|R1| anchored at a block of node pairs (u, v): xy|z with x and y in
+    distinct children of u, z outside u, and x, y, z in three distinct
+    children of v.  With C the children block, O[k] the taxa outside u in
+    child k of v and P the pairs split in both, that is
+    sum_k O[k]·P - sum_k O[k]·X[k], where X[k] counts the split pairs with
+    one taxon in column k."""
+    C, O = M[..., :-1, :-1], M[..., -1, :-1]
+    R, Q = C.sum(-1, keepdims=True), C.sum(-2, keepdims=True)
+    T = R.sum(-2, keepdims=True)
+    X = (C * (T - R - Q + C)).sum(-2)
+    return int((O.sum(-1) * _split_pairs(C) - (O * X).sum(-1)).sum())
 
 
 def count_shared(tables: RootedIntersectionTables) -> int:
     """|S|: triplets resolved identically in both trees.
 
-    s(u, v) = (pairs splitting jointly at u and v) * |outside both|, via
-    inclusion-exclusion over children of u and of v.
+    A shared triplet xy|z sits at u = lca_T1(x, y) and v = lca_T2(x, y),
+    with x and y in distinct children of both and z outside both subtrees;
+    each block of `node_pair_blocks` adds its pairs' counts.
+
+    int64 bound: numpy's int64 +, - and × are exact modulo 2^64; the only
+    divisions are the C(x, 2) of side counts 0 <= x <= n; and each block's
+    read-out is at most |S| <= C(n, 3).  The count is exact while
+    C(n, 3) < 2^63, that is for n <= 3810779, far beyond any n whose
+    I-table fits in memory.
     """
-    t1, t2, I = tables.t1, tables.t2, tables.I
-    C2 = I * (I - 1) // 2
-    A2 = _childsum_rows(t1, C2)        # pairs inside one child of u
-    B2 = _childsum_cols(t2, C2)        # pairs inside one child of v
-    D2 = _childsum_rows(t1, B2)        # pairs inside a child of u and of v
-    K = tables.comp_comp()
-    S = (C2 - A2 - B2 + D2) * K
-    rows = _internal_nonroot_mask(t1)
-    cols = _internal_nonroot_mask(t2)
-    return int(S[np.ix_(rows, cols)].sum())
+    return sum(_shared_in_block(M) for M, _, _ in node_pair_blocks(tables))
 
 
 def count_r1(tables: RootedIntersectionTables) -> int:
     """|R1|: triplets resolved in T1 but unresolved in T2.
 
     Such a triplet xy|z sits at u = lca_T1(x, y) and at a polytomy v of T2
-    holding x, y, z in three distinct child subtrees.  For fixed u the
-    contribution over all v is a vector expression in I-rows of u and its
-    children; summing over u costs O(n^2) because child rows are shared.
+    holding x, y, z in three distinct children, so only the blocks of T2
+    nodes with at least three children enter.
+
+    int64 bound: as for count_shared, with each block's read-out at most
+    |R1| <= C(n, 3); exact for n <= 3810779.
     """
-    t1, t2, I = tables.t1, tables.t2, tables.I
-    alpha2 = tables.alpha2
-
-    unresolved2 = np.zeros(t2.num_nodes, dtype=bool)
-    for v in t2.unresolved_nodes():
-        unresolved2[v] = True
-    if not unresolved2.any():
-        return 0
-
-    cs = lambda vec: _childsum_rows(t2, vec)  # noqa: E731
-
-    def term(uk: int, e: np.ndarray) -> np.ndarray:
-        Ik = I[uk]
-        c2 = Ik * (Ik - 1) // 2
-        # pairs under uk inside v, z under v outside u, all in distinct
-        # children of v: inclusion-exclusion over children of v
-        return c2 * e - e * cs(c2) - Ik * cs(Ik * e) + cs(Ik * Ik * e)
-
-    total = 0
-    for u in t1.internal_nodes():
-        if u == t1.root:
-            continue
-        e = alpha2 - I[u]
-        row = term(u, e)
-        for x in t1.children[u]:
-            row -= term(x, e)
-        total += int(row[unresolved2].sum())
-    return total
+    return sum(_r1_in_block(M) for M, _, _ in node_pair_blocks(tables, min_children2=3))
 
 
 def parametric_triplet_distance(t1: Phylogeny, t2: Phylogeny) -> DistancePair:
-    """Exact parametric triplet distance as a DistancePair, O(n^2)."""
+    """Exact parametric triplet distance as a DistancePair.
+
+    One `build_tables` I-table (8·m1·m2 bytes) and O(sum of d(u)·d(v))
+    = O(n²) arithmetic over the node-pair blocks of count_shared and
+    count_r1; exact in int64 for n <= 3810779.
+    """
     if t1.kind is not Kind.ROOTED or t2.kind is not Kind.ROOTED:
         raise TreeError("triplet distance applies to rooted trees")
     if t1.n < 3:

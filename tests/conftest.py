@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from polydist.randgen import random_binary, random_partial
-from polydist.trees import Kind
+from polydist.trees import Kind, Phylogeny, TaxonSet, contract
 
 
 def seeded_partial(kind: Kind, n: int, seed: int, contract_prob: float = 0.4):
@@ -45,6 +45,53 @@ def unrooted_trees(draw, min_n=4, max_n=11):
     n = draw(st.integers(min_n, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     return seeded_partial(Kind.UNROOTED, n, seed)
+
+
+SHAPES = ("partial", "binary", "fan", "caterpillar")
+
+
+def shaped(kind: Kind, shape: str, taxa: TaxonSet, rng: random.Random) -> Phylogeny:
+    """A tree over `taxa`: partially resolved, binary, a fan (star) or a
+    caterpillar; binary below three taxa."""
+    n = taxa.n
+    build = Phylogeny.rooted if kind is Kind.ROOTED else Phylogeny.unrooted
+    if n < 3 or shape == "binary":
+        return random_binary(n, kind, rng, taxa)
+    if shape == "fan":
+        return build(taxa, tuple(range(n)))
+    if shape == "caterpillar":
+        order = rng.sample(range(n), n)
+        nested = (order[0], order[1])
+        for t in order[2:-1]:
+            nested = (nested, t)
+        # rooted: the last taxon hangs from the root; unrooted: from the handle
+        return build(taxa, (nested, order[-1]) if kind is Kind.ROOTED else nested + (order[-1],))
+    return random_partial(n, kind, rng, rng.choice((0.3, 0.6)), taxa)
+
+
+def contraction(tree: Phylogeny, rng: random.Random) -> Phylogeny:
+    """`tree` with each of its internal edges contracted with probability 1/2."""
+    for _ in range(tree.num_nodes):
+        edges = [v for v in tree.internal_nodes()
+                 if tree.parent[v] >= 0 and not tree.is_leaf(tree.parent[v])]
+        if not edges or rng.random() < 0.5:
+            break
+        tree = contract(tree, rng.choice(edges))
+    return tree
+
+
+@st.composite
+def classification_pairs(draw, kind: Kind, max_n=14):
+    """Pairs over 1..max_n taxa: fans (stars), caterpillars, binary and
+    partially resolved trees, and trees paired with one of their
+    contractions, so that wide polytomies are common."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+    a = shaped(kind, draw(st.sampled_from(SHAPES)), taxa, rng)
+    if draw(st.booleans()):
+        return a, contraction(a, rng)
+    return a, shaped(kind, draw(st.sampled_from(SHAPES)), taxa, rng)
 
 
 @pytest.fixture

@@ -6,9 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import seeded_pair, unrooted_pairs, unrooted_trees
+from conftest import classification_pairs, seeded_pair, unrooted_pairs, unrooted_trees
 from polydist.oracle import CapacityError, classify_quartets, enumerate_phylogenies
 from polydist.quartet import (
     MAX_EXACT_N,
@@ -20,8 +19,7 @@ from polydist.quartet import (
     parametric_quartet_distance,
     quartet_classification,
 )
-from polydist.randgen import random_binary, random_partial
-from polydist.trees import Kind, Phylogeny, TaxonSet, contract
+from polydist.trees import Kind, Phylogeny, TaxonSet
 
 P_GRID = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1))
 
@@ -190,48 +188,6 @@ def test_two_r1_identity_under_both_rootings():
 # The node-pair classification kernel
 # ---------------------------------------------------------------------------
 
-SHAPES = ("partial", "binary", "star", "caterpillar")
-
-
-def _shaped(shape: str, taxa: TaxonSet, rng: random.Random) -> Phylogeny:
-    n = taxa.n
-    if n < 3 or shape == "binary":
-        return random_binary(n, Kind.UNROOTED, rng, taxa)
-    if shape == "star":
-        return Phylogeny.unrooted(taxa, tuple(range(n)))
-    if shape == "caterpillar":
-        order = rng.sample(range(n), n)
-        nested = (order[0], order[1])
-        for t in order[2:-1]:
-            nested = (nested, t)
-        return Phylogeny.unrooted(taxa, nested + (order[-1],))
-    return random_partial(n, Kind.UNROOTED, rng, rng.choice((0.3, 0.6)), taxa)
-
-
-def _contraction(tree: Phylogeny, rng: random.Random) -> Phylogeny:
-    """`tree` with each of its internal edges contracted with probability 1/2."""
-    for _ in range(tree.num_nodes):
-        edges = [v for v in tree.internal_nodes()
-                 if tree.parent[v] >= 0 and not tree.is_leaf(tree.parent[v])]
-        if not edges or rng.random() < 0.5:
-            break
-        tree = contract(tree, rng.choice(edges))
-    return tree
-
-
-@st.composite
-def classification_pairs(draw, max_n=14):
-    """Pairs over 1..max_n taxa: stars, caterpillars, binary and partially
-    resolved trees, and trees paired with one of their contractions."""
-    n = draw(st.integers(1, max_n))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
-    a = _shaped(draw(st.sampled_from(SHAPES)), taxa, rng)
-    if draw(st.booleans()):
-        return a, _contraction(a, rng)
-    return a, _shaped(draw(st.sampled_from(SHAPES)), taxa, rng)
-
-
 def _crossed_double_stars(n: int):
     """T1 splits the taxa into halves X | Y, T2 into X_a + Y_a | X_b + Y_b
     (quarters of size h = n/4), with the closed-form counts: shared
@@ -267,7 +223,7 @@ def _anchor_reference(M: list[list[int]]) -> tuple[int, int]:
 
 
 class TestClassification:
-    @given(classification_pairs())
+    @given(classification_pairs(Kind.UNROOTED))
     @settings(max_examples=150, deadline=None)
     def test_equals_oracle(self, pair):
         a, b = pair

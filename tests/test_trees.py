@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rooted_trees, unrooted_trees
+from polydist.newick import parse_newick
 from polydist.trees import (
     Kind,
     Phylogeny,
@@ -150,6 +151,34 @@ def test_canonical_key_is_label_sensitive():
     t3 = Phylogeny.rooted("abc", (("b", "a"), "c"))
     assert not t1.isomorphic(t2)
     assert t1.isomorphic(t3)
+
+
+def _caterpillar(labels, kind: Kind, mirror: bool = False) -> Phylogeny:
+    """The caterpillar ((((l0,l1),l2),...)); unrooted with l[-2] and l[-1]
+    at the handle; `mirror` lists every cherry's children the other way."""
+    inner = labels if kind is Kind.ROOTED else labels[:-2]
+    text = inner[0]
+    for t in inner[1:]:
+        text = f"({t},{text})" if mirror else f"({text},{t})"
+    if kind is Kind.UNROOTED:
+        text = f"({labels[-1]},{labels[-2]},{text})" if mirror else \
+            f"({text},{labels[-2]},{labels[-1]})"
+    return parse_newick(text + ";", kind)
+
+
+@pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+def test_deep_caterpillar_key_and_restriction(kind):
+    # 1200 nesting levels: neither may recurse once per level
+    labels = [f"t{i}" for i in range(1200)]
+    tree = _caterpillar(labels, kind)
+    assert tree.canonical_key() == _caterpillar(labels, kind, mirror=True).canonical_key()
+    swapped = labels.copy()
+    swapped[0], swapped[600] = swapped[600], swapped[0]
+    assert not tree.isomorphic(_caterpillar(swapped, kind))
+    sub = restrict(tree, labels[::2])
+    assert sub.validate() == []
+    assert sorted(sub.taxa.labels) == sorted(labels[::2])
+    assert sub.canonical_key() == _caterpillar(labels[::2], kind).canonical_key()
 
 
 def test_unrooted_isomorphism_ignores_handle_placement():

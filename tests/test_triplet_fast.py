@@ -1,17 +1,24 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 from hypothesis import given, settings
 
-from conftest import rooted_pairs, rooted_trees, seeded_pair
-from polydist.oracle import classify_triplets, enumerate_phylogenies
-from polydist.trees import Kind, Phylogeny
+from conftest import classification_pairs, rooted_pairs, rooted_trees, seeded_pair
+from polydist.hausdorff import classification_counts
+from polydist.oracle import DistancePair, classify_triplets, enumerate_phylogenies
+from polydist.randgen import random_binary
+from polydist.trees import Kind, Phylogeny, TaxonSet
 from polydist.triplet import (
+    _r1_in_block,
+    _shared_in_block,
     build_tables,
     count_R_U,
     count_r1,
     count_shared,
+    node_pair_blocks,
     parametric_triplet_distance,
 )
 
@@ -29,7 +36,7 @@ class TestTables:
         la = t1.leaf_of_taxon("a")
         assert tab.I[la, t2.leaf_of_taxon("a")] == 1
         assert tab.I[t1.root, t2.root] == 4
-        assert tab.comp_comp()[t1.root, t2.root] == 0
+        assert tab.alpha1[t1.root] == tab.alpha2[t2.root] == 4
 
     def test_named_intersection(self):
         t1 = Phylogeny.rooted("abcd", ((("a", "b"), "c"), "d"))
@@ -43,12 +50,22 @@ class TestTables:
     def test_quadrants_sum_to_n(self, pair):
         a, b = pair
         tab = build_tables(a, b)
-        total = tab.I + tab.inter_comp() + tab.comp_inter() + tab.comp_comp()
-        assert (total == a.n).all()
+        everything = frozenset(range(a.n))
         # direct set computation on a sample of node pairs
         for u in a.internal_nodes()[:4]:
             for v in b.internal_nodes()[:4]:
-                assert tab.I[u, v] == len(a.subtree_taxa(u) & b.subtree_taxa(v))
+                A, B = a.subtree_taxa(u), b.subtree_taxa(v)
+                assert tab.I[u, v] == len(A & B)
+                assert tab.alpha1[u] - tab.I[u, v] == len(A - B)
+                assert tab.alpha2[v] - tab.I[u, v] == len(B - A)
+                assert a.n - tab.alpha1[u] - tab.alpha2[v] + tab.I[u, v] == \
+                    len(everything - A - B)
+        # the sides of every node pair split the taxa both ways
+        for M, sizes1, sizes2 in node_pair_blocks(tab):
+            assert (M >= 0).all()
+            assert (M.sum((-2, -1)) == a.n).all()
+            assert (M.sum(-1, keepdims=True) == sizes1).all()
+            assert (M.sum(-2, keepdims=True) == sizes2).all()
 
 
 class TestCountRU:
@@ -94,6 +111,84 @@ class TestSharedAndR1:
         tab = build_tables(a, b)
         assert count_shared(tab) == c.s
         assert count_r1(tab) == c.r1
+
+
+class TestKernelsAgainstOracle:
+    @given(classification_pairs(Kind.ROOTED, max_n=16))
+    @settings(max_examples=150, deadline=None)
+    def test_shapes_and_contractions(self, pair):
+        # fans, caterpillars, binary and partially resolved trees, and trees
+        # paired with a contraction: wide polytomies on either side
+        a, b = pair
+        c = classify_triplets(a, b)
+        ab, ba = build_tables(a, b), build_tables(b, a)
+        assert (count_shared(ab), count_r1(ab)) == (c.s, c.r1)
+        assert (count_shared(ba), count_r1(ba)) == (c.s, c.r2)
+        dp = parametric_triplet_distance(a, b)
+        assert (dp.d_count, dp.r_count) == (c.d, c.r1 + c.r2)
+        assert classification_counts(a, b) == c
+
+    def test_binary_against_fan_past_one_block(self):
+        # every triplet is resolved in the binary tree and a fan in the fan
+        n = 400
+        taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+        binary = random_binary(n, Kind.ROOTED, random.Random(4), taxa)
+        fan = Phylogeny.rooted(taxa, tuple(range(n)))
+        tab = build_tables(binary, fan)
+        assert len(list(node_pair_blocks(tab, min_children2=3))) > 1
+        assert (count_shared(tab), count_r1(tab)) == (0, comb(n, 3))
+        back = build_tables(fan, binary)
+        assert (count_shared(back), count_r1(back)) == (0, 0)
+        assert parametric_triplet_distance(binary, fan) == DistancePair(0, comb(n, 3))
+
+
+# Largest n with C(n, 3) < 2^63, the rooted kernels' int64 bound.
+MAX_INT64_N = 3810779
+
+
+def _block_reference(M: list[list[int]]) -> tuple[int, int]:
+    """Shared and resolved-only-in-T1 triplets one node pair anchors, by
+    choosing cells one by one with Python integers.  Rows and columns are
+    the children of u and v, then the complement of each subtree."""
+    out = M[-1][:-1]
+    cells = [(j, k) for j in range(len(M) - 1) for k in range(len(M[0]) - 1)]
+    s = r1 = 0
+    for (j, k), (jj, kk) in itertools.combinations(cells, 2):
+        if j != jj and k != kk:
+            pairs = M[j][k] * M[jj][kk]
+            s += pairs * M[-1][-1]
+            r1 += pairs * sum(o for l, o in enumerate(out) if l not in (k, kk))
+    return s, r1
+
+
+def test_int64_exact_at_largest_supported_n():
+    n = MAX_INT64_N
+    assert comb(n, 3) < 2**63 <= comb(n + 1, 3)
+    rng = random.Random(3)
+    a, h = n // 3, n // 4
+    blocks = [
+        # one child pair holding almost every taxon
+        [[n - 3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
+        # crossed halves with the rest outside both subtrees
+        [[h, h, 0], [h, h, 0], [0, 0, n - 4 * h]],
+        # thirds: split pairs, one third outside u
+        [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, a, n - 3 * a]],
+    ]
+    for _ in range(6):
+        d1, d2 = rng.randint(3, 6), rng.randint(4, 7)
+        cuts = sorted(rng.sample(range(1, n), d1 * d2 - 1))
+        blocks.append(np.diff([0] + cuts + [n]).reshape(d1, d2).tolist())
+    for block in blocks:
+        M = np.array(block, dtype=np.int64)
+        assert M.sum() == n
+        assert (_shared_in_block(M[None, None]), _r1_in_block(M[None, None])) == \
+            _block_reference(block)
+    # a block of node pairs whose O·P terms sum past 2^63 (an int64 sum of
+    # them alone would wrap) while its read-out, a² per pair, stays small
+    one = [[a, 0, 0, 0], [0, a, 0, 0], [n - 2 * a - 1, 0, 1, 0]]
+    stack = np.array([one] * 8, dtype=np.int64)
+    assert 8 * (n - 2 * a) * a * a >= 2**63
+    assert _r1_in_block(stack[None]) == 8 * _block_reference(one)[1] == 8 * a * a
 
 
 class TestParametricDistance:
