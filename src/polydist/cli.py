@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--method", choices=methods,
                    help="fast|brute (triplet), approx|exact|brute (quartet)")
     d.add_argument("--unrooted", action="store_true",
-                   help="accepted for symmetry; quartet input is always unrooted")
+                   help="quartet only, whose input is always unrooted")
     common(d)
     d.set_defaults(fn=_cmd_dist)
 
@@ -367,6 +367,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.command == "dist" and args.method not in (None, *DIST_METHODS[args.metric]):
         ap.error(f"{args.metric} method must be one of {', '.join(DIST_METHODS[args.metric])}")
+    if args.command == "dist" and args.metric == "triplet" and args.unrooted:
+        ap.error("triplet distances compare rooted trees; --unrooted applies to quartet")
     start = time.perf_counter()
     try:
         code, report = args.fn(args)

@@ -11,7 +11,9 @@ decides how many quartets both nodes anchor with the same together pair
 (twice |S|) and how many they anchor with together pairs sharing one
 taxon (four times |D|).  The M blocks come from
 `polydist.triplet.node_pair_blocks`, the node-pair loop the rooted triplet
-counts share.  The arithmetic over all pairs costs
+counts share; the sides are the layout `Phylogeny.node_sides` caches per
+tree, which also gives the R/U counts and the y term's polytomies.  The
+arithmetic over all pairs costs
 O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d; the
 (m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the memory.
 
@@ -69,36 +71,27 @@ def _reroot(tree: Phylogeny) -> Phylogeny:
                                     tree.leaf_taxon, root)
 
 
-def _side_sizes(tree: Phylogeny):
-    """side(u, x) = number of leaves on x's side of edge {u, x}."""
-    alpha = tree.subtree_sizes()
-    n = tree.n
-
-    def side(u: int, x: int) -> int:
-        return alpha[x] if tree.parent[x] == u else n - alpha[u]
-
-    return side
-
-
 def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
     """Resolved/unresolved quartet counts of one unrooted tree, O(n).
 
     A resolved quartet ab|cd is strictly induced by exactly two directed
-    edges (one at each end of its middle path), hence the half factor.
+    edges (one at each end of its middle path), hence the half factor.  At a
+    node with side sizes s_j (`Phylogeny.node_sides`), side j's C(s_j, 2)
+    pairs meet C(n - s_j, 2) - Σ_{i≠j} C(s_i, 2) split pairs; int64-exact
+    for n <= MAX_EXACT_N, larger n raises.
     """
     if tree.kind is not Kind.UNROOTED:
         raise TreeError("quartet counts apply to unrooted trees")
     n = tree.n
     if n < 4:
         return 0, 0
-    side = _side_sizes(tree)
+    if n > MAX_EXACT_N:
+        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
     twice_R = 0
-    for u in tree.internal_nodes():
-        sizes = [side(u, x) for x in tree.neighbors(u)]
-        together = sum(comb(s, 2) for s in sizes)
-        for s in sizes:
-            split_pairs = comb(n - s, 2) - (together - comb(s, 2))
-            twice_R += split_pairs * comb(s, 2)
+    for _, sizes in tree.node_sides():
+        together = c2(sizes)
+        split_pairs = c2(n - sizes) - (together.sum(1, keepdims=True) - together)
+        twice_R += int((split_pairs * together).sum())
     assert twice_R % 2 == 0
     R = twice_R // 2
     return R, comb(n, 4) - R
@@ -201,47 +194,40 @@ def _gamma(a: np.ndarray, b: np.ndarray, size_p: np.ndarray,
 def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     """y with |R1| <= y <= 2|R1|: the rooted directed-edge sum.
 
-    T1 is rooted at its lowest-id internal node; for each non-root internal
-    u the directed edge (u, pa(u)) has near side P = leaves under u and far
-    side Q = the rest.  gamma(P, Q, w) counts quartets with two leaves in P,
-    two in Q, all four in distinct components around the polytomy w; the
-    four subtracted terms n1..n4 remove the other containment patterns by
-    inclusion-exclusion over w's neighbors.  Each edge's sum is gamma at u
-    minus gamma at u's internal children (a leaf child's gamma is 0),
-    evaluated for blocks of edges against all polytomies of one degree.
+    y depends on T1's orientation: T1 is rooted at its lowest-id internal
+    node, and each non-root internal u has the directed edge (u, pa(u)) with
+    near side P = leaves under u and far side Q = the rest.  gamma(P, Q, w)
+    counts quartets with two leaves in P, two in Q, all four in distinct
+    sides of a polytomy w of T2, a `t2.node_sides()` row with more than three
+    non-empty sides (in any orientation; empty sides add nothing); the
+    terms n1..n4 remove the other containment patterns by
+    inclusion-exclusion over w's sides.  Each edge's sum is gamma at u
+    minus gamma at u's internal children, for blocks of edges against all
+    polytomies with one side count.
     """
-    r1 = _reroot(t1)
-    r2 = _reroot(t2)
-    by_degree: dict[int, list[int]] = {}
-    for w in r2.internal_nodes():
-        if r2.degree(w) > 3:
-            by_degree.setdefault(r2.degree(w), []).append(w)
-    if not by_degree:
+    polys = [(rows[wide], sizes[wide]) for rows, sizes in t2.node_sides()
+             if (wide := np.count_nonzero(sizes, axis=1) > 3).any()]
+    if not polys:
         return 0
-    tables = build_tables(r1, r2)
-    I, alpha1, alpha2 = tables.I, tables.alpha1, tables.alpha2
+    r1 = _reroot(t1)
+    tables = build_tables(r1, t2)
+    I, alpha1 = tables.I, tables.alpha1
     n = r1.n
     edges = np.array([u for u in r1.internal_nodes() if u != r1.root], dtype=np.int64)
     below = [(i, x) for i, u in enumerate(edges.tolist())
              for x in r1.children[u] if not r1.is_leaf(x)]
     child_edge = np.array([i for i, _ in below], dtype=np.int64)
     child = np.array([x for _, x in below], dtype=np.int64)
-    parent2 = np.asarray(r2.parent, dtype=np.int64)
 
     total = 0
-    for _, polys in sorted(by_degree.items()):
-        polys = np.array(polys, dtype=np.int64)
-        nbrs = np.array([r2.neighbors(w) for w in polys], dtype=np.int64)
-        up = parent2[polys][:, None] == nbrs          # neighbor is w's parent
-        cols = np.where(up, polys[:, None], nbrs)
-        sizes = np.where(up, n - alpha2[cols], alpha2[cols])
-
+    for cols, sizes in polys:
         def inter(nodes: np.ndarray) -> np.ndarray:
-            """|side(x_i, w) ∩ subtree1(u)| for u in nodes, per polytomy w."""
+            """|side_i(w) ∩ subtree1(u)| for u in nodes, per polytomy w."""
             g = I[nodes[:, None, None], cols[None]]
-            return np.where(up, alpha1[nodes][:, None, None] - g, g)
+            g[..., -1] = alpha1[nodes][:, None] - g[..., -1]
+            return g
 
-        step = max(1, BLOCK_CELLS // nbrs.size)
+        step = max(1, BLOCK_CELLS // cols.size)
         for lo in range(0, len(edges), step):
             u = edges[lo:lo + step]
             a = inter(u)

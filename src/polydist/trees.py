@@ -4,7 +4,9 @@ A `Phylogeny` is an immutable leaf-labeled tree stored as an integer node
 arena (parent / children arrays).  Rooted trees have a semantic root; for
 unrooted trees the same arrays hold an arbitrary orientation from a
 distinguished "handle" node, which carries no meaning beyond giving the
-traversal code a place to start.
+traversal code a place to start.  Every counting kernel reads the side
+layout each tree caches: `leaf_ranges` (subtrees as ranges of the leaf
+order) and `node_sides` (children and subtree complement of each node).
 
 The module also provides the elementary editing operations used by the
 consensus and Hausdorff machinery (`pull_out`, `pull_2_out`, `contract`),
@@ -206,15 +208,50 @@ class Phylogeny:
             self._cache["postorder"] = order
         return order
 
-    def subtree_sizes(self) -> list[int]:
-        """alpha[v] = number of leaves in the oriented subtree at v."""
-        alpha = self._cache.get("alpha")
-        if alpha is None:
-            alpha = [0] * self.num_nodes
+    def leaf_ranges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, lo, hi): the taxa in postorder leaf order, and for each
+        node v the range order[lo[v]:hi[v]] of the taxa below it.  Cached
+        in the stored orientation and read-only, since callers share it.
+        """
+        cached = self._cache.get("leaf_ranges")
+        if cached is None:
+            order, lo, hi = [], [0] * self.num_nodes, [0] * self.num_nodes
             for v in self.postorder():
-                alpha[v] = 1 if self.is_leaf(v) else sum(alpha[c] for c in self.children[v])
-            self._cache["alpha"] = alpha
-        return alpha
+                t = self.leaf_taxon[v]
+                if t is None:
+                    lo[v], hi[v] = lo[self.children[v][0]], hi[self.children[v][-1]]
+                else:
+                    lo[v], hi[v] = len(order), len(order) + 1
+                    order.append(t)
+            cached = self._cache["leaf_ranges"] = _read_only(order, lo, hi)
+        return cached
+
+    def subtree_sizes(self) -> np.ndarray:
+        """alpha[v] = number of leaves in the oriented subtree at v."""
+        _, lo, hi = self.leaf_ranges()
+        return hi - lo
+
+    def node_sides(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Internal nodes grouped by child count, as (rows, sizes) per group
+        in increasing child count; cached and read-only like `leaf_ranges`.
+
+        Row j of a node lists its sides: its children, then the node itself
+        standing for the complement of its subtree (empty at the root), so
+        side sets do not depend on the orientation.  sizes[., j] is the
+        number of leaves in side j.
+        """
+        groups = self._cache.get("node_sides")
+        if groups is None:
+            by_count: dict[int, list[tuple[int, ...]]] = {}
+            for v in self.internal_nodes():
+                by_count.setdefault(len(self.children[v]), []).append(self.children[v] + (v,))
+            groups = self._cache["node_sides"] = []
+            for _, rows in sorted(by_count.items()):
+                rows = np.array(rows, dtype=np.int64)
+                sizes = self.subtree_sizes()[rows]
+                sizes[:, -1] = self.n - sizes[:, -1]
+                groups.append(_read_only(rows, sizes))
+        return groups
 
     def depths(self) -> list[int]:
         depth = self._cache.get("depth")
@@ -241,33 +278,25 @@ class Phylogeny:
     def leaf_lca_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(lca_node, lca_depth): (n, n) int64 arrays over taxon indices.
 
-        Computed once per tree in the stored orientation, in O(n^2): with
-        the leaves numbered in postorder each subtree holds a range of
-        them, and the pairs whose LCA is v are the blocks between each
-        child's range and the rest of v's range.
+        Computed once per tree in the stored orientation, in O(n^2): each
+        subtree holds a range of `leaf_ranges`' leaf order, and the pairs
+        whose LCA is v are the blocks between each child's range and the
+        rest of v's range.
         """
         cached = self._cache.get("leaf_lca")
         if cached is not None:
             return cached
-        n = self.n
-        lo, hi = [0] * self.num_nodes, [0] * self.num_nodes
-        leaf_order: list[int] = []  # taxon of each position in leaf order
-        node = np.empty((n, n), dtype=np.int64)
+        order, lo, hi = self.leaf_ranges()
+        lo, hi = lo.tolist(), hi.tolist()
+        node = np.empty((self.n, self.n), dtype=np.int64)
         for v in self.postorder():
-            t = self.leaf_taxon[v]
-            if t is not None:
-                lo[v] = len(leaf_order)
-                hi[v] = lo[v] + 1
+            if self.leaf_taxon[v] is not None:
                 node[lo[v], lo[v]] = v
-                leaf_order.append(t)
-                continue
-            lo[v] = min(lo[c] for c in self.children[v])
-            hi[v] = max(hi[c] for c in self.children[v])
             for c in self.children[v]:
                 node[lo[c]:hi[c], lo[v]:lo[c]] = v
                 node[lo[c]:hi[c], hi[c]:hi[v]] = v
-        rank = np.empty(n, dtype=np.int64)
-        rank[leaf_order] = np.arange(n)
+        rank = np.empty(self.n, dtype=np.int64)  # leaf-order position of each taxon
+        rank[order] = np.arange(self.n)
         node = node[np.ix_(rank, rank)]
         depth = np.asarray(self.depths(), dtype=np.int64)[node]
         self._cache["leaf_lca"] = (node, depth)
@@ -313,19 +342,20 @@ class Phylogeny:
             taxa = TaxonSet.of(taxa)
         children: list[list[int]] = []
         leaf_taxon: list[int | None] = []
-
-        def build(node) -> int:
+        # preorder ids: each node is numbered before its children, left to right
+        stack = [(nested, -1)]
+        while stack:
+            node, parent = stack.pop()
             vid = len(children)
+            if parent >= 0:
+                children[parent].append(vid)
             children.append([])
-            leaf_taxon.append(None)
             if isinstance(node, (tuple, list)):
-                children[vid] = [build(c) for c in node]
+                leaf_taxon.append(None)
+                stack.extend((c, vid) for c in reversed(node))
             else:
-                leaf_taxon[vid] = taxa.index(node)
-            return vid
-
-        root = build(nested)
-        return cls(Kind.ROOTED, taxa, children, root, leaf_taxon)
+                leaf_taxon.append(taxa.index(node))
+        return cls(Kind.ROOTED, taxa, children, 0, leaf_taxon)
 
     @classmethod
     def unrooted(cls, taxa: TaxonSet | Iterable[str], nested) -> "Phylogeny":
@@ -422,6 +452,13 @@ class Phylogeny:
                 side = self.subtree_taxa(v)
                 out.add(side if 0 in side else everything - side)
         return frozenset(out)
+
+
+def _read_only(*values) -> tuple[np.ndarray, ...]:
+    arrays = tuple(np.asarray(v, dtype=np.int64) for v in values)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ is the number of identically resolved triplets, and |R1| the number
 resolved only in T1.  |S| and |R1| are sums over pairs (u, v) of internal
 nodes of closed forms in M[j, k] = |A_j ∩ B_k|, the overlaps of the sides
 of u and of v (their children, then the complement of their subtree).
+The sides and the subtree ranges of the leaf order are the per-tree
+layout that `Phylogeny.node_sides` / `leaf_ranges` cache.
 `node_pair_blocks` is the one loop over node pairs: it gathers M from the
 intersection table I[u, v] = |L(T1(u)) ∩ L(T2(v))| of `build_tables`, in
 blocks of node pairs with the same child counts, for these kernels and for
 `polydist.quartet.quartet_classification`.  The arithmetic costs
 O(sum over node pairs of d(u)·d(v)) = O(n²); the (m1 × m2) int64 I-table
-(8·m1·m2 bytes) sets the memory.
+(8·m1·m2 bytes) is the only table of that size and sets the memory.
 """
 
 from __future__ import annotations
@@ -55,50 +57,23 @@ def c2(x):
 
 
 def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
-    """All pairwise intersection sizes in O(n^2): leaf rows are ancestor
-    indicators over T2, internal rows are child-row sums over T1."""
+    """All pairwise intersection sizes in O(n^2): a T1 leaf's row marks the
+    T2 nodes whose `leaf_ranges` range holds its taxon, internal rows are
+    child-row sums.  Memory: the (m1 × m2) int64 I-table, no leaf rows."""
     if t1.taxa.labels != t2.taxa.labels:
         raise TreeError("trees are over different taxon sets")
-    n = t1.n
-    m1, m2 = t1.num_nodes, t2.num_nodes
-    # leaf_rows[t] = indicator over T2 nodes that contain taxon t
-    leaf_rows = np.zeros((n, m2), dtype=np.int64)
-    for t in range(n):
-        v = t2.leaf_of_taxon(t)
-        while v != -1:
-            leaf_rows[t, v] = 1
-            v = t2.parent[v]
-    I = np.zeros((m1, m2), dtype=np.int64)
+    order2, lo2, hi2 = t2.leaf_ranges()
+    pos2 = np.empty(t2.n, dtype=np.int64)  # leaf-order position of each taxon
+    pos2[order2] = np.arange(t2.n)
+    I = np.zeros((t1.num_nodes, t2.num_nodes), dtype=np.int64)
     for u in t1.postorder():
-        tt = t1.leaf_taxon[u]
-        if tt is not None:
-            I[u] = leaf_rows[tt]
+        t = t1.leaf_taxon[u]
+        if t is not None:
+            I[u] = (lo2 <= pos2[t]) & (pos2[t] < hi2)
         else:
             for c in t1.children[u]:
                 I[u] += I[c]
-    alpha1 = np.asarray(t1.subtree_sizes(), dtype=np.int64)
-    alpha2 = np.asarray(t2.subtree_sizes(), dtype=np.int64)
-    return RootedIntersectionTables(t1, t2, I, alpha1, alpha2)
-
-
-def _node_sides(tree: Phylogeny) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Internal nodes grouped by child count, as (rows, sizes) per group.
-
-    Row j of a node lists its sides: its children, then the node itself
-    standing for the complement of its subtree (empty at the root).
-    sizes[., j] is the number of leaves in side j.
-    """
-    alpha = np.asarray(tree.subtree_sizes(), dtype=np.int64)
-    by_count: dict[int, list[int]] = {}
-    for v in tree.internal_nodes():
-        by_count.setdefault(len(tree.children[v]), []).append(v)
-    groups = []
-    for _, nodes in sorted(by_count.items()):
-        rows = np.array([tree.children[v] + (v,) for v in nodes], dtype=np.int64)
-        sizes = alpha[rows]
-        sizes[:, -1] = tree.n - sizes[:, -1]
-        groups.append((rows, sizes))
-    return groups
+    return RootedIntersectionTables(t1, t2, I, t1.subtree_sizes(), t2.subtree_sizes())
 
 
 def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0
@@ -113,9 +88,9 @@ def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0
     last), with side sizes sizes1[a, 0, j, 0] and sizes2[0, b, 0, k].
     """
     I, alpha2 = tables.I, tables.alpha2
-    sides2 = [(rows, sizes) for rows, sizes in _node_sides(tables.t2)
+    sides2 = [(rows, sizes) for rows, sizes in tables.t2.node_sides()
               if rows.shape[1] > min_children2]
-    for rows1, sizes1 in _node_sides(tables.t1):
+    for rows1, sizes1 in tables.t1.node_sides():
         for rows2, sizes2 in sides2:
             per_node = len(rows2) * rows1.shape[1] * rows2.shape[1]
             step = max(1, BLOCK_CELLS // per_node)
@@ -132,18 +107,15 @@ def count_R_U(tree: Phylogeny) -> tuple[int, int]:
     """Resolved/unresolved triplet counts of one rooted tree, O(n).
 
     A resolved triplet xy|z is strictly induced at v = lca(x, y): the pair
-    must split across distinct children of v and z must lie outside v.
+    must split across distinct children of v and z must lie outside v: per
+    `Phylogeny.node_sides` group, (c2(Σ children) − Σ c2(child)) ·
+    complement.  Exact in int64 for n <= 3810779, as count_shared.
     """
-    alpha = tree.subtree_sizes()
-    n = tree.n
     R = 0
-    for v in tree.internal_nodes():
-        if v == tree.root:
-            continue
-        beta = n - alpha[v]
-        split_pairs = comb(alpha[v], 2) - sum(comb(alpha[x], 2) for x in tree.children[v])
-        R += split_pairs * beta
-    return R, comb(n, 3) - R
+    for _, sizes in tree.node_sides():
+        kids, outside = sizes[:, :-1], sizes[:, -1]
+        R += int(((c2(kids.sum(1)) - c2(kids).sum(1)) * outside).sum())
+    return R, comb(tree.n, 3) - R
 
 
 def _split_pairs(C: np.ndarray) -> np.ndarray:

@@ -101,6 +101,15 @@ class TestDist:
             main(["dist", metric, trees[t1], trees[t2], "--method", method])
         assert exc.value.code == 2
 
+    def test_unrooted_flag_is_quartet_only(self, capsys, trees):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "triplet", trees["t1.nwk"], trees["t2.nwk"], "--unrooted"])
+        assert exc.value.code == 2
+        assert "--unrooted" in capsys.readouterr().err
+        code, rep, _ = run_json(capsys, ["dist", "quartet", trees["u1.nwk"],
+                                         trees["u2.nwk"], "--unrooted"])
+        assert code == 0 and rep["inputs"]["kind"] == "unrooted"
+
     def test_quartet_small_p_without_brute_fails(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "quartet", trees["u1.nwk"],
                                       trees["u2.nwk"], "--p", "1/4"])

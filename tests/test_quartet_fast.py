@@ -116,6 +116,16 @@ class TestApproxR1:
         a, b = pair
         assert approx_r1_quartets(a, b) == _approx_r1_reference(a, b)
 
+    @given(classification_pairs(Kind.UNROOTED, max_n=12))
+    @settings(max_examples=40, deadline=None)
+    def test_independent_of_t2_orientation(self, pair):
+        a, b = pair
+        y = approx_r1_quartets(a, b)
+        for w in b.internal_nodes():
+            turned = Phylogeny.from_adjacency(Kind.UNROOTED, b.taxa, b._adjacency(),
+                                              b.leaf_taxon, w)
+            assert approx_r1_quartets(a, turned) == y
+
     @pytest.mark.parametrize("n", [30, 80])
     def test_sandwich_against_kernel(self, n):
         for seed in range(4):
@@ -268,3 +278,14 @@ class TestClassification:
         star = Phylogeny.unrooted(taxa, tuple(range(taxa.n)))
         with pytest.raises(CapacityError):
             quartet_classification(star, star)
+        with pytest.raises(CapacityError):
+            count_R_U_quartets(star)
+
+    def test_resolved_count_exact_at_largest_supported_n(self):
+        # a double star with halves as even as possible: its int64 terms
+        # C(n - s, 2)·C(s, 2) peak at s = n/2
+        n, h = MAX_EXACT_N, MAX_EXACT_N // 2
+        taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+        double_star = Phylogeny.unrooted(taxa, (tuple(range(h)),) + tuple(range(h, n)))
+        R = comb(h, 2) * comb(n - h, 2)
+        assert count_R_U_quartets(double_star) == (R, comb(n, 4) - R)

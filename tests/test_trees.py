@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rooted_trees, unrooted_trees
+from conftest import SHAPES, rooted_trees, shaped, unrooted_trees
 from polydist.newick import parse_newick
 from polydist.trees import (
     Kind,
@@ -33,6 +36,8 @@ def test_taxon_set_rejects_duplicates_and_empties():
 def test_basic_shape_accessors():
     t = Phylogeny.rooted("abcd", (("a", "b"), "c", "d"))
     assert t.n == 4
+    # nested input is numbered in preorder
+    assert t.children == ((1, 4, 5), (2, 3), (), (), (), ())
     assert sorted(t.leaf_taxon[v] for v in t.leaves()) == [0, 1, 2, 3]
     assert t.unresolved_nodes() == [t.root]
     assert not t.is_fully_resolved()
@@ -181,6 +186,26 @@ def test_deep_caterpillar_key_and_restriction(kind):
     assert sub.canonical_key() == _caterpillar(labels[::2], kind).canonical_key()
 
 
+@pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+def test_deep_nested_construction(kind):
+    # 1200 nesting levels: building from nested tuples must not recurse once per level
+    labels = [f"t{i}" for i in range(1200)]
+    inner = labels if kind is Kind.ROOTED else labels[:-2]
+    nested = inner[0]
+    for t in inner[1:]:
+        nested = (nested, t)
+    if kind is Kind.ROOTED:
+        tree = Phylogeny.rooted(labels, nested)
+    else:
+        tree = Phylogeny.unrooted(labels, (nested, labels[-2], labels[-1]))
+    assert tree.n == 1200 and tree.validate() == []
+    assert tree.canonical_key() == _caterpillar(labels, kind).canonical_key()
+    # preorder ids: the root first, every node before its children
+    assert tree.root == 0
+    assert all(c > v for v in range(tree.num_nodes) for c in tree.children[v])
+    assert [t for t in tree.leaf_taxon if t is not None] == list(range(1200))
+
+
 def test_unrooted_isomorphism_ignores_handle_placement():
     a = Phylogeny.unrooted("abcd", (("a", "b"), "c", "d"))
     b = Phylogeny.unrooted("abcd", (("c", "d"), "a", "b"))
@@ -194,3 +219,55 @@ def test_subtree_sizes_sum(tree):
     assert alpha[tree.root] == tree.n
     for v in tree.internal_nodes():
         assert alpha[v] == sum(alpha[c] for c in tree.children[v])
+
+
+@st.composite
+def edited_trees(draw, max_n=14):
+    """The conftest shapes, rooted or unrooted, after one Pull-Out (rooted),
+    Pull-2-Out (unrooted) or contraction where the tree allows it."""
+    kind = draw(st.sampled_from(Kind))
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = shaped(kind, draw(st.sampled_from(SHAPES)),
+                  TaxonSet(tuple(f"t{i}" for i in range(n))), rng)
+    edit = draw(st.sampled_from(("none", "pull", "contract")))
+    if edit == "contract":
+        edges = [v for v in tree.internal_nodes() if tree.parent[v] >= 0]
+        if edges:
+            tree = contract(tree, rng.choice(edges))
+    elif edit == "pull" and tree.unresolved_nodes():
+        v = rng.choice(tree.unresolved_nodes())
+        if kind is Kind.ROOTED:
+            tree = pull_out(tree, rng.choice(tree.children[v]))
+        else:
+            tree = pull_2_out(tree, *rng.sample(tree.neighbors(v), 2))
+    return tree
+
+
+@given(edited_trees())
+@settings(max_examples=80, deadline=None)
+def test_side_layout_matches_subtree_taxa(tree):
+    taxa_below = [tree.subtree_taxa(v) for v in range(tree.num_nodes)]
+    order, lo, hi = tree.leaf_ranges()
+    assert sorted(order.tolist()) == list(range(tree.n))
+    for v, below in enumerate(taxa_below):
+        assert set(order[lo[v]:hi[v]].tolist()) == below
+    assert tree.subtree_sizes().tolist() == [len(below) for below in taxa_below]
+    groups = tree.node_sides()
+    assert tree.node_sides() is groups
+    counts = [rows.shape[1] - 1 for rows, _ in groups]
+    assert counts == sorted(set(counts))
+    seen = []
+    for rows, sizes in groups:
+        for row, size in zip(rows.tolist(), sizes.tolist()):
+            v = row[-1]
+            seen.append(v)
+            assert tuple(row[:-1]) == tree.children[v]
+            assert size == ([len(taxa_below[c]) for c in tree.children[v]]
+                            + [tree.n - len(taxa_below[v])])
+    assert sorted(seen) == tree.internal_nodes()
+    # callers share the cached arrays, so none of them may be written
+    for shared in (order, lo, hi, *(a for group in groups for a in group)):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[...] = 0

@@ -68,6 +68,27 @@ class TestTables:
             assert (M.sum(-2, keepdims=True) == sizes2).all()
 
 
+    def test_deep_caterpillar_against_fan(self):
+        # a 1200-leaf caterpillar, 1199 levels deep, as T2 and then as T1
+        n = 1200
+        taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+        nested = 0
+        for t in range(1, n):
+            nested = (nested, t)
+        caterpillar = Phylogeny.rooted(taxa, nested)
+        fan = Phylogeny.rooted(taxa, tuple(range(n)))
+
+        def indicator(tree):
+            X = np.zeros((tree.num_nodes, n))
+            for v in range(tree.num_nodes):
+                X[v, list(tree.subtree_taxa(v))] = 1
+            return X
+
+        for a, b in ((fan, caterpillar), (caterpillar, fan)):
+            assert (build_tables(a, b).I == indicator(a) @ indicator(b).T).all()
+            assert parametric_triplet_distance(a, b) == DistancePair(0, comb(n, 3))
+
+
 class TestCountRU:
     def test_extremes(self):
         binary = Phylogeny.rooted("abcde", ((("a", "b"), "c"), ("d", "e")))
