@@ -46,7 +46,7 @@ def _load_trees(path: str, kind: Kind):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_newick_many(text, kind)

@@ -280,25 +280,30 @@ def _binary_shapes(parts: list):
         yield subst(shape)
 
 
-def _expand_rooted(node):
-    """All full refinements of a nested rooted tree (generator of nested)."""
-    if not isinstance(node, tuple):
-        yield node
-        return
-    child_gens = [list(_expand_rooted(c)) for c in node]
-    for combo in itertools.product(*child_gens):
-        if len(combo) <= 2:
-            yield tuple(combo)
-        else:
-            yield from _binary_shapes(list(combo))
-
-
-def _to_nested(tree: Phylogeny, start: int, banned: int):
-    """Nested tuple of taxon indices for the subtree at `start`, avoiding `banned`."""
-    t = tree.leaf_taxon[start]
-    if t is not None:
-        return t
-    return tuple(_to_nested(tree, w, start) for w in tree.neighbors(start) if w != banned)
+def _refined_nested(tree: Phylogeny, start: int, banned: int) -> list:
+    """All full refinements of the subtree at `start`, avoiding `banned`, as
+    nested tuples of taxon indices; bottom-up with an explicit stack."""
+    refined = {}
+    stack = [(start, banned, False)]
+    while stack:
+        v, up, expanded = stack.pop()
+        t = tree.leaf_taxon[v]
+        if t is not None:
+            refined[v] = [t]
+            continue
+        kids = [w for w in tree.neighbors(v) if w != up]
+        if not expanded:
+            stack.append((v, up, True))
+            stack.extend((w, v, False) for w in kids)
+            continue
+        out = []
+        for combo in itertools.product(*(refined.pop(w) for w in kids)):
+            if len(combo) <= 2:
+                out.append(combo)
+            else:
+                out.extend(_binary_shapes(list(combo)))
+        refined[v] = out
+    return refined[start]
 
 
 def enumerate_full_refinements(tree: Phylogeny, cap: int = 100_000) -> list[Phylogeny]:
@@ -308,19 +313,15 @@ def enumerate_full_refinements(tree: Phylogeny, cap: int = 100_000) -> list[Phyl
         raise CapacityError(f"{predicted} full refinements exceed cap {cap}")
     taxa = tree.taxa
     if tree.kind is Kind.ROOTED:
-        nested = _to_nested(tree, tree.root, -1)
-        return [Phylogeny.rooted(taxa, r) for r in _expand_rooted(nested)]
+        return [Phylogeny.rooted(taxa, r) for r in _refined_nested(tree, tree.root, -1)]
     if tree.n <= 3:
         return [tree]
     # Root at the neighbor of taxon 0's leaf with that leaf removed, refine
     # the rooted tree, then hang leaf 0 back on the refined root.
     leaf0 = tree.leaf_of_taxon(0)
     anchor = tree.neighbors(leaf0)[0]
-    nested = _to_nested(tree, anchor, leaf0)
-    out = []
-    for r in _expand_rooted(nested):
-        out.append(Phylogeny.unrooted(taxa, (r[0], r[1], 0)))
-    return out
+    return [Phylogeny.unrooted(taxa, (r[0], r[1], 0))
+            for r in _refined_nested(tree, anchor, leaf0)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,19 @@ decides how many quartets both nodes anchor with the same together pair
 taxon (four times |D|).  The M blocks come from
 `polydist.triplet.node_pair_blocks`, the node-pair loop the rooted triplet
 counts share; the sides are the layout `Phylogeny.node_sides` caches per
-tree, which also gives the R/U counts and the y term's polytomies.  The
-arithmetic over all pairs costs
-O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d; the
-(m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the memory.
+tree, which also gives the R/U counts.  The arithmetic over all pairs
+costs O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d;
+the (m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the
+memory.
 
 `parametric_quartet_distance` evaluates d^(p) exactly from those counts
 (mode="exact", any p), or returns the paper's 2-approximation
 (mode="approx", p >= 1/2): x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p-1)y,
 where y over-counts |R1| by at most a factor of two (each resolved-in-T1-
 only quartet is strictly induced by exactly two directed edges, and the
-rooted sum hits one or both of them).  This sandwiches the true distance:
+rooted sum hits one or both of them).  y is a closed form per pair of a
+T1 node and a T2 polytomy, read from the same node-pair blocks with T1
+re-rooted.  This sandwiches the true distance:
 d^(p) <= x <= 2 d^(p) for p >= 1/2, with equality throughout at p = 1/2
 where the y term vanishes.
 """
@@ -37,7 +39,7 @@ import numpy as np
 
 from polydist.oracle import CapacityError, Classification
 from polydist.trees import Kind, Phylogeny, TreeError
-from polydist.triplet import BLOCK_CELLS, build_tables, c2, node_pair_blocks
+from polydist.triplet import build_tables, c2, node_pair_blocks
 
 # Largest n whose quartet counts the int64 kernels read out exactly (see
 # quartet_classification).
@@ -175,70 +177,59 @@ def count_shared_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     return quartet_classification(t1, t2).s
 
 
-def _gamma(a: np.ndarray, b: np.ndarray, size_p: np.ndarray,
-           size_q: np.ndarray) -> np.ndarray:
-    """gamma per (directed edge, polytomy) for sides P, Q: a[..., i] =
-    |side(x_i) ∩ P|, b[..., i] = |side(x_i) ∩ Q| over the polytomy's
-    neighbors x_i; size_p and size_q hold |P| and |Q| per edge."""
-    ar = size_p[:, None, None] - a
-    br = size_q[:, None, None] - b
-    c2a, c2b, ab = c2(a), c2(b), a * b
-    n1 = (c2a * c2b).sum(-1)
-    n2 = (c2a * b * br + c2b * a * ar).sum(-1)
-    n3 = (((c2a.sum(-1, keepdims=True) - c2a) * c2b).sum(-1)
-          + ((ab.sum(-1, keepdims=True) - ab) * ab).sum(-1) // 2)
-    n4 = (c2a * c2(br) + c2b * c2(ar) + ab * ar * br).sum(-1) - 2 * n3
-    return (c2(size_p) * c2(size_q))[:, None] - n1 - n2 - n3 - n4
+def _y_per_pair(M: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.ndarray:
+    """y(u, w) per node pair of a `node_pair_blocks` block: the quartets
+    with two taxa in distinct children of u, two outside u, and all four in
+    distinct sides of w.
+
+    With C the children block (row sums R), O[k] the taxa outside u in
+    side k of w, T = Σ O (u's last side size), q = sizes2 - O the column
+    sums of C and W = q qᵀ - CᵀC (the ordered pairs in distinct children
+    of u with one taxon in side k and one in side l),
+
+        4y = Σ_{k≠l} W[k, l]·((T - O_k - O_l)² - (Σ O² - O_k² - O_l²))
+           = Σ_k (row_sums_k·B_k - W[k, k]·(B_k + 2·O_k²)) + 2·OᵀWO,
+
+    where B_k = T² - Σ O² + 4·O_k(O_k - T), row_sums_k = Σ_l W[k, l] =
+    Σ_j C[j, k]·(|u| - R_j) and OᵀWO = (q·O)² - |C O|².  The sums over
+    children are matrix products, which numpy evaluates faster than
+    reductions over a short inner axis.
+    """
+    C, O = M[..., :-1, :], M[..., -1:, :]
+    R, T = sizes1[..., :-1, :], sizes1[..., -1:, :]
+    q = sizes2 - O
+    Ot, OO = O.swapaxes(-1, -2), O * O
+    B = T * T - OO.sum(-1, keepdims=True) + 4 * (OO - O * T)
+    row_sums = (R.sum(-2, keepdims=True) - R).swapaxes(-1, -2) @ C
+    diag = q * q - np.ones_like(R).swapaxes(-1, -2) @ (C * C)
+    CO = C @ Ot
+    four_y = ((row_sums * B - diag * (B + 2 * OO)).sum(-1, keepdims=True)
+              + 2 * ((q @ Ot) ** 2 - CO.swapaxes(-1, -2) @ CO))
+    return four_y[..., 0, 0] // 4
 
 
 def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     """y with |R1| <= y <= 2|R1|: the rooted directed-edge sum.
 
     y depends on T1's orientation: T1 is rooted at its lowest-id internal
-    node, and each non-root internal u has the directed edge (u, pa(u)) with
-    near side P = leaves under u and far side Q = the rest.  gamma(P, Q, w)
-    counts quartets with two leaves in P, two in Q, all four in distinct
-    sides of a polytomy w of T2, a `t2.node_sides()` row with more than three
-    non-empty sides (in any orientation; empty sides add nothing); the
-    terms n1..n4 remove the other containment patterns by
-    inclusion-exclusion over w's sides.  Each edge's sum is gamma at u
-    minus gamma at u's internal children, for blocks of edges against all
-    polytomies with one side count.
+    node, and each non-root internal u has the directed edge (u, pa(u)).
+    y sums, over those u and the polytomies w of T2 (in any orientation),
+    the quartets with two taxa in distinct children of u, two outside u
+    and all four in distinct sides of w: a closed form per pair of
+    `node_pair_blocks` with w of three or more children.  T1's root adds 0
+    (nothing lies outside it), and so does a T2 node with fewer than four
+    non-empty sides.
+
+    int64 bound: as for quartet_classification, intermediates may wrap;
+    each pair's 4y <= 4·C(n, 4) is exact before it is divided by 4, and a
+    block's read-out is at most y <= 2·C(n, 4).  Exact for
+    n <= MAX_EXACT_N; larger n raises CapacityError.
     """
-    polys = [(rows[wide], sizes[wide]) for rows, sizes in t2.node_sides()
-             if (wide := np.count_nonzero(sizes, axis=1) > 3).any()]
-    if not polys:
-        return 0
-    r1 = _reroot(t1)
-    tables = build_tables(r1, t2)
-    I, alpha1 = tables.I, tables.alpha1
-    n = r1.n
-    edges = np.array([u for u in r1.internal_nodes() if u != r1.root], dtype=np.int64)
-    below = [(i, x) for i, u in enumerate(edges.tolist())
-             for x in r1.children[u] if not r1.is_leaf(x)]
-    child_edge = np.array([i for i, _ in below], dtype=np.int64)
-    child = np.array([x for _, x in below], dtype=np.int64)
-
-    total = 0
-    for cols, sizes in polys:
-        def inter(nodes: np.ndarray) -> np.ndarray:
-            """|side_i(w) ∩ subtree1(u)| for u in nodes, per polytomy w."""
-            g = I[nodes[:, None, None], cols[None]]
-            g[..., -1] = alpha1[nodes][:, None] - g[..., -1]
-            return g
-
-        step = max(1, BLOCK_CELLS // cols.size)
-        for lo in range(0, len(edges), step):
-            u = edges[lo:lo + step]
-            a = inter(u)
-            b = sizes - a
-            size_q = n - alpha1[u]
-            val = _gamma(a, b, alpha1[u], size_q)
-            first, last = np.searchsorted(child_edge, [lo, lo + len(u)])
-            x, at = child[first:last], child_edge[first:last] - lo
-            np.subtract.at(val, at, _gamma(inter(x), b[at], alpha1[x], size_q[at]))
-            total += int(val.sum())
-    return total
+    n = t1.n
+    if n > MAX_EXACT_N:
+        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
+    blocks = node_pair_blocks(build_tables(_reroot(t1), t2), min_children2=3)
+    return sum(int(_y_per_pair(*block).sum()) for block in blocks)
 
 
 def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,

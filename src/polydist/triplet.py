@@ -16,7 +16,7 @@ layout that `Phylogeny.node_sides` / `leaf_ranges` cache.
 `node_pair_blocks` is the one loop over node pairs: it gathers M from the
 intersection table I[u, v] = |L(T1(u)) ∩ L(T2(v))| of `build_tables`, in
 blocks of node pairs with the same child counts, for these kernels and for
-`polydist.quartet.quartet_classification`.  The arithmetic costs
+`polydist.quartet`'s classification and y term.  The arithmetic costs
 O(sum over node pairs of d(u)·d(v)) = O(n²); the (m1 × m2) int64 I-table
 (8·m1·m2 bytes) is the only table of that size and sets the memory.
 """
@@ -32,8 +32,7 @@ import numpy as np
 from polydist.oracle import DistancePair
 from polydist.trees import Kind, Phylogeny, TreeError
 
-# The number of array cells one block of node pairs (or of edges, in
-# polydist.quartet) may hold.
+# The number of array cells one block of node pairs may hold.
 BLOCK_CELLS = 1 << 18
 
 

@@ -139,6 +139,12 @@ class TestErrorsAndUsage:
                                       str(tmp_path / "nope.nwk"), trees["t2.nwk"]])
         assert code == 3 and "cannot read" in err
 
+    def test_invalid_utf8(self, capsys, trees, tmp_path):
+        path = tmp_path / "binary.nwk"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["dist", "triplet", str(path), trees["t2.nwk"]])
+        assert code == 3 and err.startswith("error: cannot read") and "utf-8" in err
+
     def test_malformed_newick(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "triplet",
                                       trees["bad.nwk"], trees["t2.nwk"]])

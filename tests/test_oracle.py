@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rooted_pairs, unrooted_pairs
-from polydist.newick import write_newick
+from polydist.newick import parse_newick, write_newick
 from polydist.oracle import (
     CapacityError,
     DistancePair,
@@ -145,6 +145,21 @@ class TestFullRefinements:
             keys = {r.canonical_key() for r in refs}
             assert len(keys) == len(refs)
             assert all(r.is_fully_resolved() and is_refinement(t, r) for r in refs)
+
+    @pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+    def test_deep_caterpillar(self, kind):
+        # 1200 nesting levels and one full refinement: enumerating it must
+        # not recurse once per level
+        last = 1200 if kind is Kind.ROOTED else 1198
+        text = "t0"
+        for i in range(1, last):
+            text = f"({text},t{i})"
+        if kind is Kind.UNROOTED:
+            text = f"({text},t1198,t1199)"
+        tree = parse_newick(text + ";", kind)
+        assert tree.n == 1200
+        refs = enumerate_full_refinements(tree)
+        assert len(refs) == 1 and refs[0].isomorphic(tree)
 
     def test_capacity_precheck(self):
         big = Phylogeny.rooted([f"t{i}" for i in range(12)], tuple(range(12)))

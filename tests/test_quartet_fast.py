@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import classification_pairs, seeded_pair, unrooted_pairs, unrooted_trees
 from polydist.oracle import CapacityError, classify_quartets, enumerate_phylogenies
@@ -13,6 +14,7 @@ from polydist.quartet import (
     MAX_EXACT_N,
     _anchor_counts,
     _reroot,
+    _y_per_pair,
     approx_r1_quartets,
     count_R_U_quartets,
     count_shared_quartets,
@@ -91,6 +93,20 @@ def _approx_r1_reference(t1: Phylogeny, t2: Phylogeny) -> int:
     return y
 
 
+def _y_reference(M: list[list[int]]) -> int:
+    """y of one node pair (u, w) by choosing cells one by one with Python
+    integers: M's rows are u's children and then the taxa outside u, its
+    columns w's sides."""
+    *C, O = M
+    cells = [(j, k) for j in range(len(C)) for k in range(len(O))]
+    y = 0
+    for (j, k), (jj, l) in combinations(cells, 2):
+        if j != jj and k != l:
+            rest = [O[m] for m in range(len(O)) if m not in (k, l)]
+            y += C[j][k] * C[jj][l] * sum(a * b for a, b in combinations(rest, 2))
+    return y
+
+
 class TestApproxR1:
     def test_single_quartet(self):
         ab_cd = Phylogeny.unrooted("abcd", (("a", "b"), "c", "d"))
@@ -110,8 +126,8 @@ class TestApproxR1:
         y = approx_r1_quartets(a, b)
         assert r1 <= y <= 2 * r1
 
-    @given(unrooted_pairs(max_n=9))
-    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(unrooted_pairs(max_n=9), classification_pairs(Kind.UNROOTED, max_n=9)))
+    @settings(max_examples=80, deadline=None)
     def test_equals_definition(self, pair):
         a, b = pair
         assert approx_r1_quartets(a, b) == _approx_r1_reference(a, b)
@@ -125,6 +141,32 @@ class TestApproxR1:
             turned = Phylogeny.from_adjacency(Kind.UNROOTED, b.taxa, b._adjacency(),
                                               b.leaf_taxon, w)
             assert approx_r1_quartets(a, turned) == y
+
+    def test_int64_exact_at_largest_supported_n(self):
+        # the bound: each pair's 4y <= 4 C(n, 4) fits int64 before it is
+        # divided by 4; node pairs with u holding half the taxa in equal
+        # children, or u a cherry, and random splits into 2-5 children of u
+        # and 3-6 sides of w
+        n = MAX_EXACT_N
+        h, e = n // 4, n // 16
+        rest = n - 8 * e
+        rng = random.Random(3)
+        blocks = [
+            [[h, 0, 0, 0], [0, h, 0, 0], [0, 0, h, n - 3 * h]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, h, n - h - 2]],
+            [[e] * 4, [e] * 4, [rest // 4] * 3 + [rest - 3 * (rest // 4)]],
+        ]
+        for _ in range(8):
+            d1, d2 = rng.randint(2, 5), rng.randint(3, 6)
+            cuts = sorted(rng.sample(range(1, n), (d1 + 1) * d2 - 1))
+            sizes = np.diff([0] + cuts + [n])
+            blocks.append(sizes.reshape(d1 + 1, d2).tolist())
+        for block in blocks:
+            M = np.array(block, dtype=np.int64)
+            assert M.sum() == n
+            y = _y_per_pair(M[None, None], M.sum(1)[None, None, :, None],
+                            M.sum(0)[None, None, None, :])
+            assert int(y[0, 0]) == _y_reference(block)
 
     @pytest.mark.parametrize("n", [30, 80])
     def test_sandwich_against_kernel(self, n):
@@ -280,6 +322,8 @@ class TestClassification:
             quartet_classification(star, star)
         with pytest.raises(CapacityError):
             count_R_U_quartets(star)
+        with pytest.raises(CapacityError):
+            approx_r1_quartets(star, star)
 
     def test_resolved_count_exact_at_largest_supported_n(self):
         # a double star with halves as even as possible: its int64 terms
