@@ -116,7 +116,7 @@ def _cmd_dist(args) -> tuple[int, dict]:
         method = args.method or "approx"
         if method == "brute":
             d = oracle.classify_quartets(t1, t2).to_distance_pair().evaluate(p)
-            ad = quartet.ApproxDistance(d, d, d, exact=True, method="brute")
+            ad = quartet.ApproxDistance(d, d, d, exact=True)
         else:
             try:
                 ad = quartet.parametric_quartet_distance(t1, t2, p, mode=method)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from polydist.consensus import Profile, VoteTally, best_refinement
 from polydist.oracle import Classification
 from polydist.quartet import quartet_classification
-from polydist.trees import Kind, Phylogeny, TreeError
-from polydist.triplet import build_tables, count_R_U, count_r1, count_shared
+from polydist.trees import Kind, Phylogeny
+from polydist.triplet import build_tables, count_R_U, count_r1, parametric_triplet_distance
 
 
 @dataclass(frozen=True)
@@ -44,25 +44,21 @@ class HausdorffBounds:
 
 
 def classification_counts(t1: Phylogeny, t2: Phylogeny) -> Classification:
-    """Exact five-class counts (s, d, r1, r2, u): the O(n^2) triplet kernels
-    of polydist.triplet for rooted trees, quartet_classification's node-pair
-    kernel for unrooted ones."""
+    """Exact five-class counts (s, d, r1, r2, u).
+
+    Unrooted trees: quartet_classification.  Rooted trees: d and r1 + r2
+    from parametric_triplet_distance, R(T1) and U(T1) from count_R_U, and
+    r2 from a count_r1 pass with the trees swapped; then r1 = (r1 + r2) -
+    r2, s = R(T1) - d - r1 and u = U(T1) - r2.  One (m1 × m2) I-table is
+    live at a time.
+    """
     if t1.kind is Kind.UNROOTED:
         return quartet_classification(t1, t2)
-    if t1.taxa.labels != t2.taxa.labels:
-        raise TreeError("trees are over different taxon sets")
-    from math import comb
-    n = t1.n
-    if n < 3:
-        return Classification(0, 0, 0, 0, 0)
-    tables = build_tables(t1, t2)
-    R1tree, _ = count_R_U(t1)
-    s = count_shared(tables)
-    r1 = count_r1(tables)
+    dp = parametric_triplet_distance(t1, t2)
+    R1tree, U1tree = count_R_U(t1)
     r2 = count_r1(build_tables(t2, t1))
-    d = R1tree - s - r1
-    u = comb(n, 3) - s - d - r1 - r2
-    return Classification(s, d, r1, r2, u)
+    r1 = dp.r_count - r2
+    return Classification(R1tree - dp.d_count - r1, dp.d_count, r1, r2, U1tree - r2)
 
 
 def hausdorff_bounds(t1: Phylogeny, t2: Phylogeny) -> HausdorffBounds:

@@ -134,6 +134,21 @@ def classify(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classificat
 # Tree-space enumeration
 # ---------------------------------------------------------------------------
 
+def _insertions(node, new: int):
+    """`node` (a nested tuple) with leaf `new` inserted below it: at each
+    child edge, recursively inside each child, and as a new child."""
+    if isinstance(node, int):
+        return
+    kids = list(node)
+    for i, c in enumerate(kids):
+        # subdivide the edge to child i
+        yield tuple(kids[:i] + [(c, new)] + kids[i + 1:])
+        for sub in _insertions(c, new):
+            yield tuple(kids[:i] + [sub] + kids[i + 1:])
+    # widen this node
+    yield tuple(kids + [new])
+
+
 def _nested_rooted(n: int):
     """All rooted phylogenies over taxa 0..n-1 as nested tuples, each once.
 
@@ -148,21 +163,7 @@ def _nested_rooted(n: int):
     for base in _nested_rooted(n - 1):
         # as sibling of the old root
         yield (base, new)
-
-        def variants(node):
-            # insert below this node: at each child edge or as a new child
-            if isinstance(node, int):
-                return
-            kids = list(node)
-            for i, c in enumerate(kids):
-                # subdivide the edge to child i
-                yield tuple(kids[:i] + [(c, new)] + kids[i + 1:])
-                for sub in variants(c):
-                    yield tuple(kids[:i] + [sub] + kids[i + 1:])
-            # widen this node
-            yield tuple(kids + [new])
-
-        yield from variants(base)
+        yield from _insertions(base, new)
 
 
 def _nested_unrooted(n: int):
@@ -178,18 +179,7 @@ def _nested_unrooted(n: int):
         return
     new = n - 1
     for base in _nested_unrooted(n - 1):
-
-        def variants(node):
-            if isinstance(node, int):
-                return
-            kids = list(node)
-            for i, c in enumerate(kids):
-                yield tuple(kids[:i] + [(c, new)] + kids[i + 1:])
-                for sub in variants(c):
-                    yield tuple(kids[:i] + [sub] + kids[i + 1:])
-            yield tuple(kids + [new])
-
-        yield from variants(base)
+        yield from _insertions(base, new)
 
 
 def enumerate_phylogenies(n: int, kind: Kind, taxa: TaxonSet | None = None,

@@ -17,16 +17,17 @@ costs O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d;
 the (m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the
 memory.
 
-`parametric_quartet_distance` evaluates d^(p) exactly from those counts
-(mode="exact", any p), or returns the paper's 2-approximation
-(mode="approx", p >= 1/2): x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p-1)y,
-where y over-counts |R1| by at most a factor of two (each resolved-in-T1-
-only quartet is strictly induced by exactly two directed edges, and the
-rooted sum hits one or both of them).  y is a closed form per pair of a
-T1 node and a T2 polytomy, read from the same node-pair blocks with T1
-re-rooted.  This sandwiches the true distance:
-d^(p) <= x <= 2 d^(p) for p >= 1/2, with equality throughout at p = 1/2
-where the y term vanishes.
+`parametric_quartet_distance` reads one classification for both of its
+modes: d^(p) = d + p(r1 + r2) exactly (mode="exact", any p), or the
+paper's 2-approximation (mode="approx", p >= 1/2):
+x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p-1)y, that is
+x = d + (1-p)r1 + p·r2 + (2p-1)y, where y over-counts |R1| by at most a
+factor of two (each resolved-in-T1-only quartet is strictly induced by
+exactly two directed edges, and the rooted sum hits one or both of them).
+y is a closed form per pair of a T1 node and a T2 polytomy, read from the
+same node-pair blocks with T1 in its stored orientation.  This
+sandwiches the true distance: d^(p) <= x <= 2 d^(p) for p >= 1/2, with
+equality throughout at p = 1/2 where the y term vanishes.
 """
 
 from __future__ import annotations
@@ -54,23 +55,10 @@ class ApproxDistance:
     lower: Fraction
     upper: Fraction
     exact: bool
-    method: str
 
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise ValueError("invalid certificate interval")
-
-
-def _reroot(tree: Phylogeny) -> Phylogeny:
-    """Re-orient an unrooted tree from its lowest-id internal node."""
-    internal = tree.internal_nodes()
-    if not internal:
-        return tree
-    root = min(internal)
-    if root == tree.root:
-        return tree
-    return Phylogeny.from_adjacency(tree.kind, tree.taxa, tree._adjacency(),
-                                    tree.leaf_taxon, root)
 
 
 def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
@@ -211,8 +199,8 @@ def _y_per_pair(M: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.nda
 def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     """y with |R1| <= y <= 2|R1|: the rooted directed-edge sum.
 
-    y depends on T1's orientation: T1 is rooted at its lowest-id internal
-    node, and each non-root internal u has the directed edge (u, pa(u)).
+    y depends on T1's orientation, the bound does not: T1 is read as
+    stored, and each non-root internal u has the directed edge (u, pa(u)).
     y sums, over those u and the polytomies w of T2 (in any orientation),
     the quartets with two taxa in distinct children of u, two outside u
     and all four in distinct sides of w: a closed form per pair of
@@ -228,40 +216,34 @@ def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     n = t1.n
     if n > MAX_EXACT_N:
         raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
-    blocks = node_pair_blocks(build_tables(_reroot(t1), t2), min_children2=3)
+    blocks = node_pair_blocks(build_tables(t1, t2), min_children2=3)
     return sum(int(_y_per_pair(*block).sum()) for block in blocks)
 
 
 def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
                                 mode: str = "approx") -> ApproxDistance:
-    """Parametric quartet distance with a certified interval.
+    """Parametric quartet distance with a certified interval, read from one
+    quartet_classification (s, d, r1, r2, u).
 
-    mode="exact": d^(p) for any p in [0, 1] from quartet_classification;
-    mode="approx": the paper's sandwich value (p >= 1/2 required), with
-    |S| from quartet_classification and the y term of approx_r1_quartets.
+    mode="exact": d^(p) = d + p(r1 + r2) for any p in [0, 1];
+    mode="approx": the paper's sandwich value for p >= 1/2,
+    x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p - 1)y
+      = d + (1 - p)·r1 + p·r2 + (2p - 1)·y
+    with y of approx_r1_quartets, so that x/2 <= d^(p) <= x.
     """
-    if t1.kind is not Kind.UNROOTED or t2.kind is not Kind.UNROOTED:
-        raise TreeError("quartet distance applies to unrooted trees")
-    if t1.taxa.labels != t2.taxa.labels:
-        raise TreeError("trees are over different taxon sets")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-
-    if mode == "exact":
-        d = quartet_classification(t1, t2).to_distance_pair().evaluate(p)
-        return ApproxDistance(d, d, d, exact=True, method="exact")
-    if mode != "approx":
+    if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
-    if p < Fraction(1, 2):
+    if mode == "approx" and p < Fraction(1, 2):
         raise ValueError(
             "the approximation guarantee only covers p >= 1/2; use mode='exact'")
-
-    R1tree, U1tree = count_R_U_quartets(t1)
-    _, U2tree = count_R_U_quartets(t2)
-    S = count_shared_quartets(t1, t2)
-    y = 0 if p == Fraction(1, 2) else approx_r1_quartets(t1, t2)
-    x = Fraction(R1tree - S) + p * (U1tree - U2tree) + (2 * p - 1) * y
+    c = quartet_classification(t1, t2)
+    if mode == "exact":
+        d = c.to_distance_pair().evaluate(p)
+        return ApproxDistance(d, d, d, exact=True)
     exact = p == Fraction(1, 2)
-    return ApproxDistance(value=x, lower=x if exact else x / 2, upper=x,
-                          exact=exact, method="approx")
+    y = 0 if exact else approx_r1_quartets(t1, t2)
+    x = c.d + (1 - p) * c.r1 + p * c.r2 + (2 * p - 1) * y
+    return ApproxDistance(value=x, lower=x if exact else x / 2, upper=x, exact=exact)

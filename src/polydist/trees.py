@@ -672,7 +672,4 @@ def contract(tree: Phylogeny, u: int) -> Phylogeny:
     children[v] = merged
     children[u] = []
     # u is now orphaned; compact the arrays
-    adjusted = [cs for cs in children]
-    return _compact(tree.kind, tree.taxa,
-                    [cs if i != u else [] for i, cs in enumerate(adjusted)],
-                    tree.root, list(tree.leaf_taxon))
+    return _compact(tree.kind, tree.taxa, children, tree.root, list(tree.leaf_taxon))

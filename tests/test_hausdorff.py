@@ -12,7 +12,7 @@ from polydist.hausdorff import (
 )
 from polydist.newick import parse_newick
 from polydist.oracle import classify, enumerate_phylogenies, hausdorff_exact
-from polydist.trees import Kind, Phylogeny, is_refinement
+from polydist.trees import Kind, Phylogeny, TreeError, is_refinement
 
 
 class TestClassificationCounts:
@@ -25,6 +25,17 @@ class TestClassificationCounts:
     def test_unrooted(self):
         a, b = seeded_pair(Kind.UNROOTED, 8, 3)
         assert classification_counts(a, b) == classify(a, b)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["rooted_first", "unrooted_first"])
+def test_mixed_kinds_rejected(swap):
+    rooted = Phylogeny.rooted("abcdef", ((("a", "b"), "c"), ("d", "e", "f")))
+    unrooted = Phylogeny.unrooted("abcdef", (("a", "b"), "c", ("d", "e", "f")))
+    t1, t2 = (unrooted, rooted) if swap else (rooted, unrooted)
+    for call in (classification_counts, hausdorff_bounds, adversarial_refinement,
+                 lambda a, b: equivalence_certificate(a, b, 1)):
+        with pytest.raises(TreeError):
+            call(t1, t2)
 
 
 class TestBounds:

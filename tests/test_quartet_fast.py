@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classification_pairs, seeded_pair, unrooted_pairs, unrooted_trees
+from polydist.newick import parse_newick
 from polydist.oracle import CapacityError, classify_quartets, enumerate_phylogenies
 from polydist.quartet import (
     MAX_EXACT_N,
     _anchor_counts,
-    _reroot,
     _y_per_pair,
     approx_r1_quartets,
     count_R_U_quartets,
@@ -66,25 +66,24 @@ class TestShared:
 
 
 def _approx_r1_reference(t1: Phylogeny, t2: Phylogeny) -> int:
-    """y by its definition: for each non-root internal u of T1 (rooted at
-    its lowest-id internal node) and each polytomy w of T2, the quartets
-    with two taxa in distinct children of u, two outside u, and all four
-    in distinct components around w."""
-    r1, r2 = _reroot(t1), _reroot(t2)
-    everything = frozenset(range(r1.n))
+    """y by its definition: for each non-root internal u of T1 (in its
+    stored orientation) and each polytomy w of T2, the quartets with two
+    taxa in distinct children of u, two outside u, and all four in
+    distinct components around w."""
+    everything = frozenset(range(t1.n))
     y = 0
-    for w in r2.internal_nodes():
-        if r2.degree(w) <= 3:
+    for w in t2.internal_nodes():
+        if t2.degree(w) <= 3:
             continue
         component = {}
-        for x in r2.neighbors(w):
-            side = r2.subtree_taxa(x) if r2.parent[x] == w else everything - r2.subtree_taxa(w)
+        for x in t2.neighbors(w):
+            side = t2.subtree_taxa(x) if t2.parent[x] == w else everything - t2.subtree_taxa(w)
             component.update(dict.fromkeys(side, x))
-        for u in r1.internal_nodes():
-            if u == r1.root:
+        for u in t1.internal_nodes():
+            if u == t1.root:
                 continue
-            near = r1.subtree_taxa(u)
-            child = {t: c for c in r1.children[u] for t in r1.subtree_taxa(c)}
+            near = t1.subtree_taxa(u)
+            child = {t: c for c in t1.children[u] for t in t1.subtree_taxa(c)}
             for p1, p2 in combinations(sorted(near), 2):
                 if child[p1] == child[p2]:
                     continue
@@ -226,14 +225,91 @@ class TestParametricDistance:
             dp.evaluate(Fraction(1, 2))
 
 
+# (t1, t2, (value, lower, upper) at p = 2/3, 3/4 and 1) of mode="approx":
+# stars, caterpillars, binary and partially resolved trees and contractions
+# over 6-20 taxa.  In seven of the pairs y > |R1|, so the value lies
+# strictly above d^(p); the sandwich tests alone would pass the exact value.
+APPROX_GOLDEN = [
+    ('(t0,t1,t10,t11,t12,t13,t14,t15,t16,t17,t18,t2,t3,t4,t5,t6,t7,t8,t9);',
+     '((t0,t12),((t1,((t14,t18,t3),t15)),t10,t11),(((t13,t8),(t17,t9),(t2,t7)),t16,t5,t6),'
+     't4);',
+     [('6748/3', '3374/3', '6748/3'), ('5061/2', '5061/4', '5061/2'),
+      ('3374', '1687', '3374')]),
+    ('((((t0,((t10,t5),t12)),t15),t14,t6),t1,(t11,t7),(((t13,t16,(t17,(t3,t4)),t9),t2),'
+     't8));',
+     '(t0,t1,t10,t11,t12,t13,t14,t15,t16,t17,t2,t3,t4,t5,t6,t7,t8,t9);',
+     [('2059', '2059/2', '2059'), ('2396', '1198', '2396'), ('3407', '3407/2', '3407')]),
+    ('(((((((t0,(((((t1,(t10,((((t11,t7),t3),t4),t16))),t6),t18),t5),t15)),t13),t8),t17),'
+     't14),t2),t12,t9);',
+     '(t0,(((t1,t9),t10,t12,t17),(((t11,((((t13,t4),t14,t18),t6),t7)),t5),t15)),((t16,t2),'
+     '(t3,t8)));',
+     [('7913/3', '7913/6', '7913/3'), ('5297/2', '5297/4', '5297/2'),
+      ('2681', '2681/2', '2681')]),
+    ('((((t0,t14),(t12,(t13,t9))),t4,t8),((t1,(t3,t6),(t5,t7)),t11),t10,t2);',
+     '(((((((((((((t0,t6),t13),t3),t7),t14),t10),t12),t9),t4),t8),t2),t11),t1,t5);',
+     [('2590/3', '1295/3', '2590/3'), ('1747/2', '1747/4', '1747/2'), ('904', '452', '904')]),
+    ('((t0,t5),t1,(t10,t12,t14,(t4,t9),t6),(t11,((t13,((t2,t3),t7)),t8)));',
+     '(t0,(t1,(t6,t9)),(t10,t12,t14,t4,t7,t8),t11,t13,t2,t3,t5);',
+     [('2557/3', '2557/6', '2557/3'), ('3731/4', '3731/8', '3731/4'),
+      ('1174', '587', '1174')]),
+    ('(((((t0,(t17,t9)),t13,t15),(((t10,t6),t12,t5),t16),t14),((t11,t7),t18),t3),t1,(t2,(t4,'
+     't8)));',
+     '(t0,((((t1,(t11,t12,t16,t3,t5)),t14,t18,t4,t6,t9),t7),(t10,t17),(t13,t8),t15),t2);',
+     [('7535/3', '7535/6', '7535/3'), ('5267/2', '5267/4', '5267/2'),
+      ('2999', '2999/2', '2999')]),
+    ('(((((t0,((t2,(t4,t9)),t3)),t5),t1),t6),t7,t8);',
+     '(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9);',
+     [('140', '70', '140'), ('315/2', '315/4', '315/2'), ('210', '105', '210')]),
+    ('((t0,t8),((((t1,(t13,t9)),t11),((t10,t7),t3)),(((t12,t6),t4),t5)),t2);',
+     '(t0,((((t1,(t5,t6)),t7),(t3,t8)),t13),((t10,((t2,t9),t4)),t12),t11);',
+     [('2240/3', '1120/3', '2240/3'), ('3001/4', '3001/8', '3001/4'),
+      ('761', '761/2', '761')]),
+    ('(((t0,t6,t8),(t10,t3),t11),t1,(t2,((t4,t7),t9),t5));',
+     '(t0,t1,t10,t11,(t2,((t4,t7),t9),t5),t3,t6,t8);',
+     [('111', '111/2', '111'), ('501/4', '501/8', '501/4'), ('168', '84', '168')]),
+    ('(t0,t1,((t2,((t3,t4),t5)),t6));',
+     '(t0,t1,((t2,(t3,t4,t5)),t6));',
+     [('8/3', '4/3', '8/3'), ('3', '3/2', '3'), ('4', '2', '4')]),
+    ('(t0,((t1,((t16,t9),t6)),(((((t10,(((t11,t7),(t12,t8)),t13)),t3),t15),t14),t18)),'
+     '(((t17,t4),t5),t2));',
+     '(t0,(t1,(((t10,((t11,t7),(t12,t8)),t13),t15,t3),t14),((t16,t9),t6),t18),(t17,t4,t5),'
+     't2);',
+     [('1093/3', '1093/6', '1093/3'), ('1653/4', '1653/8', '1653/4'), ('560', '280', '560')]),
+    ('(t0,(((t1,(t10,((t3,t9),t6),t7)),t13),t8),t11,t12,(t2,t5),t4);',
+     '(t0,((t1,t10,t3,t6),t7),t11,t12,t13,t2,t4,t5,t8,t9);',
+     [('1267/3', '1267/6', '1267/3'), ('1859/4', '1859/8', '1859/4'), ('592', '296', '592')]),
+]
+
+
+@pytest.mark.parametrize("t1,t2,values", APPROX_GOLDEN,
+                         ids=[f"pair{i}" for i in range(len(APPROX_GOLDEN))])
+def test_approx_golden(t1, t2, values):
+    a, b = parse_newick(t1, Kind.UNROOTED), parse_newick(t2, Kind.UNROOTED)
+    for p, expected in zip((Fraction(2, 3), Fraction(3, 4), Fraction(1)), values):
+        ad = parametric_quartet_distance(a, b, p)
+        assert (ad.value, ad.lower, ad.upper) == tuple(map(Fraction, expected))
+
+
 def test_two_r1_identity_under_both_rootings():
-    # summing the rooted bound from T1's side and from a re-rooted copy stays
-    # within the certified band around the true count
+    # y depends on T1's orientation; |R1| <= y <= 2|R1| and the approx
+    # interval around d^(p) hold with T1 re-oriented at every internal node
+    orientations_differ = False
     for seed in range(15):
         a, b = seeded_pair(Kind.UNROOTED, 10, seed)
-        r1 = classify_quartets(a, b).r1
-        y = approx_r1_quartets(a, b)
-        assert r1 <= y <= 2 * r1
+        c = classify_quartets(a, b)
+        dp = c.to_distance_pair()
+        ys = set()
+        for v in a.internal_nodes():
+            turned = Phylogeny.from_adjacency(Kind.UNROOTED, a.taxa, a._adjacency(),
+                                              a.leaf_taxon, v)
+            y = approx_r1_quartets(turned, b)
+            assert c.r1 <= y <= 2 * c.r1
+            ys.add(y)
+            for p in P_GRID[1:]:
+                ad = parametric_quartet_distance(turned, b, p)
+                assert ad.lower <= dp.evaluate(p) <= ad.upper
+        orientations_differ |= len(ys) > 1
+    assert orientations_differ
 
 
 # ---------------------------------------------------------------------------
