@@ -31,6 +31,7 @@ from polydist.trees import (
     Kind,
     Phylogeny,
     TreeError,
+    check_pair,
     pull_2_out,
     pull_out,
     quartet_codes,
@@ -48,18 +49,12 @@ class Profile:
     def __post_init__(self):
         if not self.trees:
             raise TreeError("empty profile")
-        first = self.trees[0]
-        for t in self.trees:
-            if t.kind is not first.kind or t.taxa.labels != first.taxa.labels:
-                raise TreeError("profile members must share kind and taxa")
+        for t in self.trees[1:]:
+            check_pair(self.trees[0], t)
 
     @property
     def k(self) -> int:
         return len(self.trees)
-
-    @property
-    def kind(self) -> Kind:
-        return self.trees[0].kind
 
     @property
     def taxa(self):
@@ -75,8 +70,7 @@ def _member_distance(tree: Phylogeny, member: Phylogeny, p: Fraction) -> Fractio
 def profile_distance(tree: Phylogeny, profile: Profile, p) -> Fraction:
     """Sum of exact d^(p)(tree, member) over the profile."""
     p = Fraction(p)
-    if tree.kind is not profile.kind or tree.taxa.labels != profile.taxa.labels:
-        raise TreeError("tree does not match the profile")
+    check_pair(tree, profile.trees[0])
     return sum((_member_distance(tree, m, p) for m in profile.trees), Fraction(0))
 
 
@@ -204,14 +198,15 @@ class GreedyResult:
 
 def best_refinement(tree: Phylogeny, profile: Profile,
                     cost: Callable[[VoteTally], Fraction | None]
-                    ) -> tuple[Fraction, Phylogeny] | None:
+                    ) -> tuple[VoteTally, Phylogeny] | None:
     """The cheapest refinement step of `tree` against `profile`.
 
     Every candidate at every polytomy (a child to Pull-Out for rooted
     trees, a neighbor pair to Pull-2-Out for unrooted ones) is scored by
     `cost(tally)` on its VoteTally; a cost of None drops the candidate.
-    Returns (cost, refined tree) for the cheapest candidate, ties going to
-    the smallest (node, sorted candidate), or None if no candidate is left.
+    Returns (tally, refined tree) for the cheapest candidate, ties going to
+    the smallest (node, sorted candidate), or None if no candidate is left;
+    the step changes only the subsets its tally counts, by exactly the tally.
     """
     rooted = tree.kind is Kind.ROOTED
     tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
@@ -222,26 +217,25 @@ def best_refinement(tree: Phylogeny, profile: Profile,
             if c is None:
                 continue
             key = (c, v, (candidate,) if rooted else tuple(sorted(candidate)))
-            if best is None or key < best:
-                best = key
+            if best is None or key < best[0]:
+                best = key, votes
     if best is None:
         return None
-    c, _, nodes = best
-    return c, (pull_out if rooted else pull_2_out)(tree, *nodes)
+    (_, _, nodes), votes = best
+    return votes, (pull_out if rooted else pull_2_out)(tree, *nodes)
 
 
 def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:
     """Refine `tree` to full resolution, greedily minimizing the exact
-    distance change at each step (tie: lexicographically smallest candidate)."""
+    distance change at each step (tie: lexicographically smallest candidate);
+    the final distance is the initial one plus each applied tally's delta(p)."""
     p = Fraction(p)
-    if tree.kind is not profile.kind or tree.taxa.labels != profile.taxa.labels:
-        raise TreeError("tree does not match the profile")
-    initial = profile_distance(tree, profile, p)
+    initial = final = profile_distance(tree, profile, p)
     current = tree
     steps = 0
     while (step := best_refinement(current, profile, lambda votes: votes.delta(p))) is not None:
-        _, current = step
+        votes, current = step
+        final += votes.delta(p)
         steps += 1
-    final = profile_distance(current, profile, p)
     guaranteed = p >= Fraction(2, 3) and all(m.is_fully_resolved() for m in profile.trees)
     return GreedyResult(current, initial, final, guaranteed, steps)

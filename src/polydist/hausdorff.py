@@ -98,18 +98,19 @@ def adversarial_refinement(t1: Phylogeny, t2: Phylogeny) -> AdversarialResult:
     Each step pulls out a group with disagreement votes A >= 2F (one always
     exists because every vote set splits 1 agreeing : 2 disagreeing), so the
     achieved disagreement count is >= |D| + (2/3)|R2| of the input pair.
-    The loop ends when no candidate has votes, that is when r2 = 0.
+    The loop ends when no candidate has votes, that is when r2 = 0.  Each
+    step adds exactly its tally's A to |D|, so d_achieved = |D| + Σ A.
     """
     start = classification_counts(t1, t2)
-    current = t1
+    current, d_achieved = t1, start.d
     profile = Profile((t2,))
     while (step := best_refinement(current, profile, _adversarial_cost)) is not None:
-        cost, current = step
-        if cost > 0:
+        votes, current = step
+        if _adversarial_cost(votes) > 0:
             # guaranteed not to happen; the certified lower bound needs A >= 2F
             raise AssertionError("no admissible refinement candidate")
-    final = classification_counts(current, t2)
-    return AdversarialResult(current, start.d, start.r2, final.d)
+        d_achieved += votes.a
+    return AdversarialResult(current, start.d, start.r2, d_achieved)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from polydist.trees import (
     Phylogeny,
     TaxonSet,
     TreeError,
+    check_pair,
     quartet_codes,
     triplet_codes,
 )
@@ -73,17 +74,10 @@ class Classification:
         return Classification(self.s, self.d, self.r2, self.r1, self.u)
 
 
-def _check_comparable(t1: Phylogeny, t2: Phylogeny, kind: Kind):
-    if t1.kind is not kind or t2.kind is not kind:
-        raise TreeError(f"both trees must be {kind.value}")
-    if t1.taxa.labels != t2.taxa.labels:
-        raise TreeError("trees are over different taxon sets")
-
-
 def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind, listing: bool) -> Classification:
     """Classify every triplet (rooted) or quartet (unrooted), as sorted rows,
     by its topology code (trees.triplet_codes / quartet_codes) in each tree."""
-    _check_comparable(t1, t2, kind)
+    check_pair(t1, t2, kind)
     size, codes_of = (3, triplet_codes) if kind is Kind.ROOTED else (4, quartet_codes)
     rows = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(t1.n), size)), dtype=np.int64).reshape(-1, size)
@@ -324,7 +318,7 @@ def hausdorff_exact(t1: Phylogeny, t2: Phylogeny, cap: int = 4_000_000) -> int:
     The inner distance between fully resolved trees is |D| (the number of
     differently resolved triplets/quartets).
     """
-    _check_comparable(t1, t2, t1.kind)
+    check_pair(t1, t2)
     n1 = count_full_refinements(t1)
     n2 = count_full_refinements(t2)
     if n1 * n2 > cap:

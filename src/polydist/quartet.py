@@ -24,10 +24,21 @@ x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p-1)y, that is
 x = d + (1-p)r1 + p·r2 + (2p-1)y, where y over-counts |R1| by at most a
 factor of two (each resolved-in-T1-only quartet is strictly induced by
 exactly two directed edges, and the rooted sum hits one or both of them).
-y is a closed form per pair of a T1 node and a T2 polytomy, read from the
-same node-pair blocks with T1 in its stored orientation.  This
-sandwiches the true distance: d^(p) <= x <= 2 d^(p) for p >= 1/2, with
-equality throughout at p = 1/2 where the y term vanishes.
+y is a closed form per pair of a T1 node and a T2 polytomy, summed in the
+same pass over the same node-pair blocks as s and d, so every call builds
+one I-table.  This sandwiches the true distance: d^(p) <= x <= 2 d^(p)
+for p >= 1/2, with equality throughout at p = 1/2 where the y term
+vanishes and is not counted.
+
+int64 bound, for every count here: numpy's int64 addition, subtraction
+and multiplication are exact modulo 2^64, so intermediates may wrap as
+long as every value that is divided or read out is exact.  The only
+divisions are the C(x, 2) of side counts 0 <= x <= n and each pair's
+4y <= 4·C(n, 4) divided by 4; the values read out are per-block sums of
+at most 2|S|, 4|D| <= 4·C(n, 4), y <= 2·C(n, 4) and 2R <= 2·C(n, 4).
+Hence the counts are exact while 4·C(n, 4) < 2^63, that is for
+n <= MAX_EXACT_N = 86251; larger n raises CapacityError.  Long before
+that, the I-table's 8·m1·m2 bytes are the limit.
 """
 
 from __future__ import annotations
@@ -39,11 +50,11 @@ from math import comb
 import numpy as np
 
 from polydist.oracle import CapacityError, Classification
-from polydist.trees import Kind, Phylogeny, TreeError
+from polydist.trees import Kind, Phylogeny, TreeError, check_pair
 from polydist.triplet import build_tables, c2, node_pair_blocks
 
-# Largest n whose quartet counts the int64 kernels read out exactly (see
-# quartet_classification).
+# Largest n whose quartet counts the int64 kernels read out exactly (see the
+# module docstring).
 MAX_EXACT_N = 86251
 
 
@@ -125,41 +136,6 @@ def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
     return twice_s, four_d
 
 
-def quartet_classification(t1: Phylogeny, t2: Phylogeny) -> Classification:
-    """Exact (s, d, r1, r2, u) over all C(n, 4) quartets of two unrooted
-    trees, from node pairs grouped by (child count in T1, in T2).
-
-    r1 = R(T1) - s - d, r2 = R(T2) - s - d and u is the rest.
-
-    int64 bound: numpy's int64 addition, subtraction and multiplication
-    are exact modulo 2^64, so intermediates may wrap as long as every value
-    that is divided or read out is exact.  The only divisions are the
-    C(x, 2) of side counts 0 <= x <= n; the values read out are the sums
-    of one block's per-pair counts, at most 2|S| and 4|D| <= 4·C(n, 4).
-    Hence the counts are exact while 4·C(n, 4) < 2^63, that is for
-    n <= MAX_EXACT_N = 86251; larger n raises CapacityError.  Long before
-    that, the I-table's 8·m1·m2 bytes are the limit.
-    """
-    if t1.kind is not Kind.UNROOTED or t2.kind is not Kind.UNROOTED:
-        raise TreeError("quartet classification applies to unrooted trees")
-    if t1.taxa.labels != t2.taxa.labels:
-        raise TreeError("trees are over different taxon sets")
-    n = t1.n
-    if n < 4:
-        return Classification(0, 0, 0, 0, 0)
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
-    twice_s = four_d = 0
-    for M, sizes1, sizes2 in node_pair_blocks(build_tables(t1, t2)):
-        s, d = _anchor_counts(M, sizes1, sizes2, n)
-        twice_s += int(s.sum())
-        four_d += int(d.sum())
-    s, d = twice_s // 2, four_d // 4
-    r1 = count_R_U_quartets(t1)[0] - s - d
-    r2 = count_R_U_quartets(t2)[0] - s - d
-    return Classification(s, d, r1, r2, comb(n, 4) - s - d - r1 - r2)
-
-
 def count_shared_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     """|S|: quartets resolved identically in both trees."""
     return quartet_classification(t1, t2).s
@@ -196,6 +172,37 @@ def _y_per_pair(M: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.nda
     return four_y[..., 0, 0] // 4
 
 
+def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, int]:
+    """The five classes and, if `with_y`, y (else 0), from one pass over the
+    node-pair blocks of one `build_tables` I-table: `_anchor_counts` on
+    every block, `_y_per_pair` on the blocks of T2 nodes with three or more
+    children.  r1 = R(T1) - s - d, r2 = R(T2) - s - d and u is the rest."""
+    check_pair(t1, t2, Kind.UNROOTED)
+    n = t1.n
+    if n < 4:
+        return Classification(0, 0, 0, 0, 0), 0
+    if n > MAX_EXACT_N:
+        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
+    twice_s = four_d = y = 0
+    for M, sizes1, sizes2 in node_pair_blocks(build_tables(t1, t2)):
+        s, d = _anchor_counts(M, sizes1, sizes2, n)
+        twice_s += int(s.sum())
+        four_d += int(d.sum())
+        if with_y and M.shape[-1] > 3:  # T2 nodes with three or more children
+            y += int(_y_per_pair(M, sizes1, sizes2).sum())
+    s, d = twice_s // 2, four_d // 4
+    r1 = count_R_U_quartets(t1)[0] - s - d
+    r2 = count_R_U_quartets(t2)[0] - s - d
+    return Classification(s, d, r1, r2, comb(n, 4) - s - d - r1 - r2), y
+
+
+def quartet_classification(t1: Phylogeny, t2: Phylogeny) -> Classification:
+    """Exact (s, d, r1, r2, u) over all C(n, 4) quartets of two unrooted
+    trees, from one pass over node pairs grouped by (child count in T1, in
+    T2); exact for n <= MAX_EXACT_N, larger n raises CapacityError."""
+    return _count(t1, t2, with_y=False)[0]
+
+
 def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     """y with |R1| <= y <= 2|R1|: the rooted directed-edge sum.
 
@@ -204,32 +211,25 @@ def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     y sums, over those u and the polytomies w of T2 (in any orientation),
     the quartets with two taxa in distinct children of u, two outside u
     and all four in distinct sides of w: a closed form per pair of
-    `node_pair_blocks` with w of three or more children.  T1's root adds 0
-    (nothing lies outside it), and so does a T2 node with fewer than four
-    non-empty sides.
-
-    int64 bound: as for quartet_classification, intermediates may wrap;
-    each pair's 4y <= 4·C(n, 4) is exact before it is divided by 4, and a
-    block's read-out is at most y <= 2·C(n, 4).  Exact for
-    n <= MAX_EXACT_N; larger n raises CapacityError.
+    `node_pair_blocks` with w of three or more children, counted in the
+    classification's pass.  T1's root adds 0 (nothing lies outside it),
+    and so does a T2 node with fewer than four non-empty sides.  Exact for
+    n <= MAX_EXACT_N, larger n raises CapacityError.
     """
-    n = t1.n
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
-    blocks = node_pair_blocks(build_tables(t1, t2), min_children2=3)
-    return sum(int(_y_per_pair(*block).sum()) for block in blocks)
+    return _count(t1, t2, with_y=True)[1]
 
 
 def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
                                 mode: str = "approx") -> ApproxDistance:
     """Parametric quartet distance with a certified interval, read from one
-    quartet_classification (s, d, r1, r2, u).
+    pass over one I-table: the classification (s, d, r1, r2, u) and, in
+    approx mode at p != 1/2, y of approx_r1_quartets.
 
     mode="exact": d^(p) = d + p(r1 + r2) for any p in [0, 1];
     mode="approx": the paper's sandwich value for p >= 1/2,
     x = R(T1) - |S| + p(U(T1) - U(T2)) + (2p - 1)y
-      = d + (1 - p)·r1 + p·r2 + (2p - 1)·y
-    with y of approx_r1_quartets, so that x/2 <= d^(p) <= x.
+      = d + (1 - p)·r1 + p·r2 + (2p - 1)·y,
+    so that x/2 <= d^(p) <= x.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -239,11 +239,10 @@ def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
     if mode == "approx" and p < Fraction(1, 2):
         raise ValueError(
             "the approximation guarantee only covers p >= 1/2; use mode='exact'")
-    c = quartet_classification(t1, t2)
+    exact = mode == "exact" or p == Fraction(1, 2)
+    c, y = _count(t1, t2, with_y=not exact)
     if mode == "exact":
         d = c.to_distance_pair().evaluate(p)
         return ApproxDistance(d, d, d, exact=True)
-    exact = p == Fraction(1, 2)
-    y = 0 if exact else approx_r1_quartets(t1, t2)
     x = c.d + (1 - p) * c.r1 + p * c.r2 + (2 * p - 1) * y
     return ApproxDistance(value=x, lower=x if exact else x / 2, upper=x, exact=exact)

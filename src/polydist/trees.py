@@ -73,9 +73,8 @@ class TaxonSet:
         return self.labels[i]
 
     @classmethod
-    def of(cls, labels: Iterable[str], sort: bool = False) -> "TaxonSet":
-        labs = sorted(labels) if sort else list(labels)
-        return cls(tuple(labs))
+    def of(cls, labels: Iterable[str]) -> "TaxonSet":
+        return cls(tuple(labels))
 
 
 UNRESOLVED = 3  # topology code of a fan triplet or a star quartet
@@ -602,15 +601,21 @@ def topology_by_restriction(tree: Phylogeny, subset):
 
 
 # ---------------------------------------------------------------------------
-# Refinement order and elementary edits
+# Pair check, refinement order and elementary edits
 # ---------------------------------------------------------------------------
+
+def check_pair(t1: Phylogeny, t2: Phylogeny, kind: Kind | None = None) -> None:
+    """Raise TreeError unless both trees are of one kind (`kind`, if given)
+    and over the same taxon set; comparisons call it before any shortcut."""
+    if t2.kind is not t1.kind or kind not in (None, t1.kind):
+        raise TreeError(f"both trees must be {(kind or t1.kind).value}")
+    if t1.taxa.labels != t2.taxa.labels:
+        raise TreeError("trees are over different taxon sets")
+
 
 def is_refinement(coarse: Phylogeny, fine: Phylogeny) -> bool:
     """True iff `coarse` can be obtained from `fine` by edge contractions."""
-    if coarse.kind is not fine.kind:
-        raise TreeError("refinement compares trees of the same kind")
-    if coarse.taxa.labels != fine.taxa.labels:
-        raise TreeError("refinement compares trees over the same taxa")
+    check_pair(coarse, fine)
     if coarse.kind is Kind.ROOTED:
         return coarse.clusters() <= fine.clusters()
     return coarse.splits() <= fine.splits()

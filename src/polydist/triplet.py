@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from polydist.oracle import DistancePair
-from polydist.trees import Kind, Phylogeny, TreeError
+from polydist.trees import Kind, Phylogeny, check_pair
 
 # The number of array cells one block of node pairs may hold.
 BLOCK_CELLS = 1 << 18
@@ -59,8 +59,7 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     """All pairwise intersection sizes in O(n^2): a T1 leaf's row marks the
     T2 nodes whose `leaf_ranges` range holds its taxon, internal rows are
     child-row sums.  Memory: the (m1 × m2) int64 I-table, no leaf rows."""
-    if t1.taxa.labels != t2.taxa.labels:
-        raise TreeError("trees are over different taxon sets")
+    check_pair(t1, t2)
     order2, lo2, hi2 = t2.leaf_ranges()
     pos2 = np.empty(t2.n, dtype=np.int64)  # leaf-order position of each taxon
     pos2[order2] = np.arange(t2.n)
@@ -180,10 +179,7 @@ def parametric_triplet_distance(t1: Phylogeny, t2: Phylogeny) -> DistancePair:
     = O(n²) arithmetic over the node-pair blocks of count_shared and
     count_r1; exact in int64 for n <= 3810779.
     """
-    if t1.kind is not Kind.ROOTED or t2.kind is not Kind.ROOTED:
-        raise TreeError("triplet distance applies to rooted trees")
-    if t1.n < 3:
-        return DistancePair(0, 0)
+    check_pair(t1, t2, Kind.ROOTED)
     tables = build_tables(t1, t2)
     R1tree, U1tree = count_R_U(t1)
     _, U2tree = count_R_U(t2)

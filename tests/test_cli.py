@@ -178,6 +178,15 @@ class TestErrorsAndUsage:
                                       trees["semicolons.nwk"], trees["semicolons.nwk"]])
         assert code == 0 and "value: 0/1" in out
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_triplet_taxa_checked_before_small_n(self, capsys, tmp_path, swap):
+        small, other = tmp_path / "small.nwk", tmp_path / "other.nwk"
+        small.write_text("(a,b);\n")
+        other.write_text("((c,d),e,f);\n")
+        files = [str(other), str(small)] if swap else [str(small), str(other)]
+        code, out, err = run(capsys, ["dist", "triplet"] + files)
+        assert code == 3 and "different taxon sets" in err
+
     def test_multi_tree_file_rejected_where_one_expected(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "triplet",
                                       trees["profile.nwk"], trees["t2.nwk"]])

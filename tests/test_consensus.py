@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from conftest import seeded_pair, seeded_partial
+from polydist import consensus
 from polydist.consensus import (
     Profile,
     best_of_profile,
@@ -264,6 +265,23 @@ class TestGreedyRefine:
         g = greedy_refine_median(star, Profile((member,)), Fraction(1))
         assert g.tree.is_fully_resolved()
         assert g.final_distance == 0
+
+    def test_scores_the_profile_once(self, monkeypatch):
+        calls = []
+
+        def counted(tree, profile, p):
+            calls.append(tree)
+            return profile_distance(tree, profile, p)
+        monkeypatch.setattr(consensus, "profile_distance", counted)
+        for kind, n in ((Kind.ROOTED, 9), (Kind.UNROOTED, 8)):
+            start = seeded_partial(kind, n, 4, contract_prob=0.8)
+            rng = random.Random(n)
+            profile = Profile(tuple(random_partial(n, kind, rng, taxa=start.taxa)
+                                    for _ in range(3)))
+            calls.clear()
+            g = greedy_refine_median(start, profile, Fraction(3, 4))
+            assert calls == [start] and g.steps > 0
+            assert g.final_distance == profile_distance(g.tree, profile, Fraction(3, 4))
 
     def test_mismatched_tree_rejected(self):
         tree = Phylogeny.rooted("abcd", ("a", "b", "c", "d"))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rooted_pairs, seeded_pair, unrooted_pairs
+from polydist import hausdorff
 from polydist.hausdorff import (
     adversarial_refinement,
     classification_counts,
@@ -95,6 +96,19 @@ class TestAdversarial:
     @settings(max_examples=15, deadline=None)
     def test_random_unrooted(self, pair):
         self.check(*pair)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_classifies_once(self, kind, monkeypatch):
+        calls = []
+
+        def counted(t1, t2):
+            calls.append(t1)
+            return classification_counts(t1, t2)
+        monkeypatch.setattr(hausdorff, "classification_counts", counted)
+        a, b = seeded_pair(kind, 9, 2)
+        ar = adversarial_refinement(a, b)
+        assert calls == [a] and ar.refined is not a
+        assert ar.d_achieved == classify(ar.refined, b).d
 
     def test_deterministic(self):
         a, b = seeded_pair(Kind.ROOTED, 8, 11)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classification_pairs, seeded_pair, unrooted_pairs, unrooted_trees
+from polydist import quartet
 from polydist.newick import parse_newick
 from polydist.oracle import CapacityError, classify_quartets, enumerate_phylogenies
 from polydist.quartet import (
@@ -21,7 +22,8 @@ from polydist.quartet import (
     parametric_quartet_distance,
     quartet_classification,
 )
-from polydist.trees import Kind, Phylogeny, TaxonSet
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
+from polydist.triplet import build_tables
 
 P_GRID = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1))
 
@@ -174,6 +176,43 @@ class TestApproxR1:
             r1 = quartet_classification(a, b).r1
             y = approx_r1_quartets(a, b)
             assert r1 <= y <= 2 * r1
+
+
+PAIRS = {
+    "disjoint": (Phylogeny.unrooted("abc", ("a", "b", "c")),
+                 Phylogeny.unrooted("defgh", (("d", "e"), "f", ("g", "h")))),
+    "mixed": (Phylogeny.rooted("abcdef", ((("a", "b"), "c"), ("d", "e", "f"))),
+              Phylogeny.unrooted("abcdef", (("a", "b"), "c", ("d", "e", "f")))),
+}
+CALLS = {
+    "classification": quartet_classification,
+    "approx_r1": approx_r1_quartets,
+    "approx": lambda a, b: parametric_quartet_distance(a, b, Fraction(3, 4)),
+    "exact": lambda a, b: parametric_quartet_distance(a, b, Fraction(1, 4), mode="exact"),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("pair", list(PAIRS))
+@pytest.mark.parametrize("call", list(CALLS))
+def test_pair_checked_before_small_n(call, pair, swap):
+    a, b = PAIRS[pair]
+    with pytest.raises(TreeError):
+        CALLS[call](*((b, a) if swap else (a, b)))
+
+
+def test_approx_builds_one_table(monkeypatch):
+    calls = []
+
+    def counted(t1, t2):
+        calls.append((t1, t2))
+        return build_tables(t1, t2)
+    monkeypatch.setattr(quartet, "build_tables", counted)
+    a, b = seeded_pair(Kind.UNROOTED, 12, 5)
+    ad = parametric_quartet_distance(a, b, Fraction(3, 4))
+    assert calls == [(a, b)]
+    assert not ad.exact and ad.lower <= parametric_quartet_distance(
+        a, b, Fraction(3, 4), mode="exact").value <= ad.upper
 
 
 class TestParametricDistance:

@@ -13,6 +13,7 @@ from polydist.trees import (
     TaxonSet,
     TreeError,
     TripletTopology,
+    check_pair,
     contract,
     is_refinement,
     pull_2_out,
@@ -22,6 +23,18 @@ from polydist.trees import (
     topology_by_restriction,
     triplet_topology,
 )
+
+
+def test_check_pair():
+    rooted = Phylogeny.rooted("abc", (("a", "b"), "c"))
+    unrooted = Phylogeny.unrooted("abc", ("a", "b", "c"))
+    other = Phylogeny.rooted("abd", (("a", "b"), "d"))
+    check_pair(rooted, rooted)
+    check_pair(unrooted, unrooted, Kind.UNROOTED)
+    for args in ((rooted, unrooted), (unrooted, rooted), (rooted, rooted, Kind.UNROOTED),
+                 (rooted, other), (other, rooted)):
+        with pytest.raises(TreeError):
+            check_pair(*args)
 
 
 def test_taxon_set_rejects_duplicates_and_empties():

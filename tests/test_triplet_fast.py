@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from conftest import classification_pairs, rooted_pairs, rooted_trees, seeded_pair
 from polydist.hausdorff import classification_counts
 from polydist.oracle import DistancePair, classify_triplets, enumerate_phylogenies
 from polydist.randgen import random_binary
-from polydist.trees import Kind, Phylogeny, TaxonSet
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
 from polydist.triplet import (
     _r1_in_block,
     _shared_in_block,
@@ -105,6 +106,14 @@ class TestCountRU:
             for t in enumerate_phylogenies(n, Kind.ROOTED):
                 c = classify_triplets(t, t)
                 assert count_R_U(t) == (c.s, c.u)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_taxa_checked_before_small_n(swap):
+    small = Phylogeny.rooted("ab", ("a", "b"))
+    other = Phylogeny.rooted("cdef", (("c", "d"), "e", "f"))
+    with pytest.raises(TreeError):
+        parametric_triplet_distance(*((other, small) if swap else (small, other)))
 
 
 class TestSharedAndR1:
