@@ -229,11 +229,10 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 def _cmd_expected(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
-    try:
-        formula = expd.expected_distance_formula(args.n, p, kind, cap=args.cap)
-        stats = expd.exact_resolution_probability(args.n, kind, cap=args.cap)
-    except (oracle.CapacityError, TreeError) as exc:
-        raise InputError(str(exc)) from exc
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    formula = expd.expected_distance_formula(args.n, p, kind)
+    stats = expd.exact_resolution_probability(args.n, kind)
     report = {
         "command": "expected",
         "inputs": {"n": args.n, "kind": kind.value},
@@ -254,6 +253,8 @@ def _cmd_expected(args) -> tuple[int, dict]:
 
 
 def _cmd_selftest(args) -> tuple[int, dict]:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--unrooted", action="store_true")
     x.add_argument("--samples", type=int, default=0)
     x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--cap", type=int, default=None)
+    x.add_argument("--cap", type=int, default=None, help="largest n --samples enumerates")
     common(x)
     x.set_defaults(fn=_cmd_expected)
 

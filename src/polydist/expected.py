@@ -7,11 +7,14 @@ fixed triplet/quartet is resolved:
     E[d^(p)] = C(n,3) * ((2/3) r'(n)^2 + 2 p r'(n) u'(n))   (rooted)
     E[d^(p)] = C(n,4) * ((2/3) r(n)^2  + 2 p r(n) u(n))     (unrooted)
 
-with u = 1 - r.  The rooted and unrooted probabilities are linked by
-r'(n) = r(n+1) through the Add-Leaf bijection (attach a new leaf to the
-root, then forget the rooting), which maps rooted trees on n taxa onto
-unrooted trees on n+1 taxa and preserves resolution of the corresponding
-triplet/quartet.
+with u = 1 - r.  The Add-Leaf bijection (`add_leaf`) gives r'(n) = r(n+1),
+so r is counted over rooted trees only.  Rooted phylogenies have the
+exponential generating function (EGF) T = x + e^T - 1 - T (Schroeder's
+fourth problem, OEIS A000311), and taxa 0, 1, 2 form a fan in
+(m-3)! [x^(m-3)] T'^3 e^T / (2 - e^T) of those on m taxa: T'^3 e^T is the fan
+node (three children holding the marked taxa, plus any others) and
+1 / (2 - e^T) the path above it, each node of which has another child.  The
+coefficients k! [x^k] are integers and EGF products binomial convolutions.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
-from polydist.oracle import classify, enumerate_phylogenies
-from polydist.trees import Kind, Phylogeny, QuartetTopology, TaxonSet, TreeError, \
-    TripletTopology, quartet_topology, triplet_topology
+from polydist.oracle import CapacityError, classify, enumerate_phylogenies
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
+
+MAX_COUNT_N = 500
 
 
 @dataclass(frozen=True)
@@ -40,40 +45,45 @@ class ResolutionStats:
         return 1 - self.r
 
 
-def exact_resolution_probability(n: int, kind: Kind, cap: int | None = None,
-                                 resolved_only: bool = False) -> ResolutionStats:
+@cache
+def _fan_counts(m: int) -> tuple[int, int]:
+    """(trees, fans) on m >= 3 taxa: t(m) and F(m) of the module docstring."""
+    # (e^T)' = T' e^T gives e(k); 2T = x + e^T - 1 makes e(k) = 2 t(k) for
+    # k >= 2, so t(k), the j = k-1 term of e(k), is the sum of the others.
+    t, e = [0, 1], [1, 1]
+    for k in range(2, m + 1):
+        t.append(sum(comb(k - 1, j) * t[j + 1] * e[k - 1 - j] for j in range(k - 1)))
+        e.append(2 * t[k])
+    # T'(2 - e^T) = 1 makes the fan series T'^4 e^T = T'^2 (2 T'^2 - T').
+    last = m - 3
+    s = t[1:last + 2]  # T'
+    s2 = [sum(comb(k, j) * s[j] * s[k - j] for j in range(k + 1)) for k in range(last + 1)]
+    return t[m], sum(comb(last, j) * s2[j] * (2 * s2[last - j] - s[last - j])
+                     for j in range(last + 1))
+
+
+def exact_resolution_probability(n: int, kind: Kind) -> ResolutionStats:
     """Exact probability that the canonical triplet {0,1,2} (rooted) or
     quartet {0,1,2,3} (unrooted) is resolved in a uniform tree.
 
-    Exchangeability of taxa makes the canonical choice representative.
+    Exchangeability of taxa makes the canonical choice representative.  The
+    counts cost O(n^2) products of O(n log n)-bit integers, once per n: about
+    2 s at n = MAX_COUNT_N = 500 on a 2-core host; above it, CapacityError.
     """
     need = 3 if kind is Kind.ROOTED else 4
     if n < need:
         raise TreeError(f"n must be >= {need} for {kind.value} resolution stats")
-    subset = tuple(range(need))
-    total = 0
-    resolved = 0
-    for t in enumerate_phylogenies(n, kind, cap=cap):
-        if resolved_only and not t.is_fully_resolved():
-            continue
-        total += 1
-        if kind is Kind.ROOTED:
-            ok = triplet_topology(t, subset) is not TripletTopology.FAN
-        else:
-            ok = quartet_topology(t, subset) is not QuartetTopology.STAR
-        resolved += ok
-    return ResolutionStats(n, kind, total, resolved, Fraction(resolved, total))
+    if n > MAX_COUNT_N:
+        raise CapacityError(f"resolution counts for n={n} exceed the bound {MAX_COUNT_N}")
+    total, fans = _fan_counts(n if kind is Kind.ROOTED else n - 1)
+    return ResolutionStats(n, kind, total, total - fans, Fraction(total - fans, total))
 
 
-def expected_distance_formula(n: int, p, kind: Kind, cap: int | None = None) -> Fraction:
+def expected_distance_formula(n: int, p, kind: Kind) -> Fraction:
     """Exact expected d^(p) between two uniform trees on n taxa."""
     p = Fraction(p)
-    if kind is Kind.ROOTED:
-        stats = exact_resolution_probability(n, Kind.ROOTED, cap=cap)
-        per = comb(n, 3)
-    else:
-        stats = exact_resolution_probability(n, Kind.UNROOTED, cap=cap)
-        per = comb(n, 4)
+    stats = exact_resolution_probability(n, kind)
+    per = comb(n, 3) if kind is Kind.ROOTED else comb(n, 4)
     r, u = stats.r, stats.u
     return per * (Fraction(2, 3) * r * r + 2 * p * r * u)
 
@@ -94,6 +104,8 @@ def empirical_expected_distance(n: int, p, kind: Kind, samples: int,
                                 seed: int, cap: int | None = None) -> EmpiricalMean:
     """Seeded mean of d^(p) over uniformly sampled tree pairs (exact uniform
     sampling by indexing the full enumeration)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     p = Fraction(p)
     space = list(enumerate_phylogenies(n, kind, cap=cap))
     rng = random.Random(seed)
@@ -140,8 +152,10 @@ def add_leaf(tree: Phylogeny, label: str | None = None) -> Phylogeny:
 
 def asymptotic_unresolved(n: int) -> float:
     """Asymptotic probability that a fixed quartet is unresolved in a
-    uniform tree: sqrt(pi(2 ln 2 - 1)/(4n)).  Documentation-grade float;
-    the only floating-point quantity in the package."""
+    uniform tree: sqrt(pi(2 ln 2 - 1)/(16n)), from the singularity of T at
+    rho = 2 ln 2 - 1, where t(m)/m! ~ sqrt(rho/(4 pi)) m^(-3/2) rho^-m and
+    F(m)/m! ~ (rho/8) m^-2 rho^-m.  Documentation-grade float; the only
+    floating-point quantity in the package."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return math.sqrt(math.pi * (2 * math.log(2) - 1) / (4 * n))
+    return math.sqrt(math.pi * (2 * math.log(2) - 1) / (16 * n))

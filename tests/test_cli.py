@@ -4,6 +4,7 @@ import pytest
 
 from polydist import oracle, quartet
 from polydist.cli import main
+from polydist.expected import MAX_COUNT_N
 from polydist.oracle import Classification, classify_quartets
 
 
@@ -285,6 +286,27 @@ class TestEnumerateExpectedSelftest:
         assert rep["result"]["status"] == "exact"
         assert rep["empirical"]["samples"] == 20
         assert rep["asymptotic_u_float"]["status"] == "asymptotic-float"
+
+    def test_expected_beyond_enumeration(self, capsys):
+        code, rep, _ = run_json(capsys, ["expected", "--n", "300"])
+        assert code == 0 and rep["result"]["status"] == "exact"
+        assert "empirical" not in rep
+
+    @pytest.mark.parametrize("argv", [
+        ["expected", "--n", "4", "--samples", "-3"],
+        ["expected", "--n", "300", "--samples", "5"],  # sampling still enumerates
+        ["expected", "--n", str(MAX_COUNT_N + 1)],     # above the counting bound
+        ["selftest", "--trials", "0"],
+        ["selftest", "--trials", "-1"],
+    ])
+    def test_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--json"])
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_expected_zero_samples_means_no_sampling(self, capsys):
+        code, rep, _ = run_json(capsys, ["expected", "--n", "4", "--samples", "0"])
+        assert code == 0 and "empirical" not in rep
 
     def test_selftest(self, capsys, trees):
         code, rep, _ = run_json(capsys, ["selftest", "--trials", "3", "--seed", "1"])

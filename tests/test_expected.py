@@ -1,17 +1,33 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from polydist.expected import (
+    MAX_COUNT_N,
+    ResolutionStats,
     add_leaf,
     asymptotic_unresolved,
     empirical_expected_distance,
     exact_resolution_probability,
     expected_distance_formula,
 )
-from polydist.oracle import classify, count_phylogenies, enumerate_phylogenies
-from polydist.trees import Kind, Phylogeny, TreeError
+from polydist.oracle import CapacityError, classify, count_phylogenies, enumerate_phylogenies
+from polydist.trees import (Kind, Phylogeny, QuartetTopology, TreeError, TripletTopology,
+                            quartet_topology, triplet_topology)
+
+
+def enumerated_resolution(n, kind):
+    """(trees, resolved) on n taxa by enumerating tree space."""
+    total = resolved = 0
+    for t in enumerate_phylogenies(n, kind):
+        total += 1
+        if kind is Kind.ROOTED:
+            resolved += triplet_topology(t, (0, 1, 2)) is not TripletTopology.FAN
+        else:
+            resolved += quartet_topology(t, (0, 1, 2, 3)) is not QuartetTopology.STAR
+    return total, resolved
 
 
 class TestResolutionProbability:
@@ -22,14 +38,35 @@ class TestResolutionProbability:
     def test_rooted_equals_unrooted_shifted(self):
         for n in (3, 4, 5, 6):
             rooted = exact_resolution_probability(n, Kind.ROOTED)
-            unrooted = exact_resolution_probability(n + 1, Kind.UNROOTED,
-                                                    cap=max(8, n + 1))
+            unrooted = exact_resolution_probability(n + 1, Kind.UNROOTED)
             assert rooted.r == unrooted.r
             assert rooted.trees_total == unrooted.trees_total
 
-    def test_resolved_only_subspace(self):
-        stats = exact_resolution_probability(4, Kind.ROOTED, resolved_only=True)
-        assert stats.r == 1
+    @pytest.mark.parametrize("kind, sizes", [(Kind.ROOTED, range(3, 8)),
+                                             (Kind.UNROOTED, range(4, 9))])
+    def test_counts_equal_enumeration(self, kind, sizes):
+        per_subset = 3 if kind is Kind.ROOTED else 4
+        for n in sizes:
+            total, resolved = enumerated_resolution(n, kind)
+            r = Fraction(resolved, total)
+            assert exact_resolution_probability(n, kind) == \
+                ResolutionStats(n, kind, total, resolved, r)
+            for p in (0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1):
+                assert expected_distance_formula(n, p, kind) == \
+                    comb(n, per_subset) * (Fraction(2, 3) * r * r + 2 * p * r * (1 - r))
+
+    def test_tree_counts_beyond_enumeration(self):
+        # Schroeder's fourth problem, OEIS A000311
+        assert exact_resolution_probability(9, Kind.ROOTED).trees_total == 12818912
+        assert exact_resolution_probability(10, Kind.ROOTED).trees_total == 282137824
+        assert exact_resolution_probability(11, Kind.UNROOTED).trees_total == 282137824
+
+    @pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+    def test_refuses_n_above_the_bound(self, kind):
+        with pytest.raises(CapacityError):
+            exact_resolution_probability(MAX_COUNT_N + 1, kind)
+        with pytest.raises(CapacityError):
+            expected_distance_formula(MAX_COUNT_N + 1, Fraction(1, 2), kind)
 
     def test_too_small_n(self):
         with pytest.raises(TreeError):
@@ -71,6 +108,11 @@ class TestEmpirical:
         em = empirical_expected_distance(4, Fraction(1, 2), Kind.ROOTED, 400, seed=0)
         exact = expected_distance_formula(4, Fraction(1, 2), Kind.ROOTED)
         assert abs(float(em.mean - exact)) <= 4 * em.stderr
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_rejects_sample_counts_below_one(self, samples):
+        with pytest.raises(ValueError):
+            empirical_expected_distance(4, Fraction(1, 2), Kind.ROOTED, samples, seed=1)
 
     def test_mean_is_exact_rational(self):
         em = empirical_expected_distance(4, Fraction(1, 3), Kind.ROOTED, 30, seed=1)
@@ -114,8 +156,17 @@ class TestAddLeaf:
 
 def test_asymptotic_unresolved():
     assert asymptotic_unresolved(100) == pytest.approx(
-        (3.141592653589793 * (2 * 0.6931471805599453 - 1) / 400) ** 0.5)
+        (3.141592653589793 * (2 * 0.6931471805599453 - 1) / 1600) ** 0.5)
     assert asymptotic_unresolved(400) == pytest.approx(
         asymptotic_unresolved(100) / 2)
     with pytest.raises(ValueError):
         asymptotic_unresolved(0)
+
+
+def test_asymptotic_matches_the_exact_counts():
+    # The exact u(n) / asymptotic ratio is 1.036, 1.022 and 1.015 at unrooted
+    # n = 100, 200 and 400: it falls to 1 about like 1/sqrt(n).  A constant off
+    # by a factor of 2 reads about 0.51 at n = 400.
+    ratio = float(exact_resolution_probability(400, Kind.UNROOTED).u) / \
+        asymptotic_unresolved(400)
+    assert 1 < ratio < 1.02
