@@ -27,6 +27,8 @@ def main():
     ap.add_argument("--unrooted", action="store_true")
     args = ap.parse_args()
     p = Fraction(args.p)
+    if not 0 <= p <= 1:
+        ap.error(f"--p must lie in [0, 1], got {p}")
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     start = 3 if kind is Kind.ROOTED else 4
     print(f"{'n':>3} {'trees':>12} {'r':>12} {'E[d^p]':>14} {'u/u_asymptotic':>15}")

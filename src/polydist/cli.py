@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import random
 import sys
 import time
@@ -209,18 +211,13 @@ def _cmd_refine(args) -> tuple[int, dict]:
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
     kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
-    try:
-        total = 0
-        resolved = 0
-        for t in oracle.enumerate_phylogenies(args.n, kind, cap=args.cap):
-            total += 1
-            resolved += t.is_fully_resolved()
-    except (oracle.CapacityError, TreeError) as exc:
-        raise InputError(str(exc)) from exc
+    trees = expd.tree_count(args.n, kind)
+    # binary trees: (2n-3)!! rooted, (2n-5)!! unrooted
+    resolved = math.prod(range(2 * args.n - (3 if kind is Kind.ROOTED else 5), 0, -2))
     report = {
         "command": "enumerate",
         "inputs": {"n": args.n, "kind": kind.value},
-        "result": {"trees": total, "fully_resolved": resolved,
+        "result": {"trees": trees, "fully_resolved": resolved,
                    "status": "exact"},
     }
     return 0, report
@@ -241,8 +238,7 @@ def _cmd_expected(args) -> tuple[int, dict]:
                    "u": _frac(stats.u), "status": "exact"},
     }
     if args.samples:
-        em = expd.empirical_expected_distance(args.n, p, kind, args.samples,
-                                              args.seed, cap=args.cap)
+        em = expd.empirical_expected_distance(args.n, p, kind, args.samples, args.seed)
         report["empirical"] = {"mean": _frac(em.mean),
                                "stderr_sq": _frac(em.stderr_sq),
                                "samples": em.samples, "seed": em.seed,
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate", help="count phylogenies on n taxa")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--unrooted", action="store_true")
-    e.add_argument("--cap", type=int, default=None)
     common(e)
     e.set_defaults(fn=_cmd_enumerate)
 
@@ -351,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--unrooted", action="store_true")
     x.add_argument("--samples", type=int, default=0)
     x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--cap", type=int, default=None, help="largest n --samples enumerates")
     common(x)
     x.set_defaults(fn=_cmd_expected)
 
@@ -377,8 +371,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start
-    # timing stays out of --json so identical runs are byte-identical
-    _emit(report, args.json, elapsed=None if args.json else elapsed)
+    try:
+        # timing stays out of --json so identical runs are byte-identical
+        _emit(report, args.json, elapsed=None if args.json else elapsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; keep the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -8,9 +8,15 @@ fixed triplet/quartet is resolved:
     E[d^(p)] = C(n,4) * ((2/3) r(n)^2  + 2 p r(n) u(n))     (unrooted)
 
 with u = 1 - r.  The Add-Leaf bijection (`add_leaf`) gives r'(n) = r(n+1),
-so r is counted over rooted trees only.  Rooted phylogenies have the
-exponential generating function (EGF) T = x + e^T - 1 - T (Schroeder's
-fourth problem, OEIS A000311), and taxa 0, 1, 2 form a fan in
+so r is counted over rooted trees only.  Rooted phylogenies, t(k) on k taxa,
+have the exponential generating function (EGF) T = x + e^T - 1 - T
+(Schroeder's fourth problem, OEIS A000311).  The root's children split the
+taxa into blocks; if the first taxon's block holds j of the k taxa, the
+other k - j form one subtree or the root's children of a tree on them, so
+t(k) = sum_j C(k-1, j-1) t(j) e(k-j) with e(i) = 2 t(i) - [i = 1].  Read
+digit by digit (the recursive method of Nijenhuis and Wilf), the sum decodes
+each index below t(m) to one tree (`tree_at`), an exact uniform sampler.
+Taxa 0, 1, 2 form a fan in
 (m-3)! [x^(m-3)] T'^3 e^T / (2 - e^T) of those on m taxa: T'^3 e^T is the fan
 node (three children holding the marked taxa, plus any others) and
 1 / (2 - e^T) the path above it, each node of which has another child.  The
@@ -26,8 +32,10 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from polydist.oracle import CapacityError, classify, enumerate_phylogenies
+from polydist.oracle import CapacityError
+from polydist.quartet import quartet_classification
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
+from polydist.triplet import parametric_triplet_distance
 
 MAX_COUNT_N = 500
 
@@ -45,21 +53,87 @@ class ResolutionStats:
         return 1 - self.r
 
 
+_trees = [0, 1]  # t(k) for k = 0, 1, ...: a memo grown on demand, each t(k) counted once
+
+
+def _tree_counts(m: int) -> tuple[int, ...]:
+    """t(0..m) by the module docstring's sum."""
+    t = _trees
+    for k in range(len(t), m + 1):
+        t.append(sum(comb(k - 1, j - 1) * t[j] * (2 * t[k - j] - (j == k - 1))
+                     for j in range(1, k)))
+    return tuple(t[:m + 1])
+
+
 @cache
 def _fan_counts(m: int) -> tuple[int, int]:
     """(trees, fans) on m >= 3 taxa: t(m) and F(m) of the module docstring."""
-    # (e^T)' = T' e^T gives e(k); 2T = x + e^T - 1 makes e(k) = 2 t(k) for
-    # k >= 2, so t(k), the j = k-1 term of e(k), is the sum of the others.
-    t, e = [0, 1], [1, 1]
-    for k in range(2, m + 1):
-        t.append(sum(comb(k - 1, j) * t[j + 1] * e[k - 1 - j] for j in range(k - 1)))
-        e.append(2 * t[k])
+    t = _tree_counts(m)
     # T'(2 - e^T) = 1 makes the fan series T'^4 e^T = T'^2 (2 T'^2 - T').
     last = m - 3
     s = t[1:last + 2]  # T'
     s2 = [sum(comb(k, j) * s[j] * s[k - j] for j in range(k + 1)) for k in range(last + 1)]
     return t[m], sum(comb(last, j) * s2[j] * (2 * s2[last - j] - s[last - j])
                      for j in range(last + 1))
+
+
+def _rooted_taxa(n: int, kind: Kind) -> int:
+    """m whose rooted trees number the trees on n taxa (n - 1: `add_leaf`)."""
+    if n < 1:
+        raise TreeError("n must be >= 1")
+    if n > MAX_COUNT_N:
+        raise CapacityError(f"tree counts for n={n} exceed the bound {MAX_COUNT_N}")
+    return n if kind is Kind.ROOTED or n == 1 else n - 1
+
+
+def tree_count(n: int, kind: Kind) -> int:
+    """Number of phylogenies on n taxa: t(n) rooted, t(n - 1) unrooted."""
+    m = _rooted_taxa(n, kind)
+    return _tree_counts(m)[m]
+
+
+def tree_at(n: int, kind: Kind, index: int) -> Phylogeny:
+    """Phylogeny number `index` on taxa t0..t(n-1), for 0 <= index <
+    tree_count(n, kind); each tree has exactly one number.  Decodes the
+    module docstring's sum with an explicit stack."""
+    m = _rooted_taxa(n, kind)
+    t = _tree_counts(m)
+    if not 0 <= index < t[m]:
+        raise ValueError(f"index {index} outside [0, {t[m]}) for n={n}")
+    children: list[list[int]] = [[]]
+    leaf_taxon: list[int | None] = [0 if m == 1 else None]
+    # (v, taxa, x, new): tree x on `taxa` is a new child of v, or v takes its root's children
+    stack = [(0, list(range(m)), index, False)] if m > 1 else []
+    while stack:
+        v, taxa, x, new = stack.pop()
+        if new:
+            children[v].append(len(children))
+            v = len(children)
+            children.append([])
+            leaf_taxon.append(taxa[0] if len(taxa) == 1 else None)
+            if len(taxa) == 1:
+                continue
+        k, j, ways = len(taxa), 1, 1  # ways = C(k-1, j-1), e = e(k-j)
+        while x >= ways * t[j] * (e := 2 * t[k - j] - (j == k - 1)):
+            x -= ways * t[j] * e
+            ways = ways * (k - j) // j
+            j += 1
+        rank, x = divmod(x, t[j] * e)
+        first, x = divmod(x, e)
+        block, rest = taxa[:1], []
+        for i in range(1, k):  # taxa[0] and the rank-th (j-1)-subset of the rest
+            with_it = comb(k - 1 - i, j - len(block) - 1) if len(block) < j else 0
+            if rank < with_it:
+                block.append(taxa[i])
+            else:
+                rank -= with_it
+                rest.append(taxa[i])
+        stack.append((v, block, first, True))
+        new = x < t[k - j]
+        stack.append((v, rest, x if new else x - t[k - j], new))
+    labels = TaxonSet(tuple(f"t{i}" for i in range(m)))
+    tree = Phylogeny(kind if m == n else Kind.ROOTED, labels, children, 0, leaf_taxon)
+    return tree if m == n else add_leaf(tree)
 
 
 def exact_resolution_probability(n: int, kind: Kind) -> ResolutionStats:
@@ -73,15 +147,15 @@ def exact_resolution_probability(n: int, kind: Kind) -> ResolutionStats:
     need = 3 if kind is Kind.ROOTED else 4
     if n < need:
         raise TreeError(f"n must be >= {need} for {kind.value} resolution stats")
-    if n > MAX_COUNT_N:
-        raise CapacityError(f"resolution counts for n={n} exceed the bound {MAX_COUNT_N}")
-    total, fans = _fan_counts(n if kind is Kind.ROOTED else n - 1)
+    total, fans = _fan_counts(_rooted_taxa(n, kind))
     return ResolutionStats(n, kind, total, total - fans, Fraction(total - fans, total))
 
 
 def expected_distance_formula(n: int, p, kind: Kind) -> Fraction:
     """Exact expected d^(p) between two uniform trees on n taxa."""
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     stats = exact_resolution_probability(n, kind)
     per = comb(n, 3) if kind is Kind.ROOTED else comb(n, 4)
     r, u = stats.r, stats.u
@@ -101,24 +175,21 @@ class EmpiricalMean:
 
 
 def empirical_expected_distance(n: int, p, kind: Kind, samples: int,
-                                seed: int, cap: int | None = None) -> EmpiricalMean:
-    """Seeded mean of d^(p) over uniformly sampled tree pairs (exact uniform
-    sampling by indexing the full enumeration)."""
+                                seed: int) -> EmpiricalMean:
+    """Seeded mean of d^(p) over pairs of independent uniform trees, each
+    `tree_at` a uniform index."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     p = Fraction(p)
-    space = list(enumerate_phylogenies(n, kind, cap=cap))
+    size = tree_count(n, kind)
     rng = random.Random(seed)
     total = Fraction(0)
     total_sq = Fraction(0)
-    cache: dict[tuple[int, int], Fraction] = {}
     for _ in range(samples):
-        i = rng.randrange(len(space))
-        j = rng.randrange(len(space))
-        d = cache.get((i, j))
-        if d is None:
-            d = classify(space[i], space[j]).to_distance_pair().evaluate(p)
-            cache[(i, j)] = cache[(j, i)] = d
+        a, b = (tree_at(n, kind, rng.randrange(size)) for _ in range(2))
+        pair = (parametric_triplet_distance(a, b) if kind is Kind.ROOTED
+                else quartet_classification(a, b).to_distance_pair())
+        d = pair.evaluate(p)
         total += d
         total_sq += d * d
     mean = total / samples

@@ -4,7 +4,7 @@ Binary trees are grown by attaching each new leaf to a uniformly chosen
 edge; partially resolved trees are binary trees with a random subset of
 internal edges contracted.  These generators are for exercising the
 algorithms, not for statistically uniform sampling of multifurcating tree
-space (exact uniform sampling lives in the enumeration-based code).
+space (`expected.tree_at` of a uniform index is an exact uniform tree).
 """
 
 from __future__ import annotations

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polydist
 from polydist import oracle, quartet
 from polydist.cli import main
 from polydist.expected import MAX_COUNT_N
@@ -276,8 +281,14 @@ class TestEnumerateExpectedSelftest:
         assert rep["result"]["fully_resolved"] == 105
 
     def test_enumerate_over_cap(self, capsys, trees):
-        code, out, err = run(capsys, ["enumerate", "--n", "12"])
-        assert code == 3
+        code, out, err = run(capsys, ["enumerate", "--n", str(MAX_COUNT_N + 1)])
+        assert code == 3 and "Traceback" not in err
+
+    def test_enumerate_counts_beyond_enumeration(self, capsys):
+        code, rep, _ = run_json(capsys, ["enumerate", "--n", "8"])
+        assert code == 0
+        assert rep["result"]["trees"] == 660032
+        assert rep["result"]["fully_resolved"] == 135135
 
     def test_expected(self, capsys, trees):
         code, rep, _ = run_json(capsys, ["expected", "--n", "4", "--p", "1/2",
@@ -294,7 +305,7 @@ class TestEnumerateExpectedSelftest:
 
     @pytest.mark.parametrize("argv", [
         ["expected", "--n", "4", "--samples", "-3"],
-        ["expected", "--n", "300", "--samples", "5"],  # sampling still enumerates
+        ["enumerate", "--n", "0"],
         ["expected", "--n", str(MAX_COUNT_N + 1)],     # above the counting bound
         ["selftest", "--trials", "0"],
         ["selftest", "--trials", "-1"],
@@ -303,6 +314,11 @@ class TestEnumerateExpectedSelftest:
         code, out, err = run(capsys, argv + ["--json"])
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", [[], ["--unrooted"]])
+    def test_expected_samples_beyond_enumeration(self, capsys, kind):
+        code, rep, _ = run_json(capsys, ["expected", "--n", "300", "--samples", "5"] + kind)
+        assert code == 0 and rep["empirical"]["status"] == "sampled"
 
     def test_expected_zero_samples_means_no_sampling(self, capsys):
         code, rep, _ = run_json(capsys, ["expected", "--n", "4", "--samples", "0"])
@@ -322,3 +338,19 @@ class TestEnumerateExpectedSelftest:
         assert code == 1 and rep["result"]["status"] == "fail"
         assert sum("quartet classification mismatch" in f
                    for f in rep["result"]["failures"]) == 3
+
+
+@pytest.mark.parametrize("argv", [["expected", "--n", "4"],
+                                  ["selftest", "--trials", "1", "--json"]])
+def test_closed_stdout_is_not_a_crash(argv):
+    # the pipe's only reader is closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(polydist.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "polydist.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0 and done.stderr == b""

@@ -12,6 +12,8 @@ from polydist.expected import (
     empirical_expected_distance,
     exact_resolution_probability,
     expected_distance_formula,
+    tree_at,
+    tree_count,
 )
 from polydist.oracle import CapacityError, classify, count_phylogenies, enumerate_phylogenies
 from polydist.trees import (Kind, Phylogeny, QuartetTopology, TreeError, TripletTopology,
@@ -95,19 +97,61 @@ class TestExpectedFormula:
                   for i in range(5)]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("p", [-1, Fraction(3, 2), 2])
+    def test_rejects_p_outside_the_unit_interval(self, p):
+        for kind in (Kind.ROOTED, Kind.UNROOTED):
+            with pytest.raises(ValueError):
+                expected_distance_formula(5, p, kind)
+
+
+class TestTreeAt:
+    @pytest.mark.parametrize("kind, sizes", [(Kind.ROOTED, range(1, 8)),
+                                             (Kind.UNROOTED, range(1, 9))])
+    def test_indices_number_the_enumeration(self, kind, sizes):
+        for n in sizes:
+            keys = set()
+            for i in range(tree_count(n, kind)):
+                tree = tree_at(n, kind, i)
+                assert tree.kind is kind and tree.validate() == []
+                keys.add(tree.canonical_key())
+            enumerated = [t.canonical_key() for t in enumerate_phylogenies(n, kind)]
+            assert len(keys) == tree_count(n, kind) == len(enumerated)
+            assert keys == set(enumerated)
+
+    @pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+    def test_rejects_an_index_out_of_range(self, kind):
+        for index in (-1, tree_count(6, kind)):
+            with pytest.raises(ValueError):
+                tree_at(6, kind, index)
+
+    @pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+    def test_refuses_n_outside_the_counts(self, kind):
+        with pytest.raises(TreeError):
+            tree_count(0, kind)
+        with pytest.raises(CapacityError):
+            tree_at(MAX_COUNT_N + 1, kind, 0)
+
+    def test_counts_beyond_enumeration(self):
+        assert tree_count(10, Kind.ROOTED) == tree_count(11, Kind.UNROOTED) == 282137824
+        big = tree_at(MAX_COUNT_N, Kind.UNROOTED, tree_count(MAX_COUNT_N, Kind.UNROOTED) - 1)
+        assert big.n == MAX_COUNT_N and big.validate() == []
+
 
 class TestEmpirical:
     def test_reproducible(self):
-        a = empirical_expected_distance(4, Fraction(1, 2), Kind.ROOTED, 50, seed=5)
-        b = empirical_expected_distance(4, Fraction(1, 2), Kind.ROOTED, 50, seed=5)
-        assert a == b
-        c = empirical_expected_distance(4, Fraction(1, 2), Kind.ROOTED, 50, seed=6)
-        assert a.mean != c.mean or a.stderr_sq != c.stderr_sq
+        for n, kind in ((4, Kind.ROOTED), (5, Kind.UNROOTED)):
+            a = empirical_expected_distance(n, Fraction(1, 2), kind, 50, seed=5)
+            b = empirical_expected_distance(n, Fraction(1, 2), kind, 50, seed=5)
+            assert a == b
+            c = empirical_expected_distance(n, Fraction(1, 2), kind, 50, seed=6)
+            assert a.mean != c.mean or a.stderr_sq != c.stderr_sq
 
     def test_mean_near_formula(self):
-        em = empirical_expected_distance(4, Fraction(1, 2), Kind.ROOTED, 400, seed=0)
-        exact = expected_distance_formula(4, Fraction(1, 2), Kind.ROOTED)
-        assert abs(float(em.mean - exact)) <= 4 * em.stderr
+        for n, kind, samples in ((4, Kind.ROOTED, 400), (40, Kind.ROOTED, 200),
+                                 (30, Kind.UNROOTED, 200)):
+            em = empirical_expected_distance(n, Fraction(1, 2), kind, samples, seed=0)
+            exact = expected_distance_formula(n, Fraction(1, 2), kind)
+            assert abs(float(em.mean - exact)) <= 4 * em.stderr
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_rejects_sample_counts_below_one(self, samples):
