@@ -370,6 +370,10 @@ def main(argv=None) -> int:
     except (InputError, TreeError, oracle.CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError says nothing
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - start
     try:
         # timing stays out of --json so identical runs are byte-identical

@@ -49,8 +49,10 @@ def classification_counts(t1: Phylogeny, t2: Phylogeny) -> Classification:
     Unrooted trees: quartet_classification.  Rooted trees: d and r1 + r2
     from parametric_triplet_distance, R(T1) and U(T1) from count_R_U, and
     r2 from a count_r1 pass with the trees swapped; then r1 = (r1 + r2) -
-    r2, s = R(T1) - d - r1 and u = U(T1) - r2.  One (m1 × m2) I-table is
-    live at a time.
+    r2, s = R(T1) - d - r1 and u = U(T1) - r2.  One (m1 × m2) int32
+    I-table (4·m1·m2 bytes) is live at a time, and the arithmetic runs over
+    the node pairs whose subtrees overlap only: O(n²) in the worst case
+    (caterpillars, where every pair overlaps).
     """
     if t1.kind is Kind.UNROOTED:
         return quartet_classification(t1, t2)

@@ -12,9 +12,13 @@ decides how many quartets both nodes anchor with the same together pair
 taxon (four times |D|).  The M blocks come from
 `polydist.triplet.node_pair_blocks`, the node-pair loop the rooted triplet
 counts share; the sides are the layout `Phylogeny.node_sides` caches per
-tree, which also gives the R/U counts.  The arithmetic over all pairs
-costs O(sum of d1·d2·min(d1, d2)), that is O(n²·d) for maximum degree d;
-the (m1 × m2) int64 I-table of `build_tables` (8·m1·m2 bytes) sets the
+tree, which also gives the R/U counts.  Only pairs whose subtrees share
+a taxon (I[x1, x2] >= 1) enter: with I = 0 the children block is zero,
+so every nonzero cell of M lies in the last row or the last column, and
+no anchor pattern fits there (see `_count`).  The arithmetic sums
+d1·d2·min(d1, d2) over those overlapping pairs only, O(n²·d) for maximum
+degree d in the worst case (caterpillars, where every pair overlaps);
+the (m1 × m2) int32 I-table of `build_tables` (4·m1·m2 bytes) sets the
 memory.
 
 `parametric_quartet_distance` reads one classification for both of its
@@ -38,7 +42,8 @@ divisions are the C(x, 2) of side counts 0 <= x <= n and each pair's
 at most 2|S|, 4|D| <= 4·C(n, 4), y <= 2·C(n, 4) and 2R <= 2·C(n, 4).
 Hence the counts are exact while 4·C(n, 4) < 2^63, that is for
 n <= MAX_EXACT_N = 86251; larger n raises CapacityError.  Long before
-that, the I-table's 8·m1·m2 bytes are the limit.
+that, the I-table's 4·m1·m2 bytes are the limit; every M is cast to int64
+as it is gathered from it.
 """
 
 from __future__ import annotations
@@ -176,7 +181,19 @@ def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, 
     """The five classes and, if `with_y`, y (else 0), from one pass over the
     node-pair blocks of one `build_tables` I-table: `_anchor_counts` on
     every block, `_y_per_pair` on the blocks of T2 nodes with three or more
-    children.  r1 = R(T1) - s - d, r2 = R(T2) - s - d and u is the rest."""
+    children.  r1 = R(T1) - s - d, r2 = R(T2) - s - d and u is the rest.
+
+    The pass skips the pairs with I[x1, x2] = 0, which add 0 to every sum.
+    Their children block is zero, since a child of x1 and one of x2 share
+    no taxon, so every nonzero cell lies in the last row or the last
+    column.  Every pattern needs a taxon in a cell off both.  A shared
+    quartet fills three cells in distinct rows and distinct columns (c
+    and d share one), and only one row and one column are last.  A
+    different one fills (i, k), (i, l) and (j, k) and puts a outside rows
+    i, j and columns k, l: if (i, k) is not the last corner, (i, l) or
+    (j, k) is off both, and if it is, a's cell is.  y's two taxa in
+    distinct children of x1 lie in distinct sides of x2, so not both in
+    the last column."""
     check_pair(t1, t2, Kind.UNROOTED)
     n = t1.n
     if n < 4:
@@ -184,7 +201,7 @@ def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, 
     if n > MAX_EXACT_N:
         raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
     twice_s = four_d = y = 0
-    for M, sizes1, sizes2 in node_pair_blocks(build_tables(t1, t2)):
+    for M, sizes1, sizes2 in node_pair_blocks(build_tables(t1, t2), min_overlap=1):
         s, d = _anchor_counts(M, sizes1, sizes2, n)
         twice_s += int(s.sum())
         four_d += int(d.sum())

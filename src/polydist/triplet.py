@@ -16,9 +16,13 @@ layout that `Phylogeny.node_sides` / `leaf_ranges` cache.
 `node_pair_blocks` is the one loop over node pairs: it gathers M from the
 intersection table I[u, v] = |L(T1(u)) ∩ L(T2(v))| of `build_tables`, in
 blocks of node pairs with the same child counts, for these kernels and for
-`polydist.quartet`'s classification and y term.  The arithmetic costs
-O(sum over node pairs of d(u)·d(v)) = O(n²); the (m1 × m2) int64 I-table
-(8·m1·m2 bytes) is the only table of that size and sets the memory.
+`polydist.quartet`'s classification and y term.  Each caller skips the
+pairs that provably add nothing: |S| and |R1| need I[u, v] >= 2, the
+quartet anchors I[u, v] >= 1.  The arithmetic is a sum of d(u)·d(v) over
+the overlapping pairs only: O(n²) in the worst case (two caterpillars,
+where every pair overlaps), far less when most subtrees are disjoint.
+The (m1 × m2) int32 I-table (4·m1·m2 bytes) is the only table of that
+size and sets the memory.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class RootedIntersectionTables:
 
     t1: Phylogeny
     t2: Phylogeny
-    I: np.ndarray          # (m1, m2) int64
+    I: np.ndarray          # (m1, m2) int32
     alpha1: np.ndarray     # (m1,) subtree leaf counts of T1
     alpha2: np.ndarray     # (m2,) subtree leaf counts of T2
 
@@ -58,12 +62,21 @@ def c2(x):
 def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     """All pairwise intersection sizes in O(n^2): a T1 leaf's row marks the
     T2 nodes whose `leaf_ranges` range holds its taxon, internal rows are
-    child-row sums.  Memory: the (m1 × m2) int64 I-table, no leaf rows."""
+    child-row sums.  Memory: the (m1 × m2) I-table, 4·m1·m2 bytes, no leaf
+    rows; int32 holds it exactly, since 0 <= I <= n < 2^31 for any n whose
+    table fits in memory."""
     check_pair(t1, t2)
+    # Both trees' cached layouts are built before I.  Made after it, these
+    # long-lived arrays can land above I on the malloc heap and pin the hole
+    # I leaves, which the next, larger table then does not fit (20 MB more
+    # peak RSS on some pairs of rooted trees at n = 1600).
+    alpha1, alpha2 = t1.subtree_sizes(), t2.subtree_sizes()
+    t1.node_sides()
+    t2.node_sides()
     order2, lo2, hi2 = t2.leaf_ranges()
     pos2 = np.empty(t2.n, dtype=np.int64)  # leaf-order position of each taxon
     pos2[order2] = np.arange(t2.n)
-    I = np.zeros((t1.num_nodes, t2.num_nodes), dtype=np.int64)
+    I = np.zeros((t1.num_nodes, t2.num_nodes), dtype=np.int32)
     for u in t1.postorder():
         t = t1.leaf_taxon[u]
         if t is not None:
@@ -71,34 +84,49 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
         else:
             for c in t1.children[u]:
                 I[u] += I[c]
-    return RootedIntersectionTables(t1, t2, I, t1.subtree_sizes(), t2.subtree_sizes())
+    return RootedIntersectionTables(t1, t2, I, alpha1, alpha2)
 
 
-def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0
+def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *,
+                     min_overlap: int = 0
                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every pair (u, v) of internal nodes of T1 and T2 whose v has at
-    least `min_children2` children, in blocks of at most BLOCK_CELLS cells.
+    least `min_children2` children and whose subtrees share at least
+    `min_overlap` taxa (I[u, v] >= min_overlap), in blocks of at most
+    BLOCK_CELLS cells.
 
-    A block holds the pairs of a run of T1 nodes with d1 children and all
-    T2 nodes with d2 children, as (M, sizes1, sizes2):
-    M[a, b, j, k] = |A_j ∩ B_k| for the sides A of the a-th T1 node and B
-    of the b-th T2 node (children first, the complement of the subtree
-    last), with side sizes sizes1[a, 0, j, 0] and sizes2[0, b, 0, k].
+    A block holds P pairs of T1 nodes with d1 children and T2 nodes with
+    d2 children, as (M, sizes1, sizes2): M[i, j, k] = |A_j ∩ B_k| (int64)
+    for the sides A of the i-th pair's T1 node and B of its T2 node
+    (children first, the complement of the subtree last), with side sizes
+    sizes1[i, j, 0] and sizes2[i, 0, k].  The pairs are read off the
+    nodes' own cells of I, grid by grid, before anything else is gathered,
+    so skipped pairs cost one table read each.
     """
     I, alpha2 = tables.I, tables.alpha2
+    m2 = I.shape[1]
     sides2 = [(rows, sizes) for rows, sizes in tables.t2.node_sides()
               if rows.shape[1] > min_children2]
     for rows1, sizes1 in tables.t1.node_sides():
+        offsets1 = rows1 * m2   # flat offsets of the rows of I
         for rows2, sizes2 in sides2:
-            per_node = len(rows2) * rows1.shape[1] * rows2.shape[1]
-            step = max(1, BLOCK_CELLS // per_node)
+            per_block = max(1, BLOCK_CELLS // (rows1.shape[1] * rows2.shape[1]))
+            step = max(1, BLOCK_CELLS // len(rows2))
             for lo in range(0, len(rows1), step):
-                r1, s1 = rows1[lo:lo + step], sizes1[lo:lo + step]
-                M = I[r1[:, None, :, None], rows2[None, :, None, :]]
-                # the last side of each node is the complement of its subtree
-                M[:, :, -1, :] = alpha2[rows2] - M[:, :, -1, :]
-                M[:, :, :, -1] = s1[:, None, :] - M[:, :, :, -1]
-                yield M, s1[:, None, :, None], sizes2[None, :, None, :]
+                # the node itself is the last entry of its row of sides
+                a, b = np.nonzero(I[rows1[lo:lo + step, -1, None], rows2[:, -1]]
+                                  >= min_overlap)
+                a += lo
+                for first in range(0, len(a), per_block):
+                    pa, pb = a[first:first + per_block], b[first:first + per_block]
+                    rb = rows2.take(pb, axis=0)
+                    M = I.take(offsets1.take(pa, axis=0)[:, :, None]
+                               + rb[:, None, :]).astype(np.int64)
+                    s1 = sizes1.take(pa, axis=0)[:, :, None]
+                    # the last side of each node is the complement of its subtree
+                    M[:, -1, :] = alpha2.take(rb) - M[:, -1, :]
+                    M[:, :, -1] = s1[:, :, 0] - M[:, :, -1]
+                    yield M, s1, sizes2.take(pb, axis=0)[:, None, :]
 
 
 def count_R_U(tree: Phylogeny) -> tuple[int, int]:
@@ -148,15 +176,20 @@ def count_shared(tables: RootedIntersectionTables) -> int:
 
     A shared triplet xy|z sits at u = lca_T1(x, y) and v = lca_T2(x, y),
     with x and y in distinct children of both and z outside both subtrees;
-    each block of `node_pair_blocks` adds its pairs' counts.
+    each block of `node_pair_blocks` adds its pairs' counts.  Only pairs
+    with I[u, v] >= 2 enter: the children block M[:-1, :-1] holds the taxa
+    of L(u) ∩ L(v), so with I[u, v] <= 1 it holds at most one taxon, no
+    pair of taxa lies in distinct children of both nodes, and
+    `_split_pairs` and with it the pair's count is 0.
 
-    int64 bound: numpy's int64 +, - and × are exact modulo 2^64; the only
+    int64 bound: every M is cast to int64 as it is gathered from the int32
+    table; numpy's int64 +, - and × are exact modulo 2^64; the only
     divisions are the C(x, 2) of side counts 0 <= x <= n; and each block's
     read-out is at most |S| <= C(n, 3).  The count is exact while
     C(n, 3) < 2^63, that is for n <= 3810779, far beyond any n whose
     I-table fits in memory.
     """
-    return sum(_shared_in_block(M) for M, _, _ in node_pair_blocks(tables))
+    return sum(_shared_in_block(M) for M, _, _ in node_pair_blocks(tables, min_overlap=2))
 
 
 def count_r1(tables: RootedIntersectionTables) -> int:
@@ -164,20 +197,26 @@ def count_r1(tables: RootedIntersectionTables) -> int:
 
     Such a triplet xy|z sits at u = lca_T1(x, y) and at a polytomy v of T2
     holding x, y, z in three distinct children, so only the blocks of T2
-    nodes with at least three children enter.
+    nodes with at least three children enter, and of those only the pairs
+    with I[u, v] >= 2: x and y are split in the children block of both
+    nodes, which as for count_shared needs two taxa of L(u) ∩ L(v); with
+    `_split_pairs` 0 the column counts X are 0 too, and the pair adds 0.
 
     int64 bound: as for count_shared, with each block's read-out at most
     |R1| <= C(n, 3); exact for n <= 3810779.
     """
-    return sum(_r1_in_block(M) for M, _, _ in node_pair_blocks(tables, min_children2=3))
+    blocks = node_pair_blocks(tables, min_children2=3, min_overlap=2)
+    return sum(_r1_in_block(M) for M, _, _ in blocks)
 
 
 def parametric_triplet_distance(t1: Phylogeny, t2: Phylogeny) -> DistancePair:
     """Exact parametric triplet distance as a DistancePair.
 
-    One `build_tables` I-table (8·m1·m2 bytes) and O(sum of d(u)·d(v))
-    = O(n²) arithmetic over the node-pair blocks of count_shared and
-    count_r1; exact in int64 for n <= 3810779.
+    One `build_tables` I-table (int32, 4·m1·m2 bytes) and arithmetic
+    summing d(u)·d(v) over the node pairs with I[u, v] >= 2 only, in the
+    blocks of count_shared and count_r1: O(n²) in the worst case
+    (caterpillars, where every pair overlaps); exact in int64 for
+    n <= 3810779.
     """
     check_pair(t1, t2, Kind.ROOTED)
     tables = build_tables(t1, t2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import polydist
-from polydist import oracle, quartet
+from polydist import oracle, quartet, triplet
 from polydist.cli import main
 from polydist.expected import MAX_COUNT_N
 from polydist.oracle import Classification, classify_quartets
@@ -314,6 +314,20 @@ class TestEnumerateExpectedSelftest:
         code, out, err = run(capsys, argv + ["--json"])
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 35.2 MiB for an array", "Unable to allocate 35.2 MiB for an array"),
+        ("", "allocation failed"),
+    ])
+    def test_out_of_memory_is_exit_3(self, capsys, trees, monkeypatch, message, shown):
+        def exhausted(t1, t2):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(triplet, "build_tables", exhausted)
+        code, out, err = run(capsys, ["dist", "triplet", trees["t1.nwk"], trees["t2.nwk"]])
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: out of memory ({shown})"]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", [[], ["--unrooted"]])
     def test_expected_samples_beyond_enumeration(self, capsys, kind):

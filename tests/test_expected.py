@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -20,16 +21,27 @@ from polydist.trees import (Kind, Phylogeny, QuartetTopology, TreeError, Triplet
                             quartet_topology, triplet_topology)
 
 
+@functools.cache
+def enumeration(n, kind):
+    """(canonical key, resolved) of every tree on n taxa, from one walk of
+    tree space per (n, kind) that the enumeration tests share; resolved
+    says whether the tree resolves taxa 0, 1, 2 (rooted) or 0, 1, 2, 3
+    (unrooted), False below that many taxa.  The trees themselves are not
+    kept: their cached LCA tables would hold hundreds of MB."""
+    facts = []
+    for t in enumerate_phylogenies(n, kind):
+        if kind is Kind.ROOTED:
+            resolved = n >= 3 and triplet_topology(t, (0, 1, 2)) is not TripletTopology.FAN
+        else:
+            resolved = n >= 4 and quartet_topology(t, (0, 1, 2, 3)) is not QuartetTopology.STAR
+        facts.append((t.canonical_key(), resolved))
+    return tuple(facts)
+
+
 def enumerated_resolution(n, kind):
     """(trees, resolved) on n taxa by enumerating tree space."""
-    total = resolved = 0
-    for t in enumerate_phylogenies(n, kind):
-        total += 1
-        if kind is Kind.ROOTED:
-            resolved += triplet_topology(t, (0, 1, 2)) is not TripletTopology.FAN
-        else:
-            resolved += quartet_topology(t, (0, 1, 2, 3)) is not QuartetTopology.STAR
-    return total, resolved
+    facts = enumeration(n, kind)
+    return len(facts), sum(resolved for _, resolved in facts)
 
 
 class TestResolutionProbability:
@@ -114,7 +126,7 @@ class TestTreeAt:
                 tree = tree_at(n, kind, i)
                 assert tree.kind is kind and tree.validate() == []
                 keys.add(tree.canonical_key())
-            enumerated = [t.canonical_key() for t in enumerate_phylogenies(n, kind)]
+            enumerated = [key for key, _ in enumeration(n, kind)]
             assert len(keys) == tree_count(n, kind) == len(enumerated)
             assert keys == set(enumerated)
 

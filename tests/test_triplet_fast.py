@@ -6,10 +6,12 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import classification_pairs, rooted_pairs, rooted_trees, seeded_pair
 from polydist.hausdorff import classification_counts
 from polydist.oracle import DistancePair, classify_triplets, enumerate_phylogenies
+from polydist.quartet import _anchor_counts, _y_per_pair
 from polydist.randgen import random_binary
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
 from polydist.triplet import (
@@ -88,6 +90,80 @@ class TestTables:
         for a, b in ((fan, caterpillar), (caterpillar, fan)):
             assert (build_tables(a, b).I == indicator(a) @ indicator(b).T).all()
             assert parametric_triplet_distance(a, b) == DistancePair(0, comb(n, 3))
+
+
+def _overlapping_stream(blocks, min_overlap=0):
+    """The pairs of a `node_pair_blocks` stream whose subtrees share at least
+    `min_overlap` taxa, as (M, sizes1, sizes2) concatenated in stream order
+    per block shape; |L(u) ∩ L(v)| is the sum of the children block."""
+    out = {}
+    for M, sizes1, sizes2 in blocks:
+        keep = M[:, :-1, :-1].sum((-2, -1)) >= min_overlap
+        if not keep.any():
+            continue
+        for part, kept in zip(out.setdefault(M.shape[1:], ([], [], [])),
+                              (M[keep], sizes1[keep], sizes2[keep])):
+            part.append(kept)
+    return {shape: tuple(np.concatenate(part).tolist() for part in parts)
+            for shape, parts in out.items()}
+
+
+class TestOverlapFilter:
+    """`node_pair_blocks(..., min_overlap=k)` skips the pairs (u, v) with
+    I[u, v] < k: 2 for the rooted |S| and |R1| kernels, 1 for the quartet
+    anchors and y, each of which adds 0 on every skipped pair."""
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_skipped_pairs_add_nothing(self, kind, data):
+        a, b = data.draw(classification_pairs(kind, max_n=14))
+        for M, sizes1, sizes2 in node_pair_blocks(build_tables(a, b)):
+            overlap = M[:, :-1, :-1].sum((-2, -1))
+            for i in np.flatnonzero(overlap < 2):
+                pair = M[i:i + 1]
+                assert _shared_in_block(pair) == _r1_in_block(pair) == 0
+            if a.n >= 4:
+                skipped = overlap < 1
+                twice_s, four_d = _anchor_counts(M, sizes1, sizes2, a.n)
+                assert not twice_s[skipped].any() and not four_d[skipped].any()
+                assert not _y_per_pair(M, sizes1, sizes2)[skipped].any()
+
+    @given(st.sampled_from(list(Kind)).flatmap(classification_pairs))
+    @settings(max_examples=120, deadline=None)
+    def test_filter_yields_exactly_the_overlapping_pairs(self, pair):
+        a, b = pair
+        tab = build_tables(a, b)
+        internal1, internal2 = a.internal_nodes(), b.internal_nodes()
+        for min_children2 in (0, 3):
+            wide2 = [v for v in internal2 if len(b.children[v]) >= min_children2]
+            everything = list(node_pair_blocks(tab, min_children2))
+            assert sum(len(M) for M, _, _ in everything) == len(internal1) * len(wide2)
+            for min_overlap in (1, 2):
+                blocks = list(node_pair_blocks(tab, min_children2, min_overlap=min_overlap))
+                # the unfiltered stream with the thin pairs taken out, in order
+                assert _overlapping_stream(blocks) == \
+                    _overlapping_stream(everything, min_overlap)
+                # and, by (I[u, v], |L(u)|, |L(v)|), the pairs of the table
+                want = sorted((int(tab.I[u, v]), int(tab.alpha1[u]), int(tab.alpha2[v]))
+                              for u in internal1 for v in wide2
+                              if tab.I[u, v] >= min_overlap)
+                got = sorted(t for M, sizes1, sizes2 in blocks
+                             for t in zip(M[:, :-1, :-1].sum((-2, -1)).tolist(),
+                                          (a.n - sizes1[:, -1, 0]).tolist(),
+                                          (a.n - sizes2[:, 0, -1]).tolist()))
+                assert got == want
+
+    @given(rooted_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_int32_table_int64_blocks(self, pair):
+        # the table holds 0 <= I <= n in half the bytes; every gathered block
+        # is int64 before any kernel arithmetic
+        tab = build_tables(*pair)
+        assert tab.I.dtype == np.int32
+        for min_overlap in (0, 1, 2):
+            for M, sizes1, sizes2 in node_pair_blocks(tab, min_overlap=min_overlap):
+                assert M.dtype == sizes1.dtype == sizes2.dtype == np.int64
 
 
 class TestCountRU:
