@@ -72,19 +72,16 @@ def _emit(report: dict, as_json: bool, elapsed: float | None = None):
     if as_json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
         return
-    def walk(obj, indent=0):
+    def walk(obj: dict, indent=0):
         pad = "  " * indent
-        if isinstance(obj, dict):
-            for key in obj:
-                val = obj[key]
-                if isinstance(val, (dict, list)):
-                    print(f"{pad}{key}:")
-                    walk(val, indent + 1)
-                else:
-                    print(f"{pad}{key}: {val}")
-        else:
-            for item in obj:
-                walk(item, indent)
+        for key, val in obj.items():
+            if isinstance(val, dict):
+                print(f"{pad}{key}:")
+                walk(val, indent + 1)
+            elif isinstance(val, list):  # reports hold lists of scalars only
+                print(f"{pad}{key}: [{', '.join(map(str, val))}]")
+            else:
+                print(f"{pad}{key}: {val}")
     walk(report)
     if elapsed is not None:
         print(f"elapsed_s: {elapsed:.3f}")

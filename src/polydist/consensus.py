@@ -34,8 +34,7 @@ from polydist.trees import (
     check_pair,
     pull_2_out,
     pull_out,
-    quartet_codes,
-    triplet_codes,
+    topology_codes,
 )
 from polydist.triplet import parametric_triplet_distance
 
@@ -152,9 +151,8 @@ def _votes(groups: list[list[int]], profile: Profile,
     seen = profile.k * np.bincount(cand.ravel(), minlength=width)
     f = np.zeros(width, dtype=np.int64)
     nv = np.zeros(width, dtype=np.int64)
-    codes_of = triplet_codes if rooted else quartet_codes
     for member in profile.trees:
-        codes = codes_of(member, rows)
+        codes = topology_codes(member, rows)
         unresolved = codes == UNRESOLVED
         nv += np.bincount(cand[unresolved].ravel(), minlength=width)
         voters, codes = cand[~unresolved], codes[~unresolved]

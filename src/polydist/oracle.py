@@ -22,8 +22,7 @@ from polydist.trees import (
     TaxonSet,
     TreeError,
     check_pair,
-    quartet_codes,
-    triplet_codes,
+    topology_codes,
 )
 
 ROOTED_ENUM_CAP = 7
@@ -31,7 +30,10 @@ UNROOTED_ENUM_CAP = 8
 
 
 class CapacityError(RuntimeError):
-    """Predicted enumeration size exceeds the configured cap."""
+    """A request beyond a size the library supports: a tree enumeration, a
+    refinement set or a pair of refinement sets above its cap, exact quartet
+    counts above the int64 bound `quartet.MAX_EXACT_N`, or tree counts
+    above `expected.MAX_COUNT_N`."""
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,13 @@ class Classification:
 
 def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind, listing: bool) -> Classification:
     """Classify every triplet (rooted) or quartet (unrooted), as sorted rows,
-    by its topology code (trees.triplet_codes / quartet_codes) in each tree."""
+    by its topology code (trees.topology_codes) in each tree."""
     check_pair(t1, t2, kind)
-    size, codes_of = (3, triplet_codes) if kind is Kind.ROOTED else (4, quartet_codes)
+    size = 3 if kind is Kind.ROOTED else 4
     rows = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(t1.n), size)), dtype=np.int64).reshape(-1, size)
-    c1 = codes_of(t1, rows)
-    c2 = codes_of(t2, rows)
+    c1 = topology_codes(t1, rows)
+    c2 = topology_codes(t2, rows)
     res1 = c1 != UNRESOLVED
     res2 = c2 != UNRESOLVED
     s = int(np.count_nonzero(res1 & res2 & (c1 == c2)))
@@ -176,11 +178,9 @@ def _nested_unrooted(n: int):
         yield from _insertions(base, new)
 
 
-def enumerate_phylogenies(n: int, kind: Kind, taxa: TaxonSet | None = None,
-                          cap: int | None = None):
+def enumerate_phylogenies(n: int, kind: Kind, taxa: TaxonSet | None = None):
     """Yield every phylogeny on n taxa exactly once (generator)."""
-    limit = cap if cap is not None else (
-        ROOTED_ENUM_CAP if kind is Kind.ROOTED else UNROOTED_ENUM_CAP)
+    limit = ROOTED_ENUM_CAP if kind is Kind.ROOTED else UNROOTED_ENUM_CAP
     if n < 1:
         raise TreeError("n must be >= 1")
     if n > limit:
@@ -193,13 +193,8 @@ def enumerate_phylogenies(n: int, kind: Kind, taxa: TaxonSet | None = None,
         yield make(taxa, nested)
 
 
-def count_phylogenies(n: int, kind: Kind, resolved_only: bool = False,
-                      cap: int | None = None) -> int:
-    total = 0
-    for t in enumerate_phylogenies(n, kind, cap=cap):
-        if not resolved_only or t.is_fully_resolved():
-            total += 1
-    return total
+def count_phylogenies(n: int, kind: Kind) -> int:
+    return sum(1 for _ in enumerate_phylogenies(n, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +333,7 @@ class MedianResult:
     co_minima: tuple[Phylogeny, ...]
 
 
-def median_exhaustive(profile, p, kind: Kind, cap: int | None = None) -> MedianResult:
+def median_exhaustive(profile, p, kind: Kind) -> MedianResult:
     """Exhaustive median: argmin over all phylogenies of the profile distance.
 
     All co-minima are reported; the representative tree is the first in
@@ -351,7 +346,7 @@ def median_exhaustive(profile, p, kind: Kind, cap: int | None = None) -> MedianR
     p = Fraction(p)
     best: Fraction | None = None
     winners: list[Phylogeny] = []
-    for cand in enumerate_phylogenies(taxa.n, kind, taxa=taxa, cap=cap):
+    for cand in enumerate_phylogenies(taxa.n, kind, taxa=taxa):
         total = sum((classify(cand, member).to_distance_pair().evaluate(p)
                      for member in profile), Fraction(0))
         if best is None or total < best:

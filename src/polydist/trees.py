@@ -13,11 +13,14 @@ consensus and Hausdorff machinery (`pull_out`, `pull_2_out`, `contract`),
 restriction to a taxon subset, the refinement partial order, and
 canonical forms for isomorphism checks.
 
-The topology kernels `triplet_codes` / `quartet_codes` live here too: they
-read the induced topologies of whole arrays of sorted triplet / quartet
-rows off the cached LCA tables for the oracle, the consensus vote tallies
-and the scalar `triplet_topology` / `quartet_topology` queries alike;
-`topology_by_restriction` is the independent route the tests check.
+One topology kernel lives here too: `topology_codes` reads the induced
+topologies of whole arrays of sorted triplet (rooted) or quartet
+(unrooted) rows as the argmax of three sums of LCA depths, the four-point
+condition in the unrooted case.  It serves the oracle, the consensus vote
+tallies and the scalar `triplet_topology` / `quartet_topology` queries
+alike, from the one (n, n) int32 table `leaf_lca_tables` caches per tree
+(4n^2 bytes); `topology_by_restriction` is the independent route the
+tests check.
 """
 
 from __future__ import annotations
@@ -252,16 +255,6 @@ class Phylogeny:
                 groups.append(_read_only(rows, sizes))
         return groups
 
-    def depths(self) -> list[int]:
-        depth = self._cache.get("depth")
-        if depth is None:
-            depth = [0] * self.num_nodes
-            for v in reversed(self.postorder()):
-                if v != self.root:
-                    depth[v] = depth[self.parent[v]] + 1
-            self._cache["depth"] = depth
-        return depth
-
     def subtree_taxa(self, v: int) -> frozenset[int]:
         sets = self._cache.get("subtree_taxa")
         if sets is None:
@@ -274,32 +267,38 @@ class Phylogeny:
             self._cache["subtree_taxa"] = sets
         return sets[v]
 
-    def leaf_lca_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lca_node, lca_depth): (n, n) int64 arrays over taxon indices.
+    def leaf_lca_tables(self) -> np.ndarray:
+        """L: the (n, n) int32 table over taxon indices of LCA depths, L[x, y]
+        the number of edges from the root (the handle, unrooted) down to
+        lca(x, y) in the stored orientation; 4n^2 bytes, cached read-only.
 
-        Computed once per tree in the stored orientation, in O(n^2): each
-        subtree holds a range of `leaf_ranges`' leaf order, and the pairs
-        whose LCA is v are the blocks between each child's range and the
-        rest of v's range.
+        Computed once per tree in O(n^2): each subtree holds a range of
+        `leaf_ranges`' leaf order, and the pairs whose LCA is v are the
+        blocks between each child's range and the rest of v's range, so
+        each node writes its depth into its own blocks.  Every depth is below
+        the node count, itself below 2n.
         """
         cached = self._cache.get("leaf_lca")
         if cached is not None:
             return cached
         order, lo, hi = self.leaf_ranges()
         lo, hi = lo.tolist(), hi.tolist()
-        node = np.empty((self.n, self.n), dtype=np.int64)
-        for v in self.postorder():
+        table = np.empty((self.n, self.n), dtype=np.int32)
+        depth = [0] * self.num_nodes
+        for v in reversed(self.postorder()):  # parents before children
+            if v != self.root:
+                depth[v] = depth[self.parent[v]] + 1
             if self.leaf_taxon[v] is not None:
-                node[lo[v], lo[v]] = v
+                table[lo[v], lo[v]] = depth[v]
             for c in self.children[v]:
-                node[lo[c]:hi[c], lo[v]:lo[c]] = v
-                node[lo[c]:hi[c], hi[c]:hi[v]] = v
+                table[lo[c]:hi[c], lo[v]:lo[c]] = depth[v]
+                table[lo[c]:hi[c], hi[c]:hi[v]] = depth[v]
         rank = np.empty(self.n, dtype=np.int64)  # leaf-order position of each taxon
         rank[order] = np.arange(self.n)
-        node = node[np.ix_(rank, rank)]
-        depth = np.asarray(self.depths(), dtype=np.int64)[node]
-        self._cache["leaf_lca"] = (node, depth)
-        return node, depth
+        table = table[np.ix_(rank, rank)]
+        table.flags.writeable = False
+        self._cache["leaf_lca"] = table
+        return table
 
     # -- validation ------------------------------------------------------
 
@@ -517,44 +516,41 @@ def _compact(kind: Kind, taxa: TaxonSet, children, root, leaf_taxon) -> Phylogen
     return Phylogeny(kind, taxa, new_children, remap[root], new_leaf)
 
 
-def triplet_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
-    """Topology code per sorted triplet row a < b < c of a rooted tree:
-    0 = a|bc, 1 = b|ac, 2 = c|ab, UNRESOLVED (3) = fan.
+def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
+    """Induced topology code per sorted row of a tree's taxon indices: for
+    a rooted tree, triplets a < b < c with 0 = a|bc, 1 = b|ac, 2 = c|ab;
+    for an unrooted tree, quartets a < b < c < d with 0 = ab|cd, 1 = ac|bd,
+    2 = ad|bc; UNRESOLVED (3) for a fan or a star.
 
-    The pair with the deepest LCA leaves the third taxon apart; in a fan
-    all three LCAs coincide.
+    One rule on the LCA-depth table L of `leaf_lca_tables`: the code is
+    the argmax of three sums, UNRESOLVED when all three are equal.
+
+    Rooted, the sums are [L(b,c), L(a,c), L(a,b)]: two of the three LCAs
+    coincide and the third is at least as deep, strictly deeper exactly
+    when the triplet is resolved, and its pair leaves the other taxon apart.
+
+    Unrooted, they are the four-point sums [L(a,b) + L(c,d),
+    L(a,c) + L(b,d), L(a,d) + L(b,c)] (Buneman 1974).  In any orientation
+    the path length in edges is d(x,y) = D(x) + D(y) - 2L(x,y), with D(x)
+    the depth of x's leaf, so L(a,b) + L(c,d) = (D(a) + D(b) + D(c) + D(d)
+    - d(a,b) - d(c,d)) / 2: the leaf depths cancel between pairings.  A
+    resolved quartet ab|cd has d(a,c) + d(b,d) = d(a,d) + d(b,c) =
+    d(a,b) + d(c,d) + 2m, m >= 1 the edges of its middle path, so its own
+    pairing's sum is the unique maximum and the other two are equal; a
+    star (m = 0) gives three equal sums.
+
+    Every depth is below 2n, so every sum is below 4n, which int32 holds
+    for any n whose (n, n) table fits in memory.
     """
-    _, dep = tree.leaf_lca_tables()
-    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
-    stacked = np.stack([dep[b, c], dep[a, c], dep[a, b]])
-    codes = np.argmax(stacked, axis=0).astype(np.int8)
-    codes[(stacked[0] == stacked[1]) & (stacked[1] == stacked[2])] = UNRESOLVED
-    return codes
-
-
-def quartet_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
-    """Topology code per sorted quartet row a < b < c < d of an unrooted
-    tree: 0 = ab|cd, 1 = ac|bd, 2 = ad|bc, UNRESOLVED (3) = star.
-
-    Uses path medians in any orientation: med(x, y, z) is the deepest of
-    the three pairwise LCAs, the quartet is ab|cd iff med(a,b,c) ==
-    med(a,b,d), and all medians coincide for a star.
-    """
-    node, dep = tree.leaf_lca_tables()
-    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-
-    def median(x, y, z):
-        depths = np.stack([dep[x, y], dep[x, z], dep[y, z]])
-        nodes = np.stack([node[x, y], node[x, z], node[y, z]])
-        return np.take_along_axis(nodes, np.argmax(depths, axis=0)[None, :], 0)[0]
-
-    m1 = median(a, b, c)
-    m2 = median(a, b, d)
-    m3 = median(a, c, d)
-    codes = np.full(len(rows), 2, dtype=np.int8)
-    codes[m1 == m2] = 0
-    codes[m1 == m3] = 1
-    codes[(m1 == m2) & (m1 == m3)] = UNRESOLVED
+    L = tree.leaf_lca_tables()
+    if tree.kind is Kind.ROOTED:
+        a, b, c = rows.T
+        sums = np.stack([L[b, c], L[a, c], L[a, b]])
+    else:
+        a, b, c, d = rows.T
+        sums = np.stack([L[a, b] + L[c, d], L[a, c] + L[b, d], L[a, d] + L[b, c]])
+    codes = np.argmax(sums, axis=0).astype(np.int8)
+    codes[(sums[0] == sums[1]) & (sums[1] == sums[2])] = UNRESOLVED
     return codes
 
 
@@ -569,14 +565,14 @@ def triplet_topology(tree: Phylogeny, triplet) -> TripletTopology:
     """Induced topology of a rooted tree on three taxa."""
     if tree.kind is not Kind.ROOTED:
         raise TreeError("triplet topologies are defined for rooted trees")
-    return tuple(TripletTopology)[triplet_codes(tree, _subset_row(tree, triplet, 3))[0]]
+    return tuple(TripletTopology)[topology_codes(tree, _subset_row(tree, triplet, 3))[0]]
 
 
 def quartet_topology(tree: Phylogeny, quartet) -> QuartetTopology:
     """Induced topology of an unrooted tree on four taxa."""
     if tree.kind is not Kind.UNROOTED:
         raise TreeError("quartet topologies are defined for unrooted trees")
-    return tuple(QuartetTopology)[quartet_codes(tree, _subset_row(tree, quartet, 4))[0]]
+    return tuple(QuartetTopology)[topology_codes(tree, _subset_row(tree, quartet, 4))[0]]
 
 
 def topology_by_restriction(tree: Phylogeny, subset):

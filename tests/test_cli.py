@@ -8,7 +8,7 @@ import pytest
 
 import polydist
 from polydist import oracle, quartet, triplet
-from polydist.cli import main
+from polydist.cli import DIST_METHODS, _emit, main
 from polydist.expected import MAX_COUNT_N
 from polydist.oracle import Classification, classify_quartets
 
@@ -71,6 +71,16 @@ class TestDist:
             num, den = s.split("/")
             return int(num) / int(den)
         assert val(lo) <= val(brute["result"]["value"]) <= val(hi)
+
+    @pytest.mark.parametrize("method", DIST_METHODS["quartet"])
+    def test_quartet_text(self, capsys, trees, method):
+        argv = ["dist", "quartet", trees["u1.nwk"], trees["u2.nwk"], "--p", "3/4",
+                "--method", method]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        _, rep, _ = run_json(capsys, argv)
+        lo, hi = rep["result"]["interval"]
+        assert f"\n  value: {rep['result']['value']}\n  interval: [{lo}, {hi}]\n" in out
 
     def test_quartet_exact_method(self, capsys, trees):
         for p in ("1/4", "3/4"):
@@ -352,6 +362,13 @@ class TestEnumerateExpectedSelftest:
         assert code == 1 and rep["result"]["status"] == "fail"
         assert sum("quartet classification mismatch" in f
                    for f in rep["result"]["failures"]) == 3
+
+
+def test_emit_prints_a_list_on_one_line(capsys):
+    _emit({"result": {"status": "fail", "failures": ["x at trial 0 (n=5)", "y"],
+                      "none": []}}, as_json=False)
+    assert capsys.readouterr().out == \
+        "result:\n  status: fail\n  failures: [x at trial 0 (n=5), y]\n  none: []\n"
 
 
 @pytest.mark.parametrize("argv", [["expected", "--n", "4"],

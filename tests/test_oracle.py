@@ -118,7 +118,6 @@ class TestEnumeration:
             list(enumerate_phylogenies(8, Kind.ROOTED))
         with pytest.raises(CapacityError):
             list(enumerate_phylogenies(9, Kind.UNROOTED))
-        assert sum(1 for _ in enumerate_phylogenies(8, Kind.ROOTED, cap=8)) == 660032
 
 
 class TestFullRefinements:

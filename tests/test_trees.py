@@ -1,12 +1,16 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SHAPES, rooted_trees, shaped, unrooted_trees
 from polydist.newick import parse_newick
+from polydist.oracle import enumerate_phylogenies
 from polydist.trees import (
+    UNRESOLVED,
     Kind,
     Phylogeny,
     QuartetTopology,
@@ -21,6 +25,7 @@ from polydist.trees import (
     quartet_topology,
     restrict,
     topology_by_restriction,
+    topology_codes,
     triplet_topology,
 )
 
@@ -120,6 +125,44 @@ def test_quartet_topology_agrees_with_restriction_route(tree):
     import itertools
     for X in itertools.islice(itertools.combinations(range(tree.n), 4), 25):
         assert quartet_topology(tree, X) is topology_by_restriction(tree, X)
+
+
+@pytest.mark.parametrize("n, kind", [(n, Kind.ROOTED) for n in (3, 4, 5)]
+                         + [(n, Kind.UNROOTED) for n in (4, 5, 6)])
+def test_topology_codes_on_every_tree(n, kind):
+    # all of tree space, so every fan and star, where the tie rule decides
+    size, names = (3, TripletTopology) if kind is Kind.ROOTED else (4, QuartetTopology)
+    rows = np.array(list(itertools.combinations(range(n), size)))
+    unresolved = 0
+    for tree in enumerate_phylogenies(n, kind):
+        codes = topology_codes(tree, rows)
+        assert [tuple(names)[c] for c in codes] == \
+            [topology_by_restriction(tree, row) for row in rows.tolist()]
+        unresolved += int(np.count_nonzero(codes == UNRESOLVED))
+    assert unresolved > 0
+
+
+@pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+def test_lca_table_is_one_int32_table(kind):
+    n = 3000
+    tree = _caterpillar([f"t{i:04d}" for i in range(n)], kind)  # taxon index i
+    table = tree.leaf_lca_tables()
+    assert isinstance(table, np.ndarray) and table.dtype == np.int32
+    assert table.shape == (n, n) and not table.flags.writeable
+    assert tree.leaf_lca_tables() is table
+    i = np.arange(n, dtype=np.int32)
+    if kind is Kind.ROOTED:
+        # ((t0,t1),t2)...: t_j joins the taxa before it at depth n - 1 - j
+        expected = n - 1 - np.maximum.outer(i, i)
+        expected[i, i] = np.minimum(n - i, n - 1)
+        assert np.array_equal(table, expected)
+    # the caterpillar orders taxa along its spine: every a < b < c is c|ab
+    # and every a < b < c < d is ab|cd
+    rng = np.random.default_rng(0)
+    size = 3 if kind is Kind.ROOTED else 4
+    rows = np.array([sorted(rng.choice(n, size, replace=False)) for _ in range(300)])
+    expected_code = 2 if kind is Kind.ROOTED else 0
+    assert (topology_codes(tree, rows) == expected_code).all()
 
 
 def test_pull_out_and_contract_are_inverse_in_shape():
