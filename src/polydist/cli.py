@@ -4,7 +4,8 @@ Subcommands: dist triplet|quartet, hausdorff-bounds, consensus, refine,
 enumerate, expected, selftest.  Text reports by default; --json emits a
 deterministic machine-readable report in which every rational is the
 string "num/den" (floats appear only for the marked asymptotic value and
-sampling stderr).  Exit codes: 0 success, 2 usage error, 3 input error.
+sampling stderr).  Exit codes: 0 success, 1 a selftest check failed,
+2 usage error, 3 input error.
 """
 
 from __future__ import annotations

@@ -167,7 +167,8 @@ def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, Vo
     """Votes per child q of polytomy v, over triplets with leaves in three
     distinct child groups, one of them the q group."""
     children = tree.children[v]
-    f, a, nv = _votes([sorted(tree.subtree_taxa(c)) for c in children], profile, rooted=True)
+    order, lo, hi = tree.leaf_ranges()
+    f, a, nv = _votes([order[lo[c]:hi[c]].tolist() for c in children], profile, rooted=True)
     return {q: VoteTally(int(f[g]), int(a[g]), int(nv[g])) for g, q in enumerate(children)}
 
 
@@ -175,9 +176,9 @@ def unrooted_vote_tally(tree: Phylogeny, w: int, profile: Profile) -> dict[froze
     """Votes per unordered neighbor pair {q, r} of polytomy w, over quartets
     with leaves in four distinct neighbor groups, two of them q and r."""
     nbrs = tree.neighbors(w)
-    outside = sorted(set(range(tree.n)) - tree.subtree_taxa(w))
-    groups = [sorted(tree.subtree_taxa(x)) if tree.parent[x] == w else outside
-              for x in nbrs]
+    order, lo, hi = tree.leaf_ranges()
+    groups = [order[lo[x]:hi[x]].tolist() if tree.parent[x] == w
+              else order[:lo[w]].tolist() + order[hi[w]:].tolist() for x in nbrs]
     K = len(nbrs)
     f, a, nv = (x.reshape(K, K) + x.reshape(K, K).T
                 for x in _votes(groups, profile, rooted=False))

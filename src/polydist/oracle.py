@@ -1,7 +1,9 @@
 """Brute-force reference implementations.
 
 Everything here is ground truth for the fast algorithms: triplet/quartet
-classification by direct enumeration, exhaustive tree-space enumeration,
+classification by direct enumeration, the induced topology of one subset
+by explicit restriction (`topology_by_restriction`, the route that checks
+`trees.topology_codes`), exhaustive tree-space enumeration,
 full-refinement enumeration, exact Hausdorff distance, and exhaustive
 median search.  Counts are exact integers; distances are exact rationals.
 """
@@ -9,7 +11,7 @@ median search.  Counts are exact integers; distances are exact rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +21,12 @@ from polydist.trees import (
     UNRESOLVED,
     Kind,
     Phylogeny,
+    QuartetTopology,
     TaxonSet,
     TreeError,
+    TripletTopology,
     check_pair,
+    restrict,
     topology_codes,
 )
 
@@ -63,7 +68,6 @@ class Classification:
     r1: int
     r2: int
     u: int
-    members: dict | None = field(default=None, compare=False)
 
     @property
     def total(self) -> int:
@@ -76,7 +80,7 @@ class Classification:
         return Classification(self.s, self.d, self.r2, self.r1, self.u)
 
 
-def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind, listing: bool) -> Classification:
+def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind) -> Classification:
     """Classify every triplet (rooted) or quartet (unrooted), as sorted rows,
     by its topology code (trees.topology_codes) in each tree."""
     check_pair(t1, t2, kind)
@@ -92,38 +96,46 @@ def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind, listing: bool) -> Classi
     r1 = int(np.count_nonzero(res1 & ~res2))
     r2 = int(np.count_nonzero(~res1 & res2))
     u = int(np.count_nonzero(~res1 & ~res2))
-    members = _list_members(rows, c1, c2) if listing else None
-    return Classification(s, d, r1, r2, u, members)
+    return Classification(s, d, r1, r2, u)
 
 
-def classify_triplets(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classification:
+def classify_triplets(t1: Phylogeny, t2: Phylogeny) -> Classification:
     """Classify all C(n,3) triplets of two rooted trees by direct enumeration."""
-    return _classify(t1, t2, Kind.ROOTED, listing)
+    return _classify(t1, t2, Kind.ROOTED)
 
 
-def classify_quartets(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classification:
+def classify_quartets(t1: Phylogeny, t2: Phylogeny) -> Classification:
     """Classify all C(n,4) quartets of two unrooted trees by direct enumeration."""
-    return _classify(t1, t2, Kind.UNROOTED, listing)
+    return _classify(t1, t2, Kind.UNROOTED)
 
 
-def _list_members(rows, c1, c2):
-    members = {"s": [], "d": [], "r1": [], "r2": [], "u": []}
-    for row, a, b in zip(rows.tolist(), c1.tolist(), c2.tolist()):
-        if a != UNRESOLVED and b != UNRESOLVED:
-            members["s" if a == b else "d"].append(tuple(row))
-        elif a != UNRESOLVED:
-            members["r1"].append(tuple(row))
-        elif b != UNRESOLVED:
-            members["r2"].append(tuple(row))
-        else:
-            members["u"].append(tuple(row))
-    return members
-
-
-def classify(t1: Phylogeny, t2: Phylogeny, listing: bool = False) -> Classification:
+def classify(t1: Phylogeny, t2: Phylogeny) -> Classification:
     if t1.kind is Kind.ROOTED:
-        return classify_triplets(t1, t2, listing)
-    return classify_quartets(t1, t2, listing)
+        return classify_triplets(t1, t2)
+    return classify_quartets(t1, t2)
+
+
+def topology_by_restriction(tree: Phylogeny, subset) -> TripletTopology | QuartetTopology:
+    """Induced topology of a rooted tree on three taxa or an unrooted tree
+    on four, read off the explicit restriction to them: the independent
+    route against which `topology_codes` is tested."""
+    sub = restrict(tree, subset)
+    if tree.kind is Kind.ROOTED:
+        if len(sub.children[sub.root]) == 3:
+            return TripletTopology.FAN
+        apart = next(sub.leaf_taxon[ch] for ch in sub.children[sub.root]
+                     if sub.leaf_taxon[ch] is not None)
+        return {0: TripletTopology.A_BC, 1: TripletTopology.B_AC,
+                2: TripletTopology.C_AB}[apart]
+    # unrooted quartet
+    if sub.num_nodes == 5:
+        return QuartetTopology.STAR
+    # two internal nodes; find the cherry at the non-handle internal node
+    inner = next(v for v in sub.internal_nodes() if v != sub.root)
+    pair = sorted(sub.subtree_taxa(inner))
+    return {(0, 1): QuartetTopology.AB_CD, (2, 3): QuartetTopology.AB_CD,
+            (0, 2): QuartetTopology.AC_BD, (1, 3): QuartetTopology.AC_BD,
+            (0, 3): QuartetTopology.AD_BC, (1, 2): QuartetTopology.AD_BC}[tuple(pair)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +203,6 @@ def enumerate_phylogenies(n: int, kind: Kind, taxa: TaxonSet | None = None):
     make = Phylogeny.rooted if kind is Kind.ROOTED else Phylogeny.unrooted
     for nested in gen:
         yield make(taxa, nested)
-
-
-def count_phylogenies(n: int, kind: Kind) -> int:
-    return sum(1 for _ in enumerate_phylogenies(n, kind))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ canonical forms for isomorphism checks.
 One topology kernel lives here too: `topology_codes` reads the induced
 topologies of whole arrays of sorted triplet (rooted) or quartet
 (unrooted) rows as the argmax of three sums of LCA depths, the four-point
-condition in the unrooted case.  It serves the oracle, the consensus vote
-tallies and the scalar `triplet_topology` / `quartet_topology` queries
-alike, from the one (n, n) int32 table `leaf_lca_tables` caches per tree
-(4n^2 bytes); `topology_by_restriction` is the independent route the
-tests check.
+condition in the unrooted case.  It serves the oracle and the consensus
+vote tallies alike, from the one (n, n) int32 table `leaf_lca_tables`
+caches per tree (4n^2 bytes); `oracle.topology_by_restriction` is the
+independent route the tests check.
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ class TaxonSet:
 
 
 UNRESOLVED = 3  # topology code of a fan triplet or a star quartet
+TOPOLOGY_BLOCK_ROWS = 1 << 16  # rows per block of topology_codes
 
 
 class TripletTopology(Enum):
@@ -147,9 +147,6 @@ class Phylogeny:
     def num_nodes(self) -> int:
         return len(self.children)
 
-    def is_rooted(self) -> bool:
-        return self.kind is Kind.ROOTED
-
     def is_leaf(self, v: int) -> bool:
         return self.leaf_taxon[v] is not None
 
@@ -163,9 +160,6 @@ class Phylogeny:
 
     def internal_nodes(self) -> list[int]:
         return [v for v in range(self.num_nodes) if not self.is_leaf(v)]
-
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.num_nodes) if self.is_leaf(v)]
 
     def leaf_of_taxon(self, taxon) -> int:
         t = self.taxa.index(taxon)
@@ -256,32 +250,26 @@ class Phylogeny:
         return groups
 
     def subtree_taxa(self, v: int) -> frozenset[int]:
-        sets = self._cache.get("subtree_taxa")
-        if sets is None:
-            sets = [None] * self.num_nodes
-            for u in self.postorder():
-                if self.is_leaf(u):
-                    sets[u] = frozenset((self.leaf_taxon[u],))
-                else:
-                    sets[u] = frozenset().union(*(sets[c] for c in self.children[u]))
-            self._cache["subtree_taxa"] = sets
-        return sets[v]
+        """The taxa below v in the stored orientation, read off `leaf_ranges`."""
+        order, lo, hi = self.leaf_ranges()
+        return frozenset(order[lo[v]:hi[v]].tolist())
 
     def leaf_lca_tables(self) -> np.ndarray:
-        """L: the (n, n) int32 table over taxon indices of LCA depths, L[x, y]
-        the number of edges from the root (the handle, unrooted) down to
-        lca(x, y) in the stored orientation; 4n^2 bytes, cached read-only.
+        """L: the (n, n) int32 table of LCA depths over leaf positions, L[i, j]
+        the number of edges from the root (the handle, unrooted) down to the
+        LCA of the taxa order[i] and order[j] of `leaf_ranges`, in the stored
+        orientation; 4n^2 bytes, cached read-only.
 
-        Computed once per tree in O(n^2): each subtree holds a range of
-        `leaf_ranges`' leaf order, and the pairs whose LCA is v are the
-        blocks between each child's range and the rest of v's range, so
-        each node writes its depth into its own blocks.  Every depth is below
+        Computed once per tree in O(n^2): each subtree holds a range of the
+        leaf order, and the pairs whose LCA is v are the blocks between each
+        child's range and the rest of v's range, so each node writes its
+        depth into its own blocks of the one table.  Every depth is below
         the node count, itself below 2n.
         """
         cached = self._cache.get("leaf_lca")
         if cached is not None:
             return cached
-        order, lo, hi = self.leaf_ranges()
+        _, lo, hi = self.leaf_ranges()
         lo, hi = lo.tolist(), hi.tolist()
         table = np.empty((self.n, self.n), dtype=np.int32)
         depth = [0] * self.num_nodes
@@ -293,9 +281,6 @@ class Phylogeny:
             for c in self.children[v]:
                 table[lo[c]:hi[c], lo[v]:lo[c]] = depth[v]
                 table[lo[c]:hi[c], hi[c]:hi[v]] = depth[v]
-        rank = np.empty(self.n, dtype=np.int64)  # leaf-order position of each taxon
-        rank[order] = np.arange(self.n)
-        table = table[np.ix_(rank, rank)]
         table.flags.writeable = False
         self._cache["leaf_lca"] = table
         return table
@@ -522,8 +507,9 @@ def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
     for an unrooted tree, quartets a < b < c < d with 0 = ab|cd, 1 = ac|bd,
     2 = ad|bc; UNRESOLVED (3) for a fan or a star.
 
-    One rule on the LCA-depth table L of `leaf_lca_tables`: the code is
-    the argmax of three sums, UNRESOLVED when all three are equal.
+    One rule on the LCA-depth table L of `leaf_lca_tables`, read at each
+    taxon's leaf position: the code is the argmax of three sums,
+    UNRESOLVED when all three are equal.
 
     Rooted, the sums are [L(b,c), L(a,c), L(a,b)]: two of the three LCAs
     coincide and the third is at least as deep, strictly deeper exactly
@@ -540,60 +526,26 @@ def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
     star (m = 0) gives three equal sums.
 
     Every depth is below 2n, so every sum is below 4n, which int32 holds
-    for any n whose (n, n) table fits in memory.
+    for any n whose (n, n) table fits in memory.  Rows are read in blocks
+    of TOPOLOGY_BLOCK_ROWS, so the rows mapped to leaf positions and their
+    sums take memory for one block, not for all of `rows`.
     """
     L = tree.leaf_lca_tables()
-    if tree.kind is Kind.ROOTED:
-        a, b, c = rows.T
-        sums = np.stack([L[b, c], L[a, c], L[a, b]])
-    else:
-        a, b, c, d = rows.T
-        sums = np.stack([L[a, b] + L[c, d], L[a, c] + L[b, d], L[a, d] + L[b, c]])
-    codes = np.argmax(sums, axis=0).astype(np.int8)
-    codes[(sums[0] == sums[1]) & (sums[1] == sums[2])] = UNRESOLVED
+    position = np.empty(tree.n, dtype=np.int64)
+    position[tree.leaf_ranges()[0]] = np.arange(tree.n)
+    codes = np.empty(len(rows), dtype=np.int8)
+    for start in range(0, len(rows), TOPOLOGY_BLOCK_ROWS):
+        block = position[rows[start:start + TOPOLOGY_BLOCK_ROWS]].T
+        if tree.kind is Kind.ROOTED:
+            a, b, c = block
+            sums = np.stack([L[b, c], L[a, c], L[a, b]])
+        else:
+            a, b, c, d = block
+            sums = np.stack([L[a, b] + L[c, d], L[a, c] + L[b, d], L[a, d] + L[b, c]])
+        out = codes[start:start + TOPOLOGY_BLOCK_ROWS]
+        out[:] = np.argmax(sums, axis=0)
+        out[(sums[0] == sums[1]) & (sums[1] == sums[2])] = UNRESOLVED
     return codes
-
-
-def _subset_row(tree: Phylogeny, subset, size: int) -> np.ndarray:
-    row = sorted(tree.taxa.index(x) for x in subset)
-    if len(row) != size or len(set(row)) != size:
-        raise TreeError(f"subset must contain {size} distinct taxa")
-    return np.array([row], dtype=np.int64)
-
-
-def triplet_topology(tree: Phylogeny, triplet) -> TripletTopology:
-    """Induced topology of a rooted tree on three taxa."""
-    if tree.kind is not Kind.ROOTED:
-        raise TreeError("triplet topologies are defined for rooted trees")
-    return tuple(TripletTopology)[topology_codes(tree, _subset_row(tree, triplet, 3))[0]]
-
-
-def quartet_topology(tree: Phylogeny, quartet) -> QuartetTopology:
-    """Induced topology of an unrooted tree on four taxa."""
-    if tree.kind is not Kind.UNROOTED:
-        raise TreeError("quartet topologies are defined for unrooted trees")
-    return tuple(QuartetTopology)[topology_codes(tree, _subset_row(tree, quartet, 4))[0]]
-
-
-def topology_by_restriction(tree: Phylogeny, subset):
-    """Second, independent route: restrict explicitly and read the shape."""
-    sub = restrict(tree, subset)
-    if tree.kind is Kind.ROOTED:
-        if len(sub.children[sub.root]) == 3:
-            return TripletTopology.FAN
-        apart = next(sub.leaf_taxon[ch] for ch in sub.children[sub.root]
-                     if sub.leaf_taxon[ch] is not None)
-        return {0: TripletTopology.A_BC, 1: TripletTopology.B_AC,
-                2: TripletTopology.C_AB}[apart]
-    # unrooted quartet
-    if sub.num_nodes == 5:
-        return QuartetTopology.STAR
-    # two internal nodes; find the cherry at the non-handle internal node
-    inner = next(v for v in sub.internal_nodes() if v != sub.root)
-    pair = sorted(sub.subtree_taxa(inner))
-    return {(0, 1): QuartetTopology.AB_CD, (2, 3): QuartetTopology.AB_CD,
-            (0, 2): QuartetTopology.AC_BD, (1, 3): QuartetTopology.AC_BD,
-            (0, 3): QuartetTopology.AD_BC, (1, 2): QuartetTopology.AD_BC}[tuple(pair)]
 
 
 # ---------------------------------------------------------------------------

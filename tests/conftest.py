@@ -1,10 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from polydist.randgen import random_binary, random_partial
-from polydist.trees import Kind, Phylogeny, TaxonSet, contract
+from polydist.trees import (Kind, Phylogeny, QuartetTopology, TaxonSet, TripletTopology,
+                            contract, topology_codes)
+
+
+def induced(tree: Phylogeny, subset) -> TripletTopology | QuartetTopology:
+    """The topology `topology_codes` reads for a rooted tree on three taxa
+    or an unrooted tree on four, given as labels or indices."""
+    names = TripletTopology if tree.kind is Kind.ROOTED else QuartetTopology
+    row = np.array([sorted(tree.taxa.index(x) for x in subset)])
+    return tuple(names)[topology_codes(tree, row)[0]]
 
 
 def seeded_partial(kind: Kind, n: int, seed: int, contract_prob: float = 0.4):

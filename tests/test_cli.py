@@ -96,9 +96,9 @@ class TestDist:
     def test_quartet_brute_is_the_oracle(self, capsys, trees, monkeypatch):
         calls = []
 
-        def counted(t1, t2, listing=False):
+        def counted(t1, t2):
             calls.append(1)
-            return classify_quartets(t1, t2, listing)
+            return classify_quartets(t1, t2)
 
         def unused(*args, **kwargs):
             raise AssertionError("brute must not run the node-pair kernel")

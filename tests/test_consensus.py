@@ -16,7 +16,7 @@ from polydist.consensus import (
     unrooted_vote_tally,
 )
 from polydist.newick import parse_newick
-from polydist.oracle import classify, median_exhaustive
+from polydist.oracle import classify, median_exhaustive, topology_by_restriction
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import (
     Kind,
@@ -26,7 +26,6 @@ from polydist.trees import (
     TripletTopology,
     pull_2_out,
     pull_out,
-    topology_by_restriction,
 )
 
 
@@ -149,7 +148,7 @@ class TestVoteTallies:
         cases += _seeded_tally_cases(random.Random(12), 3)
         checked = {Kind.ROOTED: 0, Kind.UNROOTED: 0}
         for tree, profile in cases:
-            rooted = tree.is_rooted()
+            rooted = tree.kind is Kind.ROOTED
             tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
             for p in (Fraction(2, 3), Fraction(3, 4)):
                 before = profile_distance(tree, profile, p)
@@ -167,7 +166,7 @@ class TestVoteTallies:
         # each member's topology by explicit restriction
         polytomies = 0
         for tree, profile in _seeded_tally_cases(random.Random(13), 6):
-            tally_at = rooted_vote_tally if tree.is_rooted() else unrooted_vote_tally
+            tally_at = rooted_vote_tally if tree.kind is Kind.ROOTED else unrooted_vote_tally
             for v in tree.unresolved_nodes():
                 expected = _enumerated_tally(tree, v, profile)
                 assert {c: (t.f, t.a, t.nv) for c, t in tally_at(tree, v, profile).items()} \
@@ -193,7 +192,7 @@ def _seeded_tally_cases(rng: random.Random, per_kind: int) -> list:
 
 def _enumerated_tally(tree: Phylogeny, v: int, profile: Profile) -> dict:
     """(f, a, nv) per candidate at polytomy v, one subset at a time."""
-    rooted = tree.is_rooted()
+    rooted = tree.kind is Kind.ROOTED
     if rooted:
         groups = {q: tree.subtree_taxa(q) for q in tree.children[v]}
     else:

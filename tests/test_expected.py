@@ -16,9 +16,9 @@ from polydist.expected import (
     tree_at,
     tree_count,
 )
-from polydist.oracle import CapacityError, classify, count_phylogenies, enumerate_phylogenies
-from polydist.trees import (Kind, Phylogeny, QuartetTopology, TreeError, TripletTopology,
-                            quartet_topology, triplet_topology)
+from conftest import induced
+from polydist.oracle import CapacityError, classify, enumerate_phylogenies
+from polydist.trees import Kind, Phylogeny, QuartetTopology, TreeError, TripletTopology
 
 
 @functools.cache
@@ -31,9 +31,9 @@ def enumeration(n, kind):
     facts = []
     for t in enumerate_phylogenies(n, kind):
         if kind is Kind.ROOTED:
-            resolved = n >= 3 and triplet_topology(t, (0, 1, 2)) is not TripletTopology.FAN
+            resolved = n >= 3 and induced(t, (0, 1, 2)) is not TripletTopology.FAN
         else:
-            resolved = n >= 4 and quartet_topology(t, (0, 1, 2, 3)) is not QuartetTopology.STAR
+            resolved = n >= 4 and induced(t, (0, 1, 2, 3)) is not QuartetTopology.STAR
         facts.append((t.canonical_key(), resolved))
     return tuple(facts)
 
@@ -186,16 +186,14 @@ class TestAddLeaf:
                          taxa=add_leaf(next(iter(
                              enumerate_phylogenies(n, Kind.ROOTED)))).taxa)}
             assert images == space
-            assert len(images) == count_phylogenies(n, Kind.ROOTED)
+            assert len(images) == len(enumeration(n, Kind.ROOTED))
 
     def test_preserves_resolution_of_canonical_subset(self):
         for t in enumerate_phylogenies(4, Kind.ROOTED):
-            from polydist.trees import (QuartetTopology, TripletTopology,
-                                        quartet_topology, triplet_topology)
             image = add_leaf(t)
             for X in itertools.combinations(range(4), 3):
-                resolved_before = triplet_topology(t, X) is not TripletTopology.FAN
-                resolved_after = quartet_topology(image, X + (4,)) is not QuartetTopology.STAR
+                resolved_before = induced(t, X) is not TripletTopology.FAN
+                resolved_after = induced(image, X + (4,)) is not QuartetTopology.STAR
                 assert resolved_before == resolved_after
 
     def test_single_leaf(self):

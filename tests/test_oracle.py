@@ -40,14 +40,12 @@ class TestClassifyTriplets:
         c = classify_triplets(t1, t2)
         assert (c.s, c.d, c.r1, c.r2, c.u) == (0, 4, 0, 0, 0)
 
-    def test_swap_symmetry_and_listing(self):
+    def test_swap_symmetry(self):
         t1 = Phylogeny.rooted("abcd", ((("a", "b"), "c"), "d"))
         t2 = Phylogeny.rooted("abcd", (("a", "b"), "c", "d"))
-        c12 = classify_triplets(t1, t2, listing=True)
+        c12 = classify_triplets(t1, t2)
         c21 = classify_triplets(t2, t1)
         assert c21 == c12.swapped()
-        assert len(c12.members["r1"]) == c12.r1
-        assert sum(len(v) for v in c12.members.values()) == comb(4, 3)
 
     @given(rooted_pairs())
     @settings(max_examples=60, deadline=None)

@@ -1,15 +1,17 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHAPES, rooted_trees, shaped, unrooted_trees
+from conftest import SHAPES, induced, rooted_trees, shaped, unrooted_trees
 from polydist.newick import parse_newick
-from polydist.oracle import enumerate_phylogenies
+from polydist.oracle import enumerate_phylogenies, topology_by_restriction
 from polydist.trees import (
+    TOPOLOGY_BLOCK_ROWS,
     UNRESOLVED,
     Kind,
     Phylogeny,
@@ -22,11 +24,8 @@ from polydist.trees import (
     is_refinement,
     pull_2_out,
     pull_out,
-    quartet_topology,
     restrict,
-    topology_by_restriction,
     topology_codes,
-    triplet_topology,
 )
 
 
@@ -56,7 +55,7 @@ def test_basic_shape_accessors():
     assert t.n == 4
     # nested input is numbered in preorder
     assert t.children == ((1, 4, 5), (2, 3), (), (), (), ())
-    assert sorted(t.leaf_taxon[v] for v in t.leaves()) == [0, 1, 2, 3]
+    assert sorted(x for x in t.leaf_taxon if x is not None) == [0, 1, 2, 3]
     assert t.unresolved_nodes() == [t.root]
     assert not t.is_fully_resolved()
     b = Phylogeny.rooted("abcd", ((("a", "b"), "c"), "d"))
@@ -83,32 +82,32 @@ def test_unrooted_degree_rule():
 
 def test_triplet_topologies():
     t = Phylogeny.rooted("abc", (("a", "b"), "c"))
-    assert triplet_topology(t, ("a", "b", "c")) is TripletTopology.C_AB
+    assert induced(t, ("a", "b", "c")) is TripletTopology.C_AB
     t = Phylogeny.rooted("abc", (("a", "c"), "b"))
-    assert triplet_topology(t, ("a", "b", "c")) is TripletTopology.B_AC
+    assert induced(t, ("a", "b", "c")) is TripletTopology.B_AC
     fan = Phylogeny.rooted("abc", ("a", "b", "c"))
-    assert triplet_topology(fan, ("a", "b", "c")) is TripletTopology.FAN
+    assert induced(fan, ("a", "b", "c")) is TripletTopology.FAN
 
 
 def test_quartet_topologies():
     t = Phylogeny.unrooted("abcd", (("a", "b"), "c", "d"))
-    assert quartet_topology(t, "abcd") is QuartetTopology.AB_CD
+    assert induced(t, "abcd") is QuartetTopology.AB_CD
     t = Phylogeny.unrooted("abcd", (("a", "c"), "b", "d"))
-    assert quartet_topology(t, "abcd") is QuartetTopology.AC_BD
+    assert induced(t, "abcd") is QuartetTopology.AC_BD
     star = Phylogeny.unrooted("abcd", ("a", "b", "c", "d"))
-    assert quartet_topology(star, "abcd") is QuartetTopology.STAR
+    assert induced(star, "abcd") is QuartetTopology.STAR
 
 
 def test_restrict_small_cases():
     t = Phylogeny.rooted("abcde", ((("a", "b"), "c"), ("d", "e")))
     sub = restrict(t, ("a", "d", "e"))
     assert sub.taxa.labels == ("a", "d", "e")
-    assert triplet_topology(sub, (0, 1, 2)) is TripletTopology.A_BC
+    assert induced(sub, (0, 1, 2)) is TripletTopology.A_BC
     # unrooted restriction that forces handle splicing
     u = Phylogeny.unrooted("abcdef", ((("a", "b"), "c"), ("d", "e"), "f"))
     sub = restrict(u, ("a", "b", "d", "e"))
     assert sub.validate() == []
-    assert quartet_topology(sub, (0, 1, 2, 3)) is QuartetTopology.AB_CD
+    assert induced(sub, (0, 1, 2, 3)) is QuartetTopology.AB_CD
 
 
 @given(rooted_trees())
@@ -116,7 +115,7 @@ def test_restrict_small_cases():
 def test_topology_agrees_with_restriction_route(tree):
     import itertools
     for X in itertools.islice(itertools.combinations(range(tree.n), 3), 25):
-        assert triplet_topology(tree, X) is topology_by_restriction(tree, X)
+        assert induced(tree, X) is topology_by_restriction(tree, X)
 
 
 @given(unrooted_trees())
@@ -124,7 +123,7 @@ def test_topology_agrees_with_restriction_route(tree):
 def test_quartet_topology_agrees_with_restriction_route(tree):
     import itertools
     for X in itertools.islice(itertools.combinations(range(tree.n), 4), 25):
-        assert quartet_topology(tree, X) is topology_by_restriction(tree, X)
+        assert induced(tree, X) is topology_by_restriction(tree, X)
 
 
 @pytest.mark.parametrize("n, kind", [(n, Kind.ROOTED) for n in (3, 4, 5)]
@@ -145,24 +144,58 @@ def test_topology_codes_on_every_tree(n, kind):
 @pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
 def test_lca_table_is_one_int32_table(kind):
     n = 3000
-    tree = _caterpillar([f"t{i:04d}" for i in range(n)], kind)  # taxon index i
-    table = tree.leaf_lca_tables()
-    assert isinstance(table, np.ndarray) and table.dtype == np.int32
-    assert table.shape == (n, n) and not table.flags.writeable
-    assert tree.leaf_lca_tables() is table
-    i = np.arange(n, dtype=np.int32)
-    if kind is Kind.ROOTED:
-        # ((t0,t1),t2)...: t_j joins the taxa before it at depth n - 1 - j
-        expected = n - 1 - np.maximum.outer(i, i)
-        expected[i, i] = np.minimum(n - i, n - 1)
-        assert np.array_equal(table, expected)
-    # the caterpillar orders taxa along its spine: every a < b < c is c|ab
-    # and every a < b < c < d is ab|cd
-    rng = np.random.default_rng(0)
-    size = 3 if kind is Kind.ROOTED else 4
-    rows = np.array([sorted(rng.choice(n, size, replace=False)) for _ in range(300)])
-    expected_code = 2 if kind is Kind.ROOTED else 0
-    assert (topology_codes(tree, rows) == expected_code).all()
+    labels = [f"t{i:04d}" for i in range(n)]  # taxon index i
+    shuffled = labels.copy()
+    random.Random(0).shuffle(shuffled)
+    # the second spine's leaf order is not its taxon order
+    for spine_labels in (labels, shuffled):
+        tree = _caterpillar(spine_labels, kind)
+        spine = np.array([tree.taxa.index(x) for x in spine_labels])
+        assert np.array_equal(tree.leaf_ranges()[0], spine)
+        table = tree.leaf_lca_tables()
+        assert isinstance(table, np.ndarray) and table.dtype == np.int32
+        assert table.shape == (n, n) and not table.flags.writeable
+        assert tree.leaf_lca_tables() is table
+        i = np.arange(n, dtype=np.int32)
+        if kind is Kind.ROOTED:
+            # over leaf positions, whatever the taxon order: the j-th leaf
+            # of ((l0,l1),l2)... joins the leaves before it at depth n - 1 - j
+            expected = n - 1 - np.maximum.outer(i, i)
+            expected[i, i] = np.minimum(n - i, n - 1)
+            assert np.array_equal(table, expected)
+        # a caterpillar orders taxa along its spine: in a triplet the taxon
+        # furthest along is apart, and a quartet splits into its first two
+        # taxa along the spine and its last two; the rows fill more than
+        # one block of topology_codes
+        rng = np.random.default_rng(0)
+        size = 3 if kind is Kind.ROOTED else 4
+        rows = np.sort(rng.integers(0, n, (TOPOLOGY_BLOCK_ROWS + 300, size)), axis=1)
+        rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
+        assert len(rows) > TOPOLOGY_BLOCK_ROWS
+        # each taxon's rank along the spine within its row
+        along = np.argsort(np.argsort(np.argsort(spine)[rows], axis=1), axis=1)
+        if kind is Kind.ROOTED:  # 0 = a|bc, 1 = b|ac, 2 = c|ab
+            expected_codes = np.argmax(along, axis=1)
+        else:  # 0 = ab|cd, 1 = ac|bd, 2 = ad|bc: the taxon that shares a's half
+            first = along < 2
+            expected_codes = np.argmax(first[:, 1:] == first[:, :1], axis=1)
+        assert np.array_equal(topology_codes(tree, rows), expected_codes)
+
+
+@pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+def test_lca_table_build_holds_one_table(kind):
+    # a cold build allocates the table and little else: no second (n, n)
+    # table is live at any point of the build
+    labels = [f"t{i}" for i in range(2000)]
+    random.Random(1).shuffle(labels)
+    tree = _caterpillar(labels, kind)
+    tracemalloc.start()
+    try:
+        table = tree.leaf_lca_tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes
 
 
 def test_pull_out_and_contract_are_inverse_in_shape():
@@ -190,7 +223,7 @@ def test_pull_2_out():
     out = pull_2_out(star, q, r)
     assert out.validate() == []
     assert is_refinement(star, out)
-    assert quartet_topology(out, (0, 1, 2, 3)) is QuartetTopology.AB_CD
+    assert induced(out, (0, 1, 2, 3)) is QuartetTopology.AB_CD
     with pytest.raises(TreeError):
         pull_2_out(out, 0, 1)  # shared neighbor now has degree 3
 
@@ -303,11 +336,17 @@ def edited_trees(draw, max_n=14):
 @given(edited_trees())
 @settings(max_examples=80, deadline=None)
 def test_side_layout_matches_subtree_taxa(tree):
-    taxa_below = [tree.subtree_taxa(v) for v in range(tree.num_nodes)]
+    # the taxa below each node, from each leaf's walk up the parent pointers
+    taxa_below = [set() for _ in range(tree.num_nodes)]
+    for v, t in enumerate(tree.leaf_taxon):
+        while t is not None and v >= 0:
+            taxa_below[v].add(t)
+            v = tree.parent[v]
     order, lo, hi = tree.leaf_ranges()
     assert sorted(order.tolist()) == list(range(tree.n))
     for v, below in enumerate(taxa_below):
         assert set(order[lo[v]:hi[v]].tolist()) == below
+        assert tree.subtree_taxa(v) == below
     assert tree.subtree_sizes().tolist() == [len(below) for below in taxa_below]
     groups = tree.node_sides()
     assert tree.node_sides() is groups

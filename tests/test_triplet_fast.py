@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classification_pairs, rooted_pairs, rooted_trees, seeded_pair
+from conftest import classification_pairs, induced, rooted_pairs, rooted_trees, seeded_pair
 from polydist.hausdorff import classification_counts
 from polydist.oracle import DistancePair, classify_triplets, enumerate_phylogenies
 from polydist.quartet import _anchor_counts, _y_per_pair
 from polydist.randgen import random_binary
-from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, TripletTopology
 from polydist.triplet import (
     _r1_in_block,
     _shared_in_block,
@@ -352,5 +352,4 @@ def test_strict_induction_consistency(tree):
 
 
 def _is_resolved(tree, X):
-    from polydist.trees import TripletTopology, triplet_topology
-    return triplet_topology(tree, X) is not TripletTopology.FAN
+    return induced(tree, X) is not TripletTopology.FAN
