@@ -122,6 +122,29 @@ class VoteTally:
         return -p * self.f + (1 - p) * self.a + p * self.nv
 
 
+def _cross_rows(groups: list[list[int]], size: int) -> np.ndarray:
+    """Every choice of `size` taxa from `size` distinct groups, one row each,
+    in the order of `itertools.product` over `itertools.combinations` of
+    the groups.  The group combinations are repeated by their product
+    sizes, and each row's position within its combination is read in mixed
+    radix (last group fastest) as offsets into the concatenated groups."""
+    lengths = np.array([len(g) for g in groups], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    flat = np.array([t for g in groups for t in g], dtype=np.int64)
+    combos = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(len(groups)), size)),
+        dtype=np.int64).reshape(-1, size)
+    counts = lengths[combos].prod(axis=1)
+    which = np.repeat(combos, counts, axis=0)
+    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.empty((len(pos), size), dtype=np.int64)
+    for i in reversed(range(size)):
+        g = which[:, i]
+        pos, digit = np.divmod(pos, lengths[g])
+        rows[:, i] = flat[starts[g] + digit]
+    return rows
+
+
 def _votes(groups: list[list[int]], profile: Profile,
            rooted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f, a and nv per candidate at a polytomy with the given groups of
@@ -138,10 +161,7 @@ def _votes(groups: list[list[int]], profile: Profile,
     group = np.zeros(profile.taxa.n, dtype=np.int64)
     for g, taxa in enumerate(groups):
         group[taxa] = g
-    rows = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
-        itertools.product(*(groups[g] for g in gs))
-        for gs in itertools.combinations(range(K), size))),
-        dtype=np.int64).reshape(-1, size)
+    rows = _cross_rows(groups, size)
     rows.sort(axis=1)
     cand = group[rows]
     if not rooted:

@@ -11,15 +11,18 @@ decides how many quartets both nodes anchor with the same together pair
 (twice |S|) and how many they anchor with together pairs sharing one
 taxon (four times |D|).  The M blocks come from
 `polydist.triplet.node_pair_blocks`, the node-pair loop the rooted triplet
-counts share; the sides are the layout `Phylogeny.node_sides` caches per
-tree, which also gives the R/U counts.  Only pairs whose subtrees share
-a taxon (I[x1, x2] >= 1) enter: with I = 0 the children block is zero,
-so every nonzero cell of M lies in the last row or the last column, and
-no anchor pattern fits there (see `_count`).  The arithmetic sums
-d1·d2·min(d1, d2) over those overlapping pairs only, O(n²·d) for maximum
-degree d in the worst case (caterpillars, where every pair overlaps);
-the (m1 × m2) int32 I-table of `build_tables` (4·m1·m2 bytes) sets the
-memory.
+counts share, as M[j, k, i] with the sides first and the node pairs last:
+each kernel reduces over the two side axes, adding whole vectors of node
+pairs, and the one product over sides, the Gram matrix of
+`_anchor_counts`, is an einsum over the same layout.  The sides are the
+layout `Phylogeny.node_sides` caches per tree, which also gives the R/U
+counts.  Only pairs whose subtrees share a taxon (I[x1, x2] >= 1) enter:
+with I = 0 the children block is zero, so every nonzero cell of M lies in
+the last row or the last column, and no anchor pattern fits there (see
+`_count`).  The arithmetic sums d1·d2·min(d1, d2) over those overlapping
+pairs only, O(n²·d) for maximum degree d in the worst case (caterpillars,
+where every pair overlaps); the (m1 × m2) int32 I-table of `build_tables`
+(4·m1·m2 bytes) sets the memory.
 
 `parametric_quartet_distance` reads one classification for both of its
 modes: d^(p) = d + p(r1 + r2) exactly (mode="exact", any p), or the
@@ -96,7 +99,7 @@ def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
     twice_R = 0
     for _, sizes in tree.node_sides():
         together = c2(sizes)
-        split_pairs = c2(n - sizes) - (together.sum(1, keepdims=True) - together)
+        split_pairs = c2(n - sizes) - (together.sum(0, keepdims=True) - together)
         twice_R += int((split_pairs * together).sum())
     assert twice_R % 2 == 0
     R = twice_R // 2
@@ -105,7 +108,7 @@ def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
 
 def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per node pair, from M[..., j, k] = |A_j ∩ B_k| with side sizes R
+    """Per node pair, from M[j, k, ...] = |A_j ∩ B_k| with side sizes R
     (rows) and C (columns): twice the shared quartets it anchors, and four
     times the differently resolved ones.
 
@@ -114,20 +117,20 @@ def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
     (i, l), b in (j, k) with j != i, l != k, and a outside rows i, j and
     columns k, l; the a-count splits into terms that are row and column
     sums, except the sum over M[j, l], which is (M·Mᵀ·M)[i, k] and enters
-    as the squared Frobenius norm of M·Mᵀ.
+    as the squared Frobenius norm of M·Mᵀ, or equally of Mᵀ·M.
     """
     def rows(A):
-        return A.sum(-1, keepdims=True)
+        return A.sum(1, keepdims=True)
 
     def cols(A):
-        return A.sum(-2, keepdims=True)
+        return A.sum(0, keepdims=True)
 
     M2 = c2(M)
     G = c2(R - M)   # pairs in row j outside column k
     H = c2(C - M)   # pairs in column l outside row i
     pairs = (c2(n - R - C + M) - (cols(G) - G) - (rows(H) - H)
              + rows(cols(M2)) - rows(M2) - cols(M2) + M2)
-    twice_s = (M2 * pairs).sum((-2, -1))
+    twice_s = (M2 * pairs).sum((0, 1))
 
     X, Y = R - M, C - M
     RM, MC, Msq = R * M, M * C, M * M
@@ -135,9 +138,9 @@ def _anchor_counts(M: np.ndarray, R: np.ndarray, C: np.ndarray,
                - X * (cols(RM) - RM) - Y * (rows(MC) - MC)
                + Y * (rows(Msq) - Msq) + X * (cols(Msq) - Msq)
                - M * (rows(Msq) + cols(Msq) - Msq))
-    Mt = M.swapaxes(-1, -2)
-    gram = M @ Mt if M.shape[-2] <= M.shape[-1] else Mt @ M
-    four_d = (M * outside).sum((-2, -1)) + (gram * gram).sum((-2, -1))
+    gram = np.einsum("ik...,jk...->ij...", M, M) if M.shape[0] <= M.shape[1] \
+        else np.einsum("ki...,kj...->ij...", M, M)
+    four_d = (M * outside).sum((0, 1)) + (gram * gram).sum((0, 1))
     return twice_s, four_d
 
 
@@ -160,21 +163,21 @@ def _y_per_pair(M: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.nda
            = Σ_k (row_sums_k·B_k - W[k, k]·(B_k + 2·O_k²)) + 2·OᵀWO,
 
     where B_k = T² - Σ O² + 4·O_k(O_k - T), row_sums_k = Σ_l W[k, l] =
-    Σ_j C[j, k]·(|u| - R_j) and OᵀWO = (q·O)² - |C O|².  The sums over
-    children are matrix products, which numpy evaluates faster than
-    reductions over a short inner axis.
+    Σ_j C[j, k]·(|u| - R_j) and OᵀWO = (q·O)² - |C O|².  Every sum runs
+    over the children of u or the sides of w, the leading axes of the
+    block, so each is a few adds of whole vectors of node pairs.
     """
-    C, O = M[..., :-1, :], M[..., -1:, :]
-    R, T = sizes1[..., :-1, :], sizes1[..., -1:, :]
-    q = sizes2 - O
-    Ot, OO = O.swapaxes(-1, -2), O * O
-    B = T * T - OO.sum(-1, keepdims=True) + 4 * (OO - O * T)
-    row_sums = (R.sum(-2, keepdims=True) - R).swapaxes(-1, -2) @ C
-    diag = q * q - np.ones_like(R).swapaxes(-1, -2) @ (C * C)
-    CO = C @ Ot
-    four_y = ((row_sums * B - diag * (B + 2 * OO)).sum(-1, keepdims=True)
-              + 2 * ((q @ Ot) ** 2 - CO.swapaxes(-1, -2) @ CO))
-    return four_y[..., 0, 0] // 4
+    C, O = M[:-1], M[-1]
+    R, T = sizes1[:-1], sizes1[-1]
+    q = sizes2[0] - O
+    OO = O * O
+    B = T * T - OO.sum(0) + 4 * (OO - O * T)
+    row_sums = ((R.sum(0) - R) * C).sum(0)
+    diag = q * q - (C * C).sum(0)
+    CO = (C * O).sum(1)
+    four_y = ((row_sums * B - diag * (B + 2 * OO)).sum(0)
+              + 2 * ((q * O).sum(0) ** 2 - (CO * CO).sum(0)))
+    return four_y // 4
 
 
 def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, int]:
@@ -205,7 +208,7 @@ def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, 
         s, d = _anchor_counts(M, sizes1, sizes2, n)
         twice_s += int(s.sum())
         four_d += int(d.sum())
-        if with_y and M.shape[-1] > 3:  # T2 nodes with three or more children
+        if with_y and M.shape[1] > 3:  # T2 nodes with three or more children
             y += int(_y_per_pair(M, sizes1, sizes2).sum())
     s, d = twice_s // 2, four_d // 4
     r1 = count_R_U_quartets(t1)[0] - s - d

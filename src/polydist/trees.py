@@ -228,13 +228,16 @@ class Phylogeny:
         return hi - lo
 
     def node_sides(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Internal nodes grouped by child count, as (rows, sizes) per group
-        in increasing child count; cached and read-only like `leaf_ranges`.
+        """Internal nodes grouped by child count d, as (rows, sizes) per group
+        in increasing child count, each C-contiguous of shape (d + 1, g) for
+        the group's g nodes; cached and read-only like `leaf_ranges`.
 
-        Row j of a node lists its sides: its children, then the node itself
-        standing for the complement of its subtree (empty at the root), so
-        side sets do not depend on the orientation.  sizes[., j] is the
-        number of leaves in side j.
+        Sides come first and nodes last: rows[j, i] is side j of the i-th
+        node, its children and then the node itself standing for the
+        complement of its subtree (empty at the root), so side sets do not
+        depend on the orientation; sizes[j, i] is the number of leaves in
+        that side.  The kernels reduce over the few sides, and with the
+        nodes last each such sum adds whole contiguous vectors of nodes.
         """
         groups = self._cache.get("node_sides")
         if groups is None:
@@ -243,9 +246,9 @@ class Phylogeny:
                 by_count.setdefault(len(self.children[v]), []).append(self.children[v] + (v,))
             groups = self._cache["node_sides"] = []
             for _, rows in sorted(by_count.items()):
-                rows = np.array(rows, dtype=np.int64)
+                rows = np.array(rows, dtype=np.int64).T.copy()
                 sizes = self.subtree_sizes()[rows]
-                sizes[:, -1] = self.n - sizes[:, -1]
+                sizes[-1] = self.n - sizes[-1]
                 groups.append(_read_only(rows, sizes))
         return groups
 

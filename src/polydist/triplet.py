@@ -16,11 +16,15 @@ layout that `Phylogeny.node_sides` / `leaf_ranges` cache.
 `node_pair_blocks` is the one loop over node pairs: it gathers M from the
 intersection table I[u, v] = |L(T1(u)) ∩ L(T2(v))| of `build_tables`, in
 blocks of node pairs with the same child counts, for these kernels and for
-`polydist.quartet`'s classification and y term.  Each caller skips the
-pairs that provably add nothing: |S| and |R1| need I[u, v] >= 2, the
-quartet anchors I[u, v] >= 1.  The arithmetic is a sum of d(u)·d(v) over
-the overlapping pairs only: O(n²) in the worst case (two caterpillars,
-where every pair overlaps), far less when most subtrees are disjoint.
+`polydist.quartet`'s classification and y term.  A block is laid out
+sides first and node pairs last, M[j, k, i] for the i-th pair, so that
+every kernel's sum over the few sides is a handful of adds of contiguous
+vectors over the pairs, not a reduction per pair over a 2- to 5-wide
+trailing axis.  Each caller skips the pairs that provably add nothing:
+|S| and |R1| need I[u, v] >= 2, the quartet anchors I[u, v] >= 1.  The
+arithmetic is a sum of d(u)·d(v) over the overlapping pairs only: O(n²)
+in the worst case (two caterpillars, where every pair overlaps), far
+less when most subtrees are disjoint.
 The (m1 × m2) int32 I-table (4·m1·m2 bytes) is the only table of that
 size and sets the memory.
 """
@@ -95,38 +99,44 @@ def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *
     `min_overlap` taxa (I[u, v] >= min_overlap), in blocks of at most
     BLOCK_CELLS cells.
 
-    A block holds P pairs of T1 nodes with d1 children and T2 nodes with
-    d2 children, as (M, sizes1, sizes2): M[i, j, k] = |A_j ∩ B_k| (int64)
-    for the sides A of the i-th pair's T1 node and B of its T2 node
-    (children first, the complement of the subtree last), with side sizes
-    sizes1[i, j, 0] and sizes2[i, 0, k].  The pairs are read off the
-    nodes' own cells of I, grid by grid, before anything else is gathered,
-    so skipped pairs cost one table read each.
+    A block holds P pairs of T1 nodes with d1 sides (children, then the
+    complement of the subtree) and T2 nodes with d2 sides, as (M, sizes1,
+    sizes2), all int64 with the sides first and the pairs last, like
+    `Phylogeny.node_sides`: the C-contiguous M of shape (d1, d2, P) holds
+    M[j, k, i] = |A_j ∩ B_k| for the sides A of the i-th pair's T1 node
+    and B of its T2 node, with side sizes sizes1[j, 0, i] (d1, 1, P) and
+    sizes2[0, k, i] (1, d2, P).  Every kernel reduces over the two side
+    axes, so each sum adds a few contiguous length-P vectors instead of
+    reducing many 2- to 5-wide trailing axes.  The pairs are read off the
+    nodes' own cells of I, grid by grid, before anything else is
+    gathered, so skipped pairs cost one table read each.
     """
     I, alpha2 = tables.I, tables.alpha2
     m2 = I.shape[1]
     sides2 = [(rows, sizes) for rows, sizes in tables.t2.node_sides()
-              if rows.shape[1] > min_children2]
+              if rows.shape[0] > min_children2]
     for rows1, sizes1 in tables.t1.node_sides():
         offsets1 = rows1 * m2   # flat offsets of the rows of I
         for rows2, sizes2 in sides2:
-            per_block = max(1, BLOCK_CELLS // (rows1.shape[1] * rows2.shape[1]))
-            step = max(1, BLOCK_CELLS // len(rows2))
-            for lo in range(0, len(rows1), step):
-                # the node itself is the last entry of its row of sides
-                a, b = np.nonzero(I[rows1[lo:lo + step, -1, None], rows2[:, -1]]
+            per_block = max(1, BLOCK_CELLS // (rows1.shape[0] * rows2.shape[0]))
+            step = max(1, BLOCK_CELLS // rows2.shape[1])
+            for lo in range(0, rows1.shape[1], step):
+                # the node itself is the last of its sides
+                a, b = np.nonzero(I[rows1[-1, lo:lo + step, None], rows2[-1]]
                                   >= min_overlap)
                 a += lo
                 for first in range(0, len(a), per_block):
                     pa, pb = a[first:first + per_block], b[first:first + per_block]
-                    rb = rows2.take(pb, axis=0)
-                    M = I.take(offsets1.take(pa, axis=0)[:, :, None]
-                               + rb[:, None, :]).astype(np.int64)
-                    s1 = sizes1.take(pa, axis=0)[:, :, None]
-                    # the last side of each node is the complement of its subtree
-                    M[:, -1, :] = alpha2.take(rb) - M[:, -1, :]
-                    M[:, :, -1] = s1[:, :, 0] - M[:, :, -1]
-                    yield M, s1, sizes2.take(pb, axis=0)[:, None, :]
+                    rb = rows2.take(pb, axis=1)
+                    M = I.take(offsets1.take(pa, axis=1)[:, None, :]
+                               + rb[None, :, :]).astype(np.int64)
+                    s1 = sizes1.take(pa, axis=1)[:, None, :]
+                    # the last side of each node is the complement of its
+                    # subtree: T1's row first, so that T2's column then
+                    # turns the corner into the taxa outside both
+                    M[-1] = alpha2.take(rb) - M[-1]
+                    M[:, -1] = s1[:, 0] - M[:, -1]
+                    yield M, s1, sizes2.take(pb, axis=1)[None, :, :]
 
 
 def count_R_U(tree: Phylogeny) -> tuple[int, int]:
@@ -139,22 +149,22 @@ def count_R_U(tree: Phylogeny) -> tuple[int, int]:
     """
     R = 0
     for _, sizes in tree.node_sides():
-        kids, outside = sizes[:, :-1], sizes[:, -1]
-        R += int(((c2(kids.sum(1)) - c2(kids).sum(1)) * outside).sum())
+        kids, outside = sizes[:-1], sizes[-1]
+        R += int(((c2(kids.sum(0)) - c2(kids).sum(0)) * outside).sum())
     return R, comb(tree.n, 3) - R
 
 
 def _split_pairs(C: np.ndarray) -> np.ndarray:
     """Per node pair, the pairs of taxa in distinct rows and distinct
-    columns of the children block C[..., j, k]."""
-    R, Q = C.sum(-1), C.sum(-2)
-    return c2(R.sum(-1)) - c2(R).sum(-1) - c2(Q).sum(-1) + c2(C).sum((-2, -1))
+    columns of the children block C[j, k, ...]."""
+    R, Q = C.sum(1), C.sum(0)
+    return c2(R.sum(0)) - c2(R).sum(0) - c2(Q).sum(0) + c2(C).sum((0, 1))
 
 
 def _shared_in_block(M: np.ndarray) -> int:
     """|S| anchored at a block of node pairs: xy|z with x and y in distinct
     children of u and of v, and z outside both subtrees."""
-    return int((_split_pairs(M[..., :-1, :-1]) * M[..., -1, -1]).sum())
+    return int((_split_pairs(M[:-1, :-1]) * M[-1, -1]).sum())
 
 
 def _r1_in_block(M: np.ndarray) -> int:
@@ -164,11 +174,11 @@ def _r1_in_block(M: np.ndarray) -> int:
     child k of v and P the pairs split in both, that is
     sum_k O[k]·P - sum_k O[k]·X[k], where X[k] counts the split pairs with
     one taxon in column k."""
-    C, O = M[..., :-1, :-1], M[..., -1, :-1]
-    R, Q = C.sum(-1, keepdims=True), C.sum(-2, keepdims=True)
-    T = R.sum(-2, keepdims=True)
-    X = (C * (T - R - Q + C)).sum(-2)
-    return int((O.sum(-1) * _split_pairs(C) - (O * X).sum(-1)).sum())
+    C, O = M[:-1, :-1], M[-1, :-1]
+    R, Q = C.sum(1, keepdims=True), C.sum(0, keepdims=True)
+    T = R.sum(0, keepdims=True)
+    X = (C * (T - R - Q + C)).sum(0)
+    return int((O.sum(0) * _split_pairs(C) - (O * X).sum(0)).sum())
 
 
 def count_shared(tables: RootedIntersectionTables) -> int:

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_pair, seeded_partial
 from polydist import consensus
@@ -34,6 +37,33 @@ THREE_LEAF_PROFILE = Profile((
     Phylogeny.rooted("abc", (("a", "c"), "b")),
     Phylogeny.rooted("abc", (("b", "c"), "a")),
 ))
+
+
+@st.composite
+def taxon_groups(draw):
+    """Disjoint groups of taxa: all singletons (a fan's children) with up
+    to 40 groups, one large group among singletons, or mixed sizes."""
+    shape = draw(st.sampled_from(("fan", "one large", "mixed")))
+    if shape == "fan":
+        lengths = [1] * draw(st.integers(0, 40))
+    elif shape == "one large":
+        lengths = [1] * draw(st.integers(2, 19))
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(2, 25)))
+    else:
+        lengths = draw(st.lists(st.integers(1, 4), max_size=10))
+    taxa = draw(st.permutations(range(sum(lengths))))
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    return [list(taxa[s:s + k]) for s, k in zip(starts, lengths)]
+
+
+@given(taxon_groups(), st.sampled_from((3, 4)))
+@settings(max_examples=60, deadline=None)
+def test_cross_rows_match_product_enumeration(groups, size):
+    rows = consensus._cross_rows(groups, size)
+    want = [row for gs in combinations(range(len(groups)), size)
+            for row in product(*(groups[g] for g in gs))]
+    assert rows.shape == (len(want), size) and rows.dtype == np.int64
+    assert sorted(map(tuple, rows.tolist())) == sorted(want)
 
 
 def test_profile_validation():

@@ -119,3 +119,49 @@ def test_fuzz_never_crashes(text):
         parse_newick(text, Kind.ROOTED)
     except NewickError:
         pass
+
+
+def _decorated(node):
+    """A node's text with an optional branch length, comment or space."""
+    return st.tuples(node, st.sampled_from(("", ":1", ":2.5e-1", "[x;y]", " "))).map("".join)
+
+
+# leaf labels from a small pool, so that duplicates occur, or quoted with
+# ';', ',', brackets and escaped quotes inside
+LABELS = st.one_of(
+    st.sampled_from("abcdefgh"),
+    st.text(alphabet="ab;,()[]: '", min_size=1, max_size=5)
+      .map(lambda lab: "'" + lab.replace("'", "''") + "'"),
+)
+NEWICK_NODES = st.recursive(
+    _decorated(LABELS),
+    lambda kids: _decorated(st.lists(kids, min_size=2, max_size=4)
+                            .map(lambda xs: "(" + ",".join(xs) + ")")),
+    max_leaves=10,
+)
+
+
+@given(st.sampled_from(list(Kind)),
+       st.lists(st.tuples(NEWICK_NODES.map(lambda t: t + ";"),
+                          st.sampled_from(("", "\n", " [c;omment] ", "\t"))),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_many_agrees_with_single_statements(kind, statements):
+    # each statement alone, then all of them in one text: the same trees,
+    # or the first statement's error at its offset in the whole text
+    text, trees, error = "", [], None
+    for statement, gap in statements:
+        try:
+            trees.append(parse_newick(statement, kind))
+        except NewickError as exc:
+            error = len(text) + exc.pos if error is None else error
+        text += statement + gap
+    if error is not None:
+        with pytest.raises(NewickError) as exc:
+            parse_newick_many(text, kind)
+        assert exc.value.pos == error
+        return
+    got = parse_newick_many(text, kind)
+    assert len(got) == len(trees)
+    for one, many in zip(trees, got):
+        assert many.taxa == one.taxa and many.isomorphic(one)

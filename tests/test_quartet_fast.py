@@ -165,9 +165,9 @@ class TestApproxR1:
         for block in blocks:
             M = np.array(block, dtype=np.int64)
             assert M.sum() == n
-            y = _y_per_pair(M[None, None], M.sum(1)[None, None, :, None],
-                            M.sum(0)[None, None, None, :])
-            assert int(y[0, 0]) == _y_reference(block)
+            y = _y_per_pair(M[..., None], M.sum(1)[:, None, None],
+                            M.sum(0)[None, :, None])
+            assert int(y[0]) == _y_reference(block)
 
     @pytest.mark.parametrize("n", [30, 80])
     def test_sandwich_against_kernel(self, n):
@@ -426,9 +426,9 @@ class TestClassification:
         for block in blocks:
             M = np.array(block, dtype=np.int64)
             assert M.sum() == n
-            s, d = _anchor_counts(M[None, None], M.sum(1)[None, None, :, None],
-                                  M.sum(0)[None, None, None, :], n)
-            assert (int(s[0, 0]), int(d[0, 0])) == _anchor_reference(block)
+            s, d = _anchor_counts(M[..., None], M.sum(1)[:, None, None],
+                                  M.sum(0)[None, :, None], n)
+            assert (int(s[0]), int(d[0])) == _anchor_reference(block)
 
     def test_refuses_n_beyond_int64_bound(self):
         taxa = TaxonSet(tuple(f"t{i}" for i in range(MAX_EXACT_N + 1)))

@@ -350,11 +350,12 @@ def test_side_layout_matches_subtree_taxa(tree):
     assert tree.subtree_sizes().tolist() == [len(below) for below in taxa_below]
     groups = tree.node_sides()
     assert tree.node_sides() is groups
-    counts = [rows.shape[1] - 1 for rows, _ in groups]
+    counts = [rows.shape[0] - 1 for rows, _ in groups]
     assert counts == sorted(set(counts))
     seen = []
     for rows, sizes in groups:
-        for row, size in zip(rows.tolist(), sizes.tolist()):
+        assert rows.flags.c_contiguous and sizes.flags.c_contiguous
+        for row, size in zip(rows.T.tolist(), sizes.T.tolist()):
             v = row[-1]
             seen.append(v)
             assert tuple(row[:-1]) == tree.children[v]

@@ -12,7 +12,7 @@ from conftest import classification_pairs, induced, rooted_pairs, rooted_trees, 
 from polydist.hausdorff import classification_counts
 from polydist.oracle import DistancePair, classify_triplets, enumerate_phylogenies
 from polydist.quartet import _anchor_counts, _y_per_pair
-from polydist.randgen import random_binary
+from polydist.randgen import random_binary, random_partial
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, TripletTopology
 from polydist.triplet import (
     _r1_in_block,
@@ -66,9 +66,9 @@ class TestTables:
         # the sides of every node pair split the taxa both ways
         for M, sizes1, sizes2 in node_pair_blocks(tab):
             assert (M >= 0).all()
-            assert (M.sum((-2, -1)) == a.n).all()
-            assert (M.sum(-1, keepdims=True) == sizes1).all()
-            assert (M.sum(-2, keepdims=True) == sizes2).all()
+            assert (M.sum((0, 1)) == a.n).all()
+            assert (M.sum(1, keepdims=True) == sizes1).all()
+            assert (M.sum(0, keepdims=True) == sizes2).all()
 
 
     def test_deep_caterpillar_against_fan(self):
@@ -98,13 +98,13 @@ def _overlapping_stream(blocks, min_overlap=0):
     per block shape; |L(u) ∩ L(v)| is the sum of the children block."""
     out = {}
     for M, sizes1, sizes2 in blocks:
-        keep = M[:, :-1, :-1].sum((-2, -1)) >= min_overlap
+        keep = M[:-1, :-1].sum((0, 1)) >= min_overlap
         if not keep.any():
             continue
-        for part, kept in zip(out.setdefault(M.shape[1:], ([], [], [])),
-                              (M[keep], sizes1[keep], sizes2[keep])):
+        for part, kept in zip(out.setdefault(M.shape[:2], ([], [], [])),
+                              (M[..., keep], sizes1[..., keep], sizes2[..., keep])):
             part.append(kept)
-    return {shape: tuple(np.concatenate(part).tolist() for part in parts)
+    return {shape: tuple(np.concatenate(part, axis=-1).tolist() for part in parts)
             for shape, parts in out.items()}
 
 
@@ -119,9 +119,9 @@ class TestOverlapFilter:
     def test_skipped_pairs_add_nothing(self, kind, data):
         a, b = data.draw(classification_pairs(kind, max_n=14))
         for M, sizes1, sizes2 in node_pair_blocks(build_tables(a, b)):
-            overlap = M[:, :-1, :-1].sum((-2, -1))
+            overlap = M[:-1, :-1].sum((0, 1))
             for i in np.flatnonzero(overlap < 2):
-                pair = M[i:i + 1]
+                pair = M[..., i:i + 1]
                 assert _shared_in_block(pair) == _r1_in_block(pair) == 0
             if a.n >= 4:
                 skipped = overlap < 1
@@ -138,7 +138,7 @@ class TestOverlapFilter:
         for min_children2 in (0, 3):
             wide2 = [v for v in internal2 if len(b.children[v]) >= min_children2]
             everything = list(node_pair_blocks(tab, min_children2))
-            assert sum(len(M) for M, _, _ in everything) == len(internal1) * len(wide2)
+            assert sum(M.shape[-1] for M, _, _ in everything) == len(internal1) * len(wide2)
             for min_overlap in (1, 2):
                 blocks = list(node_pair_blocks(tab, min_children2, min_overlap=min_overlap))
                 # the unfiltered stream with the thin pairs taken out, in order
@@ -149,9 +149,9 @@ class TestOverlapFilter:
                               for u in internal1 for v in wide2
                               if tab.I[u, v] >= min_overlap)
                 got = sorted(t for M, sizes1, sizes2 in blocks
-                             for t in zip(M[:, :-1, :-1].sum((-2, -1)).tolist(),
-                                          (a.n - sizes1[:, -1, 0]).tolist(),
-                                          (a.n - sizes2[:, 0, -1]).tolist()))
+                             for t in zip(M[:-1, :-1].sum((0, 1)).tolist(),
+                                          (a.n - sizes1[-1, 0]).tolist(),
+                                          (a.n - sizes2[0, -1]).tolist()))
                 assert got == want
 
     @given(rooted_pairs())
@@ -164,6 +164,45 @@ class TestOverlapFilter:
         for min_overlap in (0, 1, 2):
             for M, sizes1, sizes2 in node_pair_blocks(tab, min_overlap=min_overlap):
                 assert M.dtype == sizes1.dtype == sizes2.dtype == np.int64
+
+
+def test_blocks_are_sides_first_gathers_of_the_table():
+    # every block is C-contiguous int64 (d1, d2, P) with the node pairs
+    # last; the unfiltered stream lists each group pair's node pairs row
+    # by row, so pair i of the (d1, d2) blocks is (u, v) = (the i // g2-th
+    # node of T1's group, the i % g2-th of T2's).  Binary n = 300 against
+    # a contraction of another tree: the (3, 3) group spans several blocks.
+    n = 300
+    rng = random.Random(5)
+    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+    a = random_binary(n, Kind.ROOTED, rng, taxa)
+    b = random_partial(n, Kind.ROOTED, rng, 0.3, taxa)
+    tab = build_tables(a, b)
+    I = tab.I.tolist()
+    alpha1, alpha2 = tab.alpha1.tolist(), tab.alpha2.tolist()
+    by_shape = {}
+    for M, sizes1, sizes2 in node_pair_blocks(tab):
+        d1, d2, P = M.shape
+        assert M.flags.c_contiguous and M.dtype == np.int64
+        assert sizes1.shape == (d1, 1, P) and sizes2.shape == (1, d2, P)
+        by_shape.setdefault((d1, d2), []).append((M, sizes1, sizes2))
+    assert len(by_shape[3, 3]) > 1
+    for rows1, sides1 in a.node_sides():
+        for rows2, sides2 in b.node_sides():
+            blocks = by_shape.pop((rows1.shape[0], rows2.shape[0]))
+            M, sizes1, sizes2 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+            g2 = rows2.shape[1]
+            assert M.shape[-1] == rows1.shape[1] * g2
+            assert (sizes1[:, 0] == np.repeat(sides1, g2, axis=1)).all()
+            assert (sizes2[0] == np.tile(sides2, rows1.shape[1])).all()
+            for i in range(M.shape[-1]):
+                A, B = rows1[:, i // g2].tolist(), rows2[:, i % g2].tolist()
+                u, v = A[-1], B[-1]
+                want = [[I[x][y] for y in B[:-1]] + [alpha1[x] - I[x][v]] for x in A[:-1]]
+                want.append([alpha2[y] - I[u][y] for y in B[:-1]]
+                            + [n - alpha1[u] - alpha2[v] + I[u][v]])
+                assert M[..., i].tolist() == want
+    assert not by_shape
 
 
 class TestCountRU:
@@ -287,14 +326,14 @@ def test_int64_exact_at_largest_supported_n():
     for block in blocks:
         M = np.array(block, dtype=np.int64)
         assert M.sum() == n
-        assert (_shared_in_block(M[None, None]), _r1_in_block(M[None, None])) == \
+        assert (_shared_in_block(M[..., None]), _r1_in_block(M[..., None])) == \
             _block_reference(block)
     # a block of node pairs whose O·P terms sum past 2^63 (an int64 sum of
     # them alone would wrap) while its read-out, a² per pair, stays small
     one = [[a, 0, 0, 0], [0, a, 0, 0], [n - 2 * a - 1, 0, 1, 0]]
-    stack = np.array([one] * 8, dtype=np.int64)
+    stack = np.stack([np.array(one, dtype=np.int64)] * 8, axis=-1)
     assert 8 * (n - 2 * a) * a * a >= 2**63
-    assert _r1_in_block(stack[None]) == 8 * _block_reference(one)[1] == 8 * a * a
+    assert _r1_in_block(stack) == 8 * _block_reference(one)[1] == 8 * a * a
 
 
 class TestParametricDistance:
