@@ -113,7 +113,7 @@ def _cmd_dist(args) -> tuple[int, dict]:
         kind = Kind.UNROOTED
         t1 = _load_one(args.tree1, kind)
         t2 = _load_one(args.tree2, kind)
-        method = args.method or "approx"
+        method = args.method or "exact"
         if method == "brute":
             d = oracle.classify_quartets(t1, t2).to_distance_pair().evaluate(p)
             ad = quartet.ApproxDistance(d, d, d, exact=True)
@@ -259,6 +259,8 @@ def _cmd_selftest(args) -> tuple[int, dict]:
         c = oracle.classify_triplets(a, b)
         if (dp.d_count, dp.r_count) != (c.d, c.r1 + c.r2):
             failures.append(f"triplet mismatch at trial {trial} (n={n})")
+        if hd.classification_counts(a, b) != c:
+            failures.append(f"triplet classification mismatch at trial {trial} (n={n})")
     for trial in range(args.trials):
         n = rng.randint(4, 14)
         a = randgen.random_partial(n, Kind.UNROOTED, rng)
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--p", default="1/2", help='rational, e.g. "1/2" or "0.75"')
     methods = sorted({m for ms in DIST_METHODS.values() for m in ms})
     d.add_argument("--method", choices=methods,
-                   help="fast|brute (triplet), approx|exact|brute (quartet)")
+                   help="triplet: fast (default)|brute; quartet: exact (default)|approx|brute")
     d.add_argument("--unrooted", action="store_true",
                    help="quartet only, whose input is always unrooted")
     common(d)

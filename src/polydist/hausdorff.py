@@ -29,7 +29,7 @@ from polydist.consensus import Profile, VoteTally, best_refinement
 from polydist.oracle import Classification
 from polydist.quartet import quartet_classification
 from polydist.trees import Kind, Phylogeny
-from polydist.triplet import build_tables, count_R_U, count_r1, parametric_triplet_distance
+from polydist.triplet import build_tables, count_R_U, count_S_R1, count_r1
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,20 @@ class HausdorffBounds:
 def classification_counts(t1: Phylogeny, t2: Phylogeny) -> Classification:
     """Exact five-class counts (s, d, r1, r2, u).
 
-    Unrooted trees: quartet_classification.  Rooted trees: d and r1 + r2
-    from parametric_triplet_distance, R(T1) and U(T1) from count_R_U, and
-    r2 from a count_r1 pass with the trees swapped; then r1 = (r1 + r2) -
-    r2, s = R(T1) - d - r1 and u = U(T1) - r2.  One (m1 × m2) int32
+    Unrooted trees: quartet_classification.  Rooted trees: s and r1 from
+    one count_S_R1 walk of the (T1, T2) I-table, r2 from a count_r1 walk of
+    the table with the trees swapped, and R(T1), U(T1) from count_R_U;
+    then d = R(T1) - s - r1 and u = U(T1) - r2.  One (m1 × m2) int32
     I-table (4·m1·m2 bytes) is live at a time, and the arithmetic runs over
     the node pairs whose subtrees overlap only: O(n²) in the worst case
     (caterpillars, where every pair overlaps).
     """
     if t1.kind is Kind.UNROOTED:
         return quartet_classification(t1, t2)
-    dp = parametric_triplet_distance(t1, t2)
-    R1tree, U1tree = count_R_U(t1)
+    S, r1 = count_S_R1(build_tables(t1, t2))
     r2 = count_r1(build_tables(t2, t1))
-    r1 = dp.r_count - r2
-    return Classification(R1tree - dp.d_count - r1, dp.d_count, r1, r2, U1tree - r2)
+    R, U = count_R_U(t1)
+    return Classification(S, R - S - r1, r1, r2, U - r2)
 
 
 def hausdorff_bounds(t1: Phylogeny, t2: Phylogeny) -> HausdorffBounds:

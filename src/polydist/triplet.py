@@ -16,11 +16,13 @@ layout that `Phylogeny.node_sides` / `leaf_ranges` cache.
 `node_pair_blocks` is the one loop over node pairs: it gathers M from the
 intersection table I[u, v] = |L(T1(u)) ∩ L(T2(v))| of `build_tables`, in
 blocks of node pairs with the same child counts, for these kernels and for
-`polydist.quartet`'s classification and y term.  A block is laid out
-sides first and node pairs last, M[j, k, i] for the i-th pair, so that
-every kernel's sum over the few sides is a handful of adds of contiguous
-vectors over the pairs, not a reduction per pair over a 2- to 5-wide
-trailing axis.  Each caller skips the pairs that provably add nothing:
+`polydist.quartet`'s classification and y term.  One block kernel,
+`_block_counts`, reads |S| and |R1| off each block, so `count_S_R1` walks
+a table once for both, as `polydist.quartet` walks one for its classes.
+A block is laid out sides first and node pairs last, M[j, k, i] for the
+i-th pair, so that every kernel's sum over the few sides is a handful of
+adds of contiguous vectors over the pairs, not a reduction per pair over
+a 2- to 5-wide trailing axis.  Each caller skips the pairs that provably add nothing:
 |S| and |R1| need I[u, v] >= 2, the quartet anchors I[u, v] >= 1.  The
 arithmetic is a sum of d(u)·d(v) over the overlapping pairs only: O(n²)
 in the worst case (two caterpillars, where every pair overlaps), far
@@ -145,7 +147,7 @@ def count_R_U(tree: Phylogeny) -> tuple[int, int]:
     A resolved triplet xy|z is strictly induced at v = lca(x, y): the pair
     must split across distinct children of v and z must lie outside v: per
     `Phylogeny.node_sides` group, (c2(Σ children) − Σ c2(child)) ·
-    complement.  Exact in int64 for n <= 3810779, as count_shared.
+    complement.  Exact in int64 for n <= 3810779, as count_S_R1.
     """
     R = 0
     for _, sizes in tree.node_sides():
@@ -161,79 +163,74 @@ def _split_pairs(C: np.ndarray) -> np.ndarray:
     return c2(R.sum(0)) - c2(R).sum(0) - c2(Q).sum(0) + c2(C).sum((0, 1))
 
 
-def _shared_in_block(M: np.ndarray) -> int:
-    """|S| anchored at a block of node pairs: xy|z with x and y in distinct
-    children of u and of v, and z outside both subtrees."""
-    return int((_split_pairs(M[:-1, :-1]) * M[-1, -1]).sum())
-
-
-def _r1_in_block(M: np.ndarray) -> int:
-    """|R1| anchored at a block of node pairs (u, v): xy|z with x and y in
-    distinct children of u, z outside u, and x, y, z in three distinct
-    children of v.  With C the children block, O[k] the taxa outside u in
-    child k of v and P the pairs split in both, that is
-    sum_k O[k]·P - sum_k O[k]·X[k], where X[k] counts the split pairs with
-    one taxon in column k."""
-    C, O = M[:-1, :-1], M[-1, :-1]
+def _block_counts(M: np.ndarray) -> tuple[int, int]:
+    """|S| and |R1| anchored at a block of node pairs (u, v), from one
+    `_split_pairs` P of the children block C: S counts xy|z with x, y in
+    distinct children of u and of v and z outside both, P·M[-1, -1]; R1
+    counts xy|z with x, y in distinct children of u, z outside u and x, y,
+    z in three distinct children of v, sum_k O[k]·P - sum_k O[k]·X[k] with
+    O[k] the taxa outside u in child k of v and X[k] the split pairs with
+    one taxon in column k.  With two children X[k] = P and R1 is 0, so it
+    is read only when v has three or more."""
+    C = M[:-1, :-1]
+    P = _split_pairs(C)
+    S = int((P * M[-1, -1]).sum())
+    if M.shape[1] <= 3:
+        return S, 0
+    O = M[-1, :-1]
     R, Q = C.sum(1, keepdims=True), C.sum(0, keepdims=True)
     T = R.sum(0, keepdims=True)
     X = (C * (T - R - Q + C)).sum(0)
-    return int((O.sum(0) * _split_pairs(C) - (O * X).sum(0)).sum())
+    return S, int((O.sum(0) * P - (O * X).sum(0)).sum())
 
 
-def count_shared(tables: RootedIntersectionTables) -> int:
-    """|S|: triplets resolved identically in both trees.
+def count_S_R1(tables: RootedIntersectionTables) -> tuple[int, int]:
+    """(|S|, |R1|): triplets resolved identically in both trees, and in T1
+    only, from one walk over `node_pair_blocks`, each block read once by
+    `_block_counts`.
 
-    A shared triplet xy|z sits at u = lca_T1(x, y) and v = lca_T2(x, y),
-    with x and y in distinct children of both and z outside both subtrees;
-    each block of `node_pair_blocks` adds its pairs' counts.  Only pairs
-    with I[u, v] >= 2 enter: the children block M[:-1, :-1] holds the taxa
-    of L(u) ∩ L(v), so with I[u, v] <= 1 it holds at most one taxon, no
-    pair of taxa lies in distinct children of both nodes, and
-    `_split_pairs` and with it the pair's count is 0.
+    Both sit at u = lca_T1(x, y) with x and y in distinct children of u
+    and of v (for S v = lca_T2(x, y), for R1 a polytomy of T2).  So only
+    pairs with I[u, v] >= 2 enter: the children block M[:-1, :-1] holds
+    the taxa of L(u) ∩ L(v), with I[u, v] <= 1 at most one, so
+    `_split_pairs`, the column counts X and both counts are 0.
 
     int64 bound: every M is cast to int64 as it is gathered from the int32
     table; numpy's int64 +, - and × are exact modulo 2^64; the only
     divisions are the C(x, 2) of side counts 0 <= x <= n; and each block's
-    read-out is at most |S| <= C(n, 3).  The count is exact while
+    read-outs are at most C(n, 3).  The counts are exact while
     C(n, 3) < 2^63, that is for n <= 3810779, far beyond any n whose
     I-table fits in memory.
     """
-    return sum(_shared_in_block(M) for M, _, _ in node_pair_blocks(tables, min_overlap=2))
+    counts = [_block_counts(M) for M, _, _ in node_pair_blocks(tables, min_overlap=2)]
+    return sum(s for s, _ in counts), sum(r1 for _, r1 in counts)
+
+
+def count_shared(tables: RootedIntersectionTables) -> int:
+    """|S|: triplets resolved identically in both trees (count_S_R1)."""
+    return count_S_R1(tables)[0]
 
 
 def count_r1(tables: RootedIntersectionTables) -> int:
-    """|R1|: triplets resolved in T1 but unresolved in T2.
-
-    Such a triplet xy|z sits at u = lca_T1(x, y) and at a polytomy v of T2
-    holding x, y, z in three distinct children, so only the blocks of T2
-    nodes with at least three children enter, and of those only the pairs
-    with I[u, v] >= 2: x and y are split in the children block of both
-    nodes, which as for count_shared needs two taxa of L(u) ∩ L(v); with
-    `_split_pairs` 0 the column counts X are 0 too, and the pair adds 0.
-
-    int64 bound: as for count_shared, with each block's read-out at most
-    |R1| <= C(n, 3); exact for n <= 3810779.
-    """
+    """|R1| alone, from its own walk over the blocks of T2 nodes with three
+    or more children, the only ones that anchor R1 triplets: the swapped
+    r2 pass needs no |S|, and skipping T2's binary nodes skips most pairs
+    of a mostly resolved T2.  The I[u, v] >= 2 filter and the int64 bound
+    are count_S_R1's."""
     blocks = node_pair_blocks(tables, min_children2=3, min_overlap=2)
-    return sum(_r1_in_block(M) for M, _, _ in blocks)
+    return sum(_block_counts(M)[1] for M, _, _ in blocks)
 
 
 def parametric_triplet_distance(t1: Phylogeny, t2: Phylogeny) -> DistancePair:
     """Exact parametric triplet distance as a DistancePair.
 
-    One `build_tables` I-table (int32, 4·m1·m2 bytes) and arithmetic
-    summing d(u)·d(v) over the node pairs with I[u, v] >= 2 only, in the
-    blocks of count_shared and count_r1: O(n²) in the worst case
-    (caterpillars, where every pair overlaps); exact in int64 for
-    n <= 3810779.
+    One `build_tables` I-table (int32, 4·m1·m2 bytes), walked once by
+    count_S_R1 for |S| and |R1|: arithmetic summing d(u)·d(v) over the node
+    pairs with I[u, v] >= 2 only, O(n²) in the worst case (caterpillars,
+    where every pair overlaps); exact in int64 for n <= 3810779.
     """
     check_pair(t1, t2, Kind.ROOTED)
-    tables = build_tables(t1, t2)
+    S, r1 = count_S_R1(build_tables(t1, t2))
     R1tree, U1tree = count_R_U(t1)
     _, U2tree = count_R_U(t2)
-    S = count_shared(tables)
-    r1 = count_r1(tables)
-    d_count = R1tree - S - r1
-    r_count = U1tree - U2tree + 2 * r1
-    return DistancePair(d_count, r_count)
+    return DistancePair(R1tree - S - r1, U1tree - U2tree + 2 * r1)

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import polydist
-from polydist import oracle, quartet, triplet
+from polydist import hausdorff, oracle, quartet, triplet
 from polydist.cli import DIST_METHODS, _emit, main
 from polydist.expected import MAX_COUNT_N
-from polydist.oracle import Classification, classify_quartets
+from polydist.oracle import Classification, classify_quartets, classify_triplets
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ class TestDist:
 
     def test_quartet_approx_and_brute(self, capsys, trees):
         argv = ["dist", "quartet", trees["u1.nwk"], trees["u2.nwk"], "--p", "3/4"]
-        code, rep, _ = run_json(capsys, argv)
+        code, rep, _ = run_json(capsys, argv + ["--method", "approx"])
         assert code == 0 and rep["result"]["status"] == "2-approx"
         lo, hi = rep["result"]["interval"]
         code, brute, _ = run_json(capsys, argv + ["--method", "brute"])
@@ -92,6 +92,14 @@ class TestDist:
             assert exact["result"]["interval"] == [value, value]
             _, brute, _ = run_json(capsys, argv + ["--method", "brute"])
             assert brute["result"]["value"] == value
+
+    def test_quartet_default_method_is_exact(self, capsys, trees):
+        for p in ("1/4", "3/4"):
+            argv = ["dist", "quartet", trees["u1.nwk"], trees["u2.nwk"], "--p", p]
+            code, default, _ = run_json(capsys, argv)
+            assert code == 0 and default["method"] == "exact"
+            _, exact, _ = run_json(capsys, argv + ["--method", "exact"])
+            assert default == exact and exact["result"]["status"] == "exact"
 
     def test_quartet_brute_is_the_oracle(self, capsys, trees, monkeypatch):
         calls = []
@@ -128,7 +136,7 @@ class TestDist:
 
     def test_quartet_small_p_without_brute_fails(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "quartet", trees["u1.nwk"],
-                                      trees["u2.nwk"], "--p", "1/4"])
+                                      trees["u2.nwk"], "--p", "1/4", "--method", "approx"])
         assert code == 3 and "error:" in err
 
     def test_deep_caterpillar(self, capsys, tmp_path):
@@ -362,6 +370,16 @@ class TestEnumerateExpectedSelftest:
         assert code == 1 and rep["result"]["status"] == "fail"
         assert sum("quartet classification mismatch" in f
                    for f in rep["result"]["failures"]) == 3
+
+    def test_selftest_checks_the_rooted_classification(self, capsys, monkeypatch):
+        def off_by_one(t1, t2):
+            c = classify_triplets(t1, t2)
+            return Classification(c.s, c.d, c.r1, c.r2, c.u + 1)
+        monkeypatch.setattr(hausdorff, "classification_counts", off_by_one)
+        code, rep, _ = run_json(capsys, ["selftest", "--trials", "3", "--seed", "1"])
+        assert code == 1 and rep["result"]["status"] == "fail"
+        failures = rep["result"]["failures"]
+        assert len(failures) == 3 and all("triplet classification mismatch" in f for f in failures)
 
 
 def test_emit_prints_a_list_on_one_line(capsys):

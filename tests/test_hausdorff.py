@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rooted_pairs, seeded_pair, unrooted_pairs
-from polydist import hausdorff
+from polydist import hausdorff, quartet, triplet
 from polydist.hausdorff import (
     adversarial_refinement,
     classification_counts,
@@ -26,6 +26,27 @@ class TestClassificationCounts:
     def test_unrooted(self):
         a, b = seeded_pair(Kind.UNROOTED, 8, 3)
         assert classification_counts(a, b) == classify(a, b)
+
+
+def test_one_node_pair_walk_per_table(monkeypatch):
+    # the triplet distance and the quartet classification walk their one
+    # I-table once, the rooted classification each of its two tables
+    # (T1 × T2 and the swapped one) once
+    walks = []
+    walk = triplet.node_pair_blocks
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return walk(*args, **kwargs)
+    monkeypatch.setattr(triplet, "node_pair_blocks", counted)
+    monkeypatch.setattr(quartet, "node_pair_blocks", counted)
+    a, b = seeded_pair(Kind.ROOTED, 12, 5)
+    triplet.parametric_triplet_distance(a, b)
+    assert len(walks) == 1
+    classification_counts(a, b)
+    assert len(walks) == 1 + 2
+    quartet.quartet_classification(*seeded_pair(Kind.UNROOTED, 10, 5))
+    assert len(walks) == 1 + 2 + 1
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["rooted_first", "unrooted_first"])

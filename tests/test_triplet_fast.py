@@ -15,8 +15,7 @@ from polydist.quartet import _anchor_counts, _y_per_pair
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, TripletTopology
 from polydist.triplet import (
-    _r1_in_block,
-    _shared_in_block,
+    _block_counts,
     build_tables,
     count_R_U,
     count_r1,
@@ -122,7 +121,7 @@ class TestOverlapFilter:
             overlap = M[:-1, :-1].sum((0, 1))
             for i in np.flatnonzero(overlap < 2):
                 pair = M[..., i:i + 1]
-                assert _shared_in_block(pair) == _r1_in_block(pair) == 0
+                assert _block_counts(pair) == (0, 0)
             if a.n >= 4:
                 skipped = overlap < 1
                 twice_s, four_d = _anchor_counts(M, sizes1, sizes2, a.n)
@@ -326,14 +325,13 @@ def test_int64_exact_at_largest_supported_n():
     for block in blocks:
         M = np.array(block, dtype=np.int64)
         assert M.sum() == n
-        assert (_shared_in_block(M[..., None]), _r1_in_block(M[..., None])) == \
-            _block_reference(block)
+        assert _block_counts(M[..., None]) == _block_reference(block)
     # a block of node pairs whose O·P terms sum past 2^63 (an int64 sum of
     # them alone would wrap) while its read-out, a² per pair, stays small
     one = [[a, 0, 0, 0], [0, a, 0, 0], [n - 2 * a - 1, 0, 1, 0]]
     stack = np.stack([np.array(one, dtype=np.int64)] * 8, axis=-1)
     assert 8 * (n - 2 * a) * a * a >= 2**63
-    assert _r1_in_block(stack) == 8 * _block_reference(one)[1] == 8 * a * a
+    assert _block_counts(stack)[1] == 8 * _block_reference(one)[1] == 8 * a * a
 
 
 class TestParametricDistance:
