@@ -1,10 +1,11 @@
-"""Seeded random tree generation for tests, benchmarks and the self-test.
+"""Seeded random tree generation for tests and the self-test, in O(n).
 
-Binary trees are grown by attaching each new leaf to a uniformly chosen
-edge; partially resolved trees are binary trees with a random subset of
-internal edges contracted.  These generators are for exercising the
-algorithms, not for statistically uniform sampling of multifurcating tree
-space (`expected.tree_at` of a uniform index is an exact uniform tree).
+Binary trees are grown on a parent array, each new leaf splitting a
+uniformly chosen edge; partially resolved trees are binary trees with each
+internal edge independently contracted, in one `contract` call.  These
+generators are for exercising the algorithms, not for statistically
+uniform sampling of multifurcating tree space (`expected.tree_at` of a
+uniform index is an exact uniform tree).
 """
 
 from __future__ import annotations
@@ -20,42 +21,37 @@ def _default_taxa(n: int) -> TaxonSet:
 
 def random_binary(n: int, kind: Kind, rng: random.Random,
                   taxa: TaxonSet | None = None) -> Phylogeny:
-    """Random binary tree by sequential uniform edge attachment."""
+    """Random binary tree by sequential uniform edge attachment.
+
+    Rooted trees start from a cherry and may also split the edge above the
+    root; unrooted trees start from a star of three leaves around the
+    handle, which has no edge above it.
+    """
     if taxa is None:
         taxa = _default_taxa(n)
-    if kind is Kind.ROOTED:
-        if n == 1:
-            return Phylogeny.rooted(taxa, 0)
-        nested = (0, 1)
-        start = 2
-    else:
-        if n <= 2:
-            return Phylogeny.unrooted(taxa, 0 if n == 1 else (0, 1))
-        nested = (0, 1, 2)
-        start = 3
-
-    def paths(node, prefix):
-        yield prefix
-        if isinstance(node, tuple):
-            for i, c in enumerate(node):
-                yield from paths(c, prefix + (i,))
-
-    def insert(node, path, leaf):
-        if not path:
-            return (node, leaf)
-        i = path[0]
-        return tuple(insert(c, path[1:], leaf) if j == i else c
-                     for j, c in enumerate(node))
-
+    if n == 1:
+        return Phylogeny(kind, taxa, [[]], 0, [0])
+    rooted = kind is Kind.ROOTED
+    start = 2 if rooted else min(n, 3)
+    # node 0 is the first root (the handle), nodes 1..start the first leaves
+    parent = [-1] + [0] * start
+    leaf_taxon: list[int | None] = [None, *range(start)]
+    root = 0
     for k in range(start, n):
-        cands = list(paths(nested, ()))
-        if kind is Kind.UNROOTED:
-            cands = [c for c in cands if c]  # the handle is not an edge
-        nested = insert(nested, rng.choice(cands), k)
-        if kind is Kind.ROOTED and len(nested) > 2:
-            raise AssertionError  # unreachable: insertion keeps arity 2
-    make = Phylogeny.rooted if kind is Kind.ROOTED else Phylogeny.unrooted
-    return make(taxa, nested)
+        # node v stands for the edge above it: w is put on that edge, the
+        # leaf of taxon k hangs from w
+        v = rng.randrange(0 if rooted else 1, len(parent))
+        w = len(parent)
+        parent += [parent[v], w]
+        leaf_taxon += [None, k]
+        parent[v] = w
+        if v == root:
+            root = w
+    children: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
+    return Phylogeny(kind, taxa, children, root, leaf_taxon)
 
 
 def random_partial(n: int, kind: Kind, rng: random.Random,
@@ -64,16 +60,5 @@ def random_partial(n: int, kind: Kind, rng: random.Random,
     """Random partially resolved tree: binary tree with each internal edge
     independently contracted with probability `contract_prob`."""
     tree = random_binary(n, kind, rng, taxa)
-
-    def internal_edges(t):
-        return [v for v in t.internal_nodes()
-                if t.parent[v] >= 0 and not t.is_leaf(t.parent[v])]
-
-    to_contract = sum(rng.random() < contract_prob
-                      for _ in range(len(internal_edges(tree))))
-    for _ in range(to_contract):
-        cands = internal_edges(tree)
-        if not cands:
-            break
-        tree = contract(tree, rng.choice(cands))
-    return tree
+    return contract(tree, *(v for v in tree.internal_nodes()
+                            if tree.parent[v] >= 0 and rng.random() < contract_prob))

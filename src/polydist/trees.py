@@ -8,10 +8,11 @@ traversal code a place to start.  Every counting kernel reads the side
 layout each tree caches: `leaf_ranges` (subtrees as ranges of the leaf
 order) and `node_sides` (children and subtree complement of each node).
 
-The module also provides the elementary editing operations used by the
-consensus and Hausdorff machinery (`pull_out`, `pull_2_out`, `contract`),
-restriction to a taxon subset, the refinement partial order, and
-canonical forms for isomorphism checks.
+The module also provides the elementary edits: `pull_out` and
+`pull_2_out`, with which the consensus and Hausdorff machinery refine a
+polytomy, and `contract`, which merges any set of internal edges in one
+pass.  Restriction to a taxon subset, the refinement partial order and
+canonical forms for isomorphism checks complete it.
 
 One topology kernel lives here too: `topology_codes` reads the induced
 topologies of whole arrays of sorted triplet (rooted) or quartet
@@ -476,32 +477,13 @@ def restrict(tree: Phylogeny, subset) -> Phylogeny:
             children.append(kept)
             leaf_taxon.append(None if t is None else remap[t])
             built[v] = len(children) - 1
-    root = built[tree.root]
-    if tree.kind is Kind.ROOTED or len(idx) <= 2:
-        return Phylogeny(tree.kind, sub_taxa, children, root, leaf_taxon)
-    # Unrooted: a handle of degree 2 is not a real node; splice it out.
-    if len(children[root]) == 2 and leaf_taxon[root] is None:
-        a, b = children[root]
-        keep = a if leaf_taxon[a] is None else b
-        other = b if keep == a else a
-        children[keep] = list(children[keep]) + [other]
-        children[root] = []
-        return _compact(Kind.UNROOTED, sub_taxa, children, keep, leaf_taxon)
-    return Phylogeny(Kind.UNROOTED, sub_taxa, children, root, leaf_taxon)
-
-
-def _compact(kind: Kind, taxa: TaxonSet, children, root, leaf_taxon) -> Phylogeny:
-    """Rebuild node arrays keeping only nodes reachable from root."""
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    remap = {old: new for new, old in enumerate(order)}
-    new_children = [[remap[c] for c in children[v]] for v in order]
-    new_leaf = [leaf_taxon[v] for v in order]
-    return Phylogeny(kind, taxa, new_children, remap[root], new_leaf)
+    sub = Phylogeny(tree.kind, sub_taxa, children, built[tree.root], leaf_taxon)
+    if tree.kind is Kind.UNROOTED and len(idx) > 2 and len(sub.children[sub.root]) == 2:
+        # A handle of degree 2 is not a real node: merge into it a child
+        # that is internal, as one of the two is when n > 2.
+        a, b = sub.children[sub.root]
+        return contract(sub, b if sub.is_leaf(a) else a)
+    return sub
 
 
 def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
@@ -613,19 +595,34 @@ def pull_2_out(tree: Phylogeny, u1: int, u2: int) -> Phylogeny:
     return Phylogeny.from_adjacency(Kind.UNROOTED, tree.taxa, adj, leaf_taxon, tree.root)
 
 
-def contract(tree: Phylogeny, u: int) -> Phylogeny:
-    """Contract the oriented edge {u, parent(u)} by merging u into its parent."""
-    v = tree.parent[u]
-    if v < 0 or tree.is_leaf(u):
-        raise TreeError("contract needs an internal, non-root node")
-    children = [list(cs) for cs in tree.children]
-    merged = []
-    for c in children[v]:
-        if c == u:
-            merged.extend(children[u])
-        else:
-            merged.append(c)
-    children[v] = merged
-    children[u] = []
-    # u is now orphaned; compact the arrays
-    return _compact(tree.kind, tree.taxa, children, tree.root, list(tree.leaf_taxon))
+def contract(tree: Phylogeny, *nodes: int) -> Phylogeny:
+    """Contract the edge above each given internal non-root node by merging
+    the node into its parent, all in one preorder pass.
+
+    A merged node's children take its place among its parent's children,
+    and a node whose parent is also merged joins the node both merge into,
+    so the result has exactly the input's clusters (rooted) or splits
+    (unrooted) minus those of the given nodes.  Nodes are renumbered in
+    preorder; with no nodes the result is an isomorphic copy.
+    """
+    merged = set(nodes)
+    if any(tree.parent[u] < 0 or tree.is_leaf(u) for u in merged):
+        raise TreeError("contract needs internal, non-root nodes")
+    new_id = [-1] * tree.num_nodes
+    children: list[list[int]] = []
+    leaf_taxon: list[int | None] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        stack.extend(reversed(tree.children[v]))
+        p = tree.parent[v]
+        if v in merged:
+            # the parent precedes v in preorder, so it is already mapped
+            new_id[v] = new_id[p]
+            continue
+        new_id[v] = len(children)
+        if p >= 0:
+            children[new_id[p]].append(new_id[v])
+        children.append([])
+        leaf_taxon.append(tree.leaf_taxon[v])
+    return Phylogeny(tree.kind, tree.taxa, children, 0, leaf_taxon)

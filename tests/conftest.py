@@ -1,12 +1,16 @@
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from polydist.expected import add_leaf
+from polydist.oracle import Classification
+from polydist.quartet import quartet_classification
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import (Kind, Phylogeny, QuartetTopology, TaxonSet, TripletTopology,
-                            contract, topology_codes)
+                            contract, restrict, topology_codes)
 
 
 def induced(tree: Phylogeny, subset) -> TripletTopology | QuartetTopology:
@@ -15,6 +19,21 @@ def induced(tree: Phylogeny, subset) -> TripletTopology | QuartetTopology:
     names = TripletTopology if tree.kind is Kind.ROOTED else QuartetTopology
     row = np.array([sorted(tree.taxa.index(x) for x in subset)])
     return tuple(names)[topology_codes(tree, row)[0]]
+
+
+def triplets_from_quartets(t1: Phylogeny, t2: Phylogeny) -> Classification:
+    """The five triplet classes of two rooted trees over X, read off quartets.
+
+    `add_leaf` hangs a new leaf x from each root: a triplet ab|c becomes
+    the quartet ab|cx and a fan becomes a star, so the quartets of the two
+    trees over X + x that hold x are the triplets, class for class.  The
+    rest are the quartets of the two trees restricted back to X.
+    """
+    a, b = add_leaf(t1), add_leaf(t2)
+    everything = quartet_classification(a, b)
+    without_x = quartet_classification(restrict(a, t1.taxa.labels),
+                                       restrict(b, t2.taxa.labels))
+    return Classification(*(e - w for e, w in zip(astuple(everything), astuple(without_x))))
 
 
 def seeded_partial(kind: Kind, n: int, seed: int, contract_prob: float = 0.4):
@@ -81,13 +100,8 @@ def shaped(kind: Kind, shape: str, taxa: TaxonSet, rng: random.Random) -> Phylog
 
 def contraction(tree: Phylogeny, rng: random.Random) -> Phylogeny:
     """`tree` with each of its internal edges contracted with probability 1/2."""
-    for _ in range(tree.num_nodes):
-        edges = [v for v in tree.internal_nodes()
-                 if tree.parent[v] >= 0 and not tree.is_leaf(tree.parent[v])]
-        if not edges or rng.random() < 0.5:
-            break
-        tree = contract(tree, rng.choice(edges))
-    return tree
+    return contract(tree, *(v for v in tree.internal_nodes()
+                            if tree.parent[v] >= 0 and rng.random() < 0.5))
 
 
 @st.composite

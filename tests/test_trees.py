@@ -367,3 +367,55 @@ def test_side_layout_matches_subtree_taxa(tree):
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[...] = 0
+
+
+def _edges(tree: Phylogeny) -> frozenset[frozenset[int]]:
+    return tree.clusters() if tree.kind is Kind.ROOTED else tree.splits()
+
+
+def _edge_above(tree: Phylogeny, v: int) -> frozenset[int]:
+    """The cluster below v (rooted), or the split of v's edge keyed like
+    `splits` by the side holding taxon 0 (unrooted)."""
+    side = tree.subtree_taxa(v)
+    if tree.kind is Kind.ROOTED or 0 in side:
+        return side
+    return frozenset(range(tree.n)) - side
+
+
+@st.composite
+def contractions(draw, max_n=14):
+    """A conftest shape, rooted or unrooted, and a set of its internal
+    non-root nodes, which often holds a node and its parent."""
+    kind = draw(st.sampled_from(Kind))
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = shaped(kind, draw(st.sampled_from(SHAPES)),
+                  TaxonSet(tuple(f"t{i}" for i in range(n))), rng)
+    inner = [v for v in tree.internal_nodes() if tree.parent[v] >= 0]
+    return tree, sorted(draw(st.sets(st.sampled_from(inner)))) if inner else []
+
+
+@given(contractions())
+@settings(max_examples=150, deadline=None)
+def test_contract_removes_exactly_the_chosen_edges(case):
+    tree, chosen = case
+    out = contract(tree, *chosen)
+    assert out.validate() == []
+    assert _edges(out) == _edges(tree) - {_edge_above(tree, v) for v in chosen}
+    assert contract(tree).isomorphic(tree)
+    leaf = tree.leaf_of_taxon(0)
+    for bad in (tree.root, leaf):
+        with pytest.raises(TreeError):
+            contract(tree, *chosen, bad)
+
+
+@pytest.mark.parametrize("kind", [Kind.ROOTED, Kind.UNROOTED])
+def test_contract_merges_a_chain_into_its_top(kind):
+    # preorder ids: the spine runs 1 = (abc)d, 2 = (ab)c, 3 = ab
+    build = Phylogeny.rooted if kind is Kind.ROOTED else Phylogeny.unrooted
+    tree = build("abcdef", (((("a", "b"), "c"), "d"), "e", "f"))
+    assert [sorted(tree.subtree_taxa(v)) for v in (1, 2, 3)] == [[0, 1, 2, 3], [0, 1, 2], [0, 1]]
+    # 2 merges into its parent 1, which merges into the root
+    assert contract(tree, 1, 2).isomorphic(build("abcdef", (("a", "b"), "c", "d", "e", "f")))
+    assert contract(tree, 3, 2, 1).isomorphic(build("abcdef", tuple("abcdef")))
+    assert contract(tree, 2).isomorphic(build("abcdef", ((("a", "b"), "c", "d"), "e", "f")))
