@@ -100,16 +100,15 @@ def tree_at(n: int, kind: Kind, index: int) -> Phylogeny:
     t = _tree_counts(m)
     if not 0 <= index < t[m]:
         raise ValueError(f"index {index} outside [0, {t[m]}) for n={n}")
-    children: list[list[int]] = [[]]
+    parent = [-1]
     leaf_taxon: list[int | None] = [0 if m == 1 else None]
     # (v, taxa, x, new): tree x on `taxa` is a new child of v, or v takes its root's children
     stack = [(0, list(range(m)), index, False)] if m > 1 else []
     while stack:
         v, taxa, x, new = stack.pop()
         if new:
-            children[v].append(len(children))
-            v = len(children)
-            children.append([])
+            parent.append(v)
+            v = len(parent) - 1
             leaf_taxon.append(taxa[0] if len(taxa) == 1 else None)
             if len(taxa) == 1:
                 continue
@@ -132,7 +131,7 @@ def tree_at(n: int, kind: Kind, index: int) -> Phylogeny:
         new = x < t[k - j]
         stack.append((v, rest, x if new else x - t[k - j], new))
     labels = TaxonSet(tuple(f"t{i}" for i in range(m)))
-    tree = Phylogeny(kind if m == n else Kind.ROOTED, labels, children, 0, leaf_taxon)
+    tree = Phylogeny(kind if m == n else Kind.ROOTED, labels, parent, leaf_taxon)
     return tree if m == n else add_leaf(tree)
 
 
@@ -209,16 +208,11 @@ def add_leaf(tree: Phylogeny, label: str | None = None) -> Phylogeny:
     if label is None:
         label = f"t{tree.n}"
     taxa = TaxonSet(tree.taxa.labels + (label,))
-    m = tree.num_nodes
-    children = [list(cs) for cs in tree.children]
-    leaf_taxon = list(tree.leaf_taxon) + [taxa.n - 1]
     if tree.is_leaf(tree.root):
         # n = 1: the result is the two-leaf edge
-        return Phylogeny(Kind.UNROOTED, taxa, [[], [], [0, 1]], 2,
-                         [tree.leaf_taxon[0], taxa.n - 1, None])
-    children[tree.root].append(m)
-    children.append([])
-    return Phylogeny(Kind.UNROOTED, taxa, children, tree.root, leaf_taxon)
+        return Phylogeny(Kind.UNROOTED, taxa, [2, 2, -1], [tree.leaf_taxon[0], taxa.n - 1, None])
+    return Phylogeny(Kind.UNROOTED, taxa, tree.parent + (tree.root,),
+                     tree.leaf_taxon + (taxa.n - 1,))
 
 
 def asymptotic_unresolved(n: int) -> float:

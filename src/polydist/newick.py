@@ -10,7 +10,7 @@ own, so no arity-based guessing is done here.
 
 from __future__ import annotations
 
-from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
+from polydist.trees import Kind, Phylogeny, TaxonSet
 
 
 class NewickError(ValueError):
@@ -95,20 +95,18 @@ def _statement(sc: _Scanner, kind: Kind) -> Phylogeny:
     sc.skip_trivia()
     first = sc.pos
     labels: list[str] = []
-    children: list[list[int]] = []
+    parent: list[int] = []
     leaf_label: list[str | None] = []
 
-    def new_node(parent: int) -> int:
-        children.append([])
+    def new_node(up: int) -> int:
+        parent.append(up)
         leaf_label.append(None)
-        if parent >= 0:
-            children[parent].append(len(children) - 1)
-        return len(children) - 1
+        return len(parent) - 1
 
     # Iterative descent: `open_groups` holds the internal nodes whose ')'
     # is still to come, so nesting depth costs no Python recursion.
     open_groups: list[int] = []
-    root = vid = new_node(-1)
+    vid = new_node(-1)
     while True:
         if sc.peek() == "(":
             sc.expect("(")
@@ -142,14 +140,10 @@ def _statement(sc: _Scanner, kind: Kind) -> Phylogeny:
         raise NewickError("tree has no leaves", first)
     taxa = TaxonSet(tuple(sorted(labels)))
     leaf_taxon = [taxa.index(l) if l is not None else None for l in leaf_label]
-    if kind is Kind.UNROOTED and leaf_label[root] is None and len(children[root]) < 3 \
-            and taxa.n > 2:
+    tree = Phylogeny(kind, taxa, parent, leaf_taxon)
+    if kind is Kind.UNROOTED and len(tree.children[tree.root]) < 3 and taxa.n > 2:
         raise NewickError("unrooted tree must have top-level degree >= 3", first)
-    try:
-        tree = Phylogeny(kind, taxa, children, root, leaf_taxon)
-        problems = tree.validate()
-    except TreeError as exc:
-        raise NewickError(str(exc), first) from exc
+    problems = tree.validate()
     if problems:
         raise NewickError("; ".join(problems), first)
     return tree

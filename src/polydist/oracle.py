@@ -142,19 +142,20 @@ def topology_by_restriction(tree: Phylogeny, subset) -> TripletTopology | Quarte
 # Tree-space enumeration
 # ---------------------------------------------------------------------------
 
-def _insertions(node, new: int):
+def _insertions(node, new: int, widen: bool = True):
     """`node` (a nested tuple) with leaf `new` inserted below it: at each
-    child edge, recursively inside each child, and as a new child."""
+    child edge, recursively inside each child, and, when `widen`, as a new
+    child."""
     if isinstance(node, int):
         return
     kids = list(node)
     for i, c in enumerate(kids):
         # subdivide the edge to child i
         yield tuple(kids[:i] + [(c, new)] + kids[i + 1:])
-        for sub in _insertions(c, new):
+        for sub in _insertions(c, new, widen):
             yield tuple(kids[:i] + [sub] + kids[i + 1:])
-    # widen this node
-    yield tuple(kids + [new])
+    if widen:
+        yield tuple(kids + [new])
 
 
 def _nested_rooted(n: int):
@@ -230,29 +231,14 @@ def count_full_refinements(tree: Phylogeny) -> int:
 
 
 def _binary_shapes_idx(k: int):
-    """All rooted binary trees over atoms 0..k-1 (sequential edge insertion)."""
+    """All rooted binary trees over atoms 0..k-1: atom k-1 splits the root
+    edge or any edge of a tree over the others (sequential edge insertion)."""
     if k == 1:
         yield 0
         return
-    if k == 2:
-        yield (0, 1)
-        return
-    last = k - 1
     for base in _binary_shapes_idx(k - 1):
-        yield (base, last)
-
-        def variants(node):
-            if not isinstance(node, tuple):
-                return
-            a, b = node
-            yield ((a, last), b)
-            yield (a, (b, last))
-            for sub in variants(a):
-                yield (sub, b)
-            for sub in variants(b):
-                yield (a, sub)
-
-        yield from variants(base)
+        yield (base, k - 1)
+        yield from _insertions(base, k - 1, widen=False)
 
 
 def _binary_shapes(parts: list):

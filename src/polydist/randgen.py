@@ -1,11 +1,11 @@
 """Seeded random tree generation for tests and the self-test, in O(n).
 
 Binary trees are grown on a parent array, each new leaf splitting a
-uniformly chosen edge; partially resolved trees are binary trees with each
-internal edge independently contracted, in one `contract` call.  These
-generators are for exercising the algorithms, not for statistically
-uniform sampling of multifurcating tree space (`expected.tree_at` of a
-uniform index is an exact uniform tree).
+uniformly chosen edge, and the array is the tree's own; partially resolved
+trees are binary trees with each internal edge independently contracted,
+in one `contract` call.  These generators are for exercising the
+algorithms, not for statistically uniform sampling of multifurcating tree
+space (`expected.tree_at` of a uniform index is an exact uniform tree).
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ def random_binary(n: int, kind: Kind, rng: random.Random,
     if taxa is None:
         taxa = _default_taxa(n)
     if n == 1:
-        return Phylogeny(kind, taxa, [[]], 0, [0])
+        return Phylogeny(kind, taxa, [-1], [0])
     rooted = kind is Kind.ROOTED
     start = 2 if rooted else min(n, 3)
     # node 0 is the first root (the handle), nodes 1..start the first leaves
     parent = [-1] + [0] * start
     leaf_taxon: list[int | None] = [None, *range(start)]
-    root = 0
     for k in range(start, n):
         # node v stands for the edge above it: w is put on that edge, the
         # leaf of taxon k hangs from w
@@ -45,13 +44,7 @@ def random_binary(n: int, kind: Kind, rng: random.Random,
         parent += [parent[v], w]
         leaf_taxon += [None, k]
         parent[v] = w
-        if v == root:
-            root = w
-    children: list[list[int]] = [[] for _ in parent]
-    for v, p in enumerate(parent):
-        if p >= 0:
-            children[p].append(v)
-    return Phylogeny(kind, taxa, children, root, leaf_taxon)
+    return Phylogeny(kind, taxa, parent, leaf_taxon)
 
 
 def random_partial(n: int, kind: Kind, rng: random.Random,

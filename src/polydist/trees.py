@@ -1,18 +1,23 @@
 """Rooted and unrooted multifurcating phylogenies over a fixed taxon set.
 
 A `Phylogeny` is an immutable leaf-labeled tree stored as an integer node
-arena (parent / children arrays).  Rooted trees have a semantic root; for
-unrooted trees the same arrays hold an arbitrary orientation from a
-distinguished "handle" node, which carries no meaning beyond giving the
-traversal code a place to start.  Every counting kernel reads the side
-layout each tree caches: `leaf_ranges` (subtrees as ranges of the leaf
-order) and `node_sides` (children and subtree complement of each node).
+arena made from one parent array: the root is the one node whose parent
+is -1, and the children lists, in id order, and the postorder are derived
+once, by the walk from the root that also checks the array is one tree.
+Every builder writes parents directly, as it creates each node knowing its
+parent.  Rooted trees have a semantic root; for unrooted trees the same
+array holds an arbitrary orientation from a distinguished "handle" node,
+which carries no meaning beyond giving the traversal code a place to
+start.  Every counting kernel reads the side layout each tree caches:
+`leaf_ranges` (subtrees as ranges of the leaf order) and `node_sides`
+(children and subtree complement of each node).
 
 The module also provides the elementary edits: `pull_out` and
 `pull_2_out`, with which the consensus and Hausdorff machinery refine a
-polytomy, and `contract`, which merges any set of internal edges in one
-pass.  Restriction to a taxon subset, the refinement partial order and
-canonical forms for isomorphism checks complete it.
+polytomy, are one in-place split of a node on the parent array, and
+`contract` merges any set of internal edges in one pass.  Restriction to a
+taxon subset, the refinement partial order and canonical forms for
+isomorphism checks complete it.
 
 One topology kernel lives here too: `topology_codes` reads the induced
 topologies of whole arrays of sorted triplet (rooted) or quartet
@@ -106,37 +111,51 @@ class QuartetTopology(Enum):
 
 
 class Phylogeny:
-    """Immutable phylogeny over a TaxonSet.
+    """Immutable phylogeny over a TaxonSet, made from a parent array.
 
-    Nodes are integers 0..m-1.  `children[v]` lists v's children in the
-    stored orientation, `parent[v]` is -1 for the root/handle.  Leaves are
-    in bijection with taxa via `leaf_taxon[v]`.
+    Nodes are integers 0..m-1.  `parent[v]` is v's parent in the stored
+    orientation and -1 for the one root (the handle, unrooted);
+    `children[v]` lists v's children in id order, derived once from the
+    parents.  Leaves are in bijection with taxa via `leaf_taxon[v]`.
+    TreeError unless the arrays are one tree: equal lengths, parents in
+    range, exactly one root and no cycle.
     """
 
     __slots__ = ("kind", "taxa", "children", "parent", "root", "leaf_taxon", "_cache")
 
-    def __init__(self, kind: Kind, taxa: TaxonSet, children: Sequence[Sequence[int]],
-                 root: int, leaf_taxon: Sequence[int | None]):
-        m = len(children)
-        if not (len(leaf_taxon) == m and 0 <= root < m):
-            raise TreeError("inconsistent node arrays")
-        parent = [-1] * m
-        seen = 1
-        for v in range(m):
-            for c in children[v]:
-                if parent[c] != -1 or c == root:
-                    raise TreeError("node has two parents or root has a parent")
-                parent[c] = v
-                seen += 1
-        if seen != m:
-            raise TreeError("tree is not connected")
+    def __init__(self, kind: Kind, taxa: TaxonSet, parent: Sequence[int],
+                 leaf_taxon: Sequence[int | None]):
+        m = len(parent)
+        if len(leaf_taxon) != m:
+            raise TreeError("parent and leaf_taxon arrays differ in length")
+        children: list[list[int]] = [[] for _ in range(m)]
+        roots = []
+        for v, p in enumerate(parent):
+            if p == -1:
+                roots.append(v)
+            elif 0 <= p < m:
+                children[p].append(v)
+            else:
+                raise TreeError(f"node {v}: parent {p} out of range")
+        if len(roots) != 1:
+            raise TreeError(f"tree needs exactly one root, found {len(roots)}")
+        # every node has one parent, so the walk from the root meets each
+        # node at most once, and misses exactly the nodes on a cycle
+        order, stack = [], roots[:]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(children[v])
+        if len(order) != m:
+            raise TreeError("parent array has a cycle")
+        order.reverse()  # children before parents, each node's children in order
         self.kind = kind
         self.taxa = taxa
-        self.children = tuple(tuple(cs) for cs in children)
+        self.children = tuple(map(tuple, children))
         self.parent = tuple(parent)
-        self.root = root
+        self.root = roots[0]
         self.leaf_taxon = tuple(leaf_taxon)
-        self._cache: dict = {}
+        self._cache: dict = {"postorder": order}
 
     # -- basic accessors -------------------------------------------------
 
@@ -191,19 +210,7 @@ class Phylogeny:
 
     def postorder(self) -> list[int]:
         """Children before parents, each node's children in stored order."""
-        order = self._cache.get("postorder")
-        if order is None:
-            order, stack = [], [(self.root, False)]
-            while stack:
-                v, done = stack.pop()
-                if done:
-                    order.append(v)
-                else:
-                    stack.append((v, True))
-                    for c in reversed(self.children[v]):
-                        stack.append((c, False))
-            self._cache["postorder"] = order
-        return order
+        return self._cache["postorder"]
 
     def leaf_ranges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, lo, hi): the taxa in postorder leaf order, and for each
@@ -325,58 +332,32 @@ class Phylogeny:
 
         Example: Phylogeny.rooted(["a","b","c","d"], ((("a","b"),"c"),"d")).
         """
+        return cls._from_nested(Kind.ROOTED, taxa, nested)
+
+    @classmethod
+    def unrooted(cls, taxa: TaxonSet | Iterable[str], nested) -> "Phylogeny":
+        """Build an unrooted tree; the top-level tuple is the handle node."""
+        return cls._from_nested(Kind.UNROOTED, taxa, nested)
+
+    @classmethod
+    def _from_nested(cls, kind: Kind, taxa, nested) -> "Phylogeny":
+        """Number the nested structure's nodes in preorder, each before its
+        children and those left to right, so children come in id order."""
         if not isinstance(taxa, TaxonSet):
             taxa = TaxonSet.of(taxa)
-        children: list[list[int]] = []
+        parent: list[int] = []
         leaf_taxon: list[int | None] = []
-        # preorder ids: each node is numbered before its children, left to right
         stack = [(nested, -1)]
         while stack:
-            node, parent = stack.pop()
-            vid = len(children)
-            if parent >= 0:
-                children[parent].append(vid)
-            children.append([])
+            node, up = stack.pop()
+            vid = len(parent)
+            parent.append(up)
             if isinstance(node, (tuple, list)):
                 leaf_taxon.append(None)
                 stack.extend((c, vid) for c in reversed(node))
             else:
                 leaf_taxon.append(taxa.index(node))
-        return cls(Kind.ROOTED, taxa, children, 0, leaf_taxon)
-
-    @classmethod
-    def unrooted(cls, taxa: TaxonSet | Iterable[str], nested) -> "Phylogeny":
-        """Build an unrooted tree; the top-level tuple is the handle node."""
-        if not isinstance(taxa, TaxonSet):
-            taxa = TaxonSet.of(taxa)
-        t = cls.rooted(taxa, nested)
-        return cls(Kind.UNROOTED, taxa, t.children, t.root, t.leaf_taxon)
-
-    @classmethod
-    def from_adjacency(cls, kind: Kind, taxa: TaxonSet, adj: Sequence[Iterable[int]],
-                       leaf_taxon: Sequence[int | None], root: int) -> "Phylogeny":
-        """Orient an adjacency-list tree from `root` (BFS order preserved)."""
-        m = len(adj)
-        children: list[list[int]] = [[] for _ in range(m)]
-        parent = [-2] * m
-        parent[root] = -1
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if parent[w] == -2:
-                    parent[w] = v
-                    children[v].append(w)
-                    queue.append(w)
-        return cls(kind, taxa, children, root, leaf_taxon)
-
-    def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for v in range(self.num_nodes):
-            if self.parent[v] >= 0:
-                adj[v].append(self.parent[v])
-                adj[self.parent[v]].append(v)
-        return adj
+        return cls(kind, taxa, parent, leaf_taxon)
 
     # -- canonical form / isomorphism -----------------------------------
 
@@ -461,10 +442,11 @@ def restrict(tree: Phylogeny, subset) -> Phylogeny:
     sub_taxa = TaxonSet(tuple(tree.taxa.label(i) for i in idx))
     remap = {old: new for new, old in enumerate(idx)}
 
-    children: list[list[int]] = []
+    parent: list[int] = []
     leaf_taxon: list[int | None] = []
 
-    # node of the restriction below each node, None where no taxon is kept
+    # node of the restriction below each node, None where no taxon is kept;
+    # nodes are numbered in postorder, so each takes its kept children
     built: dict[int, int | None] = {}
     for v in tree.postorder():
         t = tree.leaf_taxon[v]
@@ -474,10 +456,12 @@ def restrict(tree: Phylogeny, subset) -> Phylogeny:
         elif t is not None and t not in keep:
             built[v] = None
         else:
-            children.append(kept)
+            built[v] = len(parent)
+            for c in kept:
+                parent[c] = built[v]
+            parent.append(-1)
             leaf_taxon.append(None if t is None else remap[t])
-            built[v] = len(children) - 1
-    sub = Phylogeny(tree.kind, sub_taxa, children, built[tree.root], leaf_taxon)
+    sub = Phylogeny(tree.kind, sub_taxa, parent, leaf_taxon)
     if tree.kind is Kind.UNROOTED and len(idx) > 2 and len(sub.children[sub.root]) == 2:
         # A handle of degree 2 is not a real node: merge into it a child
         # that is internal, as one of the two is when n > 2.
@@ -555,7 +539,9 @@ def is_refinement(coarse: Phylogeny, fine: Phylogeny) -> bool:
 
 
 def pull_out(tree: Phylogeny, u: int) -> Phylogeny:
-    """Split u's parent v into v'(children u, v'') and v''(other children)."""
+    """Pull-Out: u's parent v, a polytomy, keeps u and its own parent, and
+    a new node below v takes v's other children, which makes their union
+    a new cluster.  Node ids are kept, the new node is `num_nodes`."""
     if tree.kind is not Kind.ROOTED:
         raise TreeError("pull_out applies to rooted trees")
     v = tree.parent[u]
@@ -563,17 +549,14 @@ def pull_out(tree: Phylogeny, u: int) -> Phylogeny:
         raise TreeError("pull_out needs a non-root node")
     if len(tree.children[v]) < 3:
         raise TreeError("pull_out needs a parent with at least 3 children")
-    m = tree.num_nodes
-    children = [list(cs) for cs in tree.children]
-    rest = [c for c in children[v] if c != u]
-    children[v] = [u, m]
-    children.append(rest)
-    leaf_taxon = list(tree.leaf_taxon) + [None]
-    return Phylogeny(Kind.ROOTED, tree.taxa, children, tree.root, leaf_taxon)
+    return _split(tree, v, (u, tree.parent[v]))
 
 
 def pull_2_out(tree: Phylogeny, u1: int, u2: int) -> Phylogeny:
-    """Split the shared neighbor v into v'(u1, u2, v'') and v''(the rest)."""
+    """Pull-2-Out: the shared neighbor v of u1 and u2, of degree >= 4,
+    keeps u1 and u2, and a new node joined to v takes v's other neighbors,
+    which makes the split {u1, u2 sides} | rest.  Node ids are kept, the
+    new node is `num_nodes`."""
     if tree.kind is not Kind.UNROOTED:
         raise TreeError("pull_2_out applies to unrooted trees")
     if u1 == u2:
@@ -584,15 +567,26 @@ def pull_2_out(tree: Phylogeny, u1: int, u2: int) -> Phylogeny:
     v = shared.pop()
     if tree.degree(v) < 4:
         raise TreeError("pull_2_out needs the shared neighbor to have degree >= 4")
+    return _split(tree, v, (u1, u2))
+
+
+def _split(tree: Phylogeny, v: int, keep) -> Phylogeny:
+    """Split node v in two on the parent array: v keeps its neighbors in
+    `keep`, a new node m = `num_nodes` joined to v takes the others.  m
+    goes below v, or between v and its parent when that parent is not
+    kept; every other node keeps its id and its parent."""
     m = tree.num_nodes
-    adj = tree._adjacency()
-    rest = [w for w in adj[v] if w not in (u1, u2)]
-    adj[v] = [u1, u2, m]
-    adj.append(rest + [v])
-    for w in rest:
-        adj[w] = [m if x == v else x for x in adj[w]]
-    leaf_taxon = list(tree.leaf_taxon) + [None]
-    return Phylogeny.from_adjacency(Kind.UNROOTED, tree.taxa, adj, leaf_taxon, tree.root)
+    parent = list(tree.parent)
+    for c in tree.children[v]:
+        if c not in keep:
+            parent[c] = m
+    up = parent[v]
+    if up >= 0 and up not in keep:
+        parent[v] = m
+        parent.append(up)
+    else:
+        parent.append(v)
+    return Phylogeny(tree.kind, tree.taxa, parent, tree.leaf_taxon + (None,))
 
 
 def contract(tree: Phylogeny, *nodes: int) -> Phylogeny:
@@ -609,7 +603,7 @@ def contract(tree: Phylogeny, *nodes: int) -> Phylogeny:
     if any(tree.parent[u] < 0 or tree.is_leaf(u) for u in merged):
         raise TreeError("contract needs internal, non-root nodes")
     new_id = [-1] * tree.num_nodes
-    children: list[list[int]] = []
+    parent: list[int] = []
     leaf_taxon: list[int | None] = []
     stack = [tree.root]
     while stack:
@@ -620,9 +614,7 @@ def contract(tree: Phylogeny, *nodes: int) -> Phylogeny:
             # the parent precedes v in preorder, so it is already mapped
             new_id[v] = new_id[p]
             continue
-        new_id[v] = len(children)
-        if p >= 0:
-            children[new_id[p]].append(new_id[v])
-        children.append([])
+        new_id[v] = len(parent)
+        parent.append(new_id[p] if p >= 0 else -1)
         leaf_taxon.append(tree.leaf_taxon[v])
-    return Phylogeny(tree.kind, tree.taxa, children, 0, leaf_taxon)
+    return Phylogeny(tree.kind, tree.taxa, parent, leaf_taxon)

@@ -48,7 +48,7 @@ BLOCK_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class RootedIntersectionTables:
-    """Pairwise leaf-set intersection sizes and per-tree size vectors.
+    """Pairwise leaf-set intersection sizes and T2's subtree sizes.
 
     I[u, v] = |L(T1(u)) ∩ L(T2(v))|.
     """
@@ -56,7 +56,6 @@ class RootedIntersectionTables:
     t1: Phylogeny
     t2: Phylogeny
     I: np.ndarray          # (m1, m2) int32
-    alpha1: np.ndarray     # (m1,) subtree leaf counts of T1
     alpha2: np.ndarray     # (m2,) subtree leaf counts of T2
 
 
@@ -76,7 +75,7 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     # long-lived arrays can land above I on the malloc heap and pin the hole
     # I leaves, which the next, larger table then does not fit (20 MB more
     # peak RSS on some pairs of rooted trees at n = 1600).
-    alpha1, alpha2 = t1.subtree_sizes(), t2.subtree_sizes()
+    alpha2 = t2.subtree_sizes()
     t1.node_sides()
     t2.node_sides()
     order2, lo2, hi2 = t2.leaf_ranges()
@@ -90,7 +89,7 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
         else:
             for c in t1.children[u]:
                 I[u] += I[c]
-    return RootedIntersectionTables(t1, t2, I, alpha1, alpha2)
+    return RootedIntersectionTables(t1, t2, I, alpha2)
 
 
 def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from polydist.expected import add_leaf
+from polydist.hausdorff import classification_counts
 from polydist.oracle import Classification
 from polydist.quartet import quartet_classification
 from polydist.randgen import random_binary, random_partial
@@ -34,6 +35,41 @@ def triplets_from_quartets(t1: Phylogeny, t2: Phylogeny) -> Classification:
     without_x = quartet_classification(restrict(a, t1.taxa.labels),
                                        restrict(b, t2.taxa.labels))
     return Classification(*(e - w for e, w in zip(astuple(everything), astuple(without_x))))
+
+
+def reoriented(tree: Phylogeny, root: int) -> Phylogeny:
+    """The same tree with its parent array oriented away from `root`."""
+    parent = [-1] * tree.num_nodes
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in tree.neighbors(v):
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    return Phylogeny(tree.kind, tree.taxa, parent, tree.leaf_taxon)
+
+
+def quartets_from_triplets(t1: Phylogeny, t2: Phylogeny) -> Classification:
+    """Four times the five quartet classes of two unrooted trees over X,
+    read off triplets.
+
+    For each taxon x, both trees are re-oriented at x's neighbor, read as
+    rooted and restricted to X - x: a quartet ab|cx becomes the triplet
+    ab|c and a star becomes a fan, so the triplets of these rooted trees
+    are the quartets that hold x, class for class.  Every quartet holds
+    four taxa, so the classes summed over x count each quartet four times.
+    """
+    per_taxon = []
+    for x in range(t1.n):
+        others = [t for t in range(t1.n) if t != x]
+        rooted = []
+        for tree in (t1, t2):
+            turned = reoriented(tree, tree.neighbors(tree.leaf_of_taxon(x))[0])
+            rooted.append(restrict(Phylogeny(Kind.ROOTED, tree.taxa, turned.parent,
+                                             turned.leaf_taxon), others))
+        per_taxon.append(astuple(classification_counts(*rooted)))
+    return Classification(*map(sum, zip(*per_taxon)))
 
 
 def seeded_partial(kind: Kind, n: int, seed: int, contract_prob: float = 0.4):

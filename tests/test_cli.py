@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polydist
 from polydist import hausdorff, oracle, quartet, triplet
@@ -403,3 +407,92 @@ def test_closed_stdout_is_not_a_crash(argv):
     finally:
         os.close(write_end)
     assert done.returncode == 0 and done.stderr == b""
+
+
+FUZZ_TEXTS = {
+    "rooted": "(((a,b),c),(d,e));", "rooted_fan": "(a,b,c,d,e);",
+    "unrooted": "((a,b),c,(d,e));", "unrooted_star": "(a,b,c,d,e);",
+    "profile": "(((a,b),c),(d,e)); ((a,(b,c)),d,e); ((a,b),c,d,e);",
+    "unrooted_profile": "((a,b),c,(d,e)); (a,(b,c),(d,e)); ((a,b),c,d,e);",
+    "mixed_taxa": "((a,b),c,d,e); ((a,b),c,d,x);", "other_taxa": "((a,b),c,(d,x));",
+    "two_taxa": "(a,b);", "three_taxa": "(a,b,c);", "one_taxon": "a;",
+    "malformed": "((a,b),c", "duplicate": "((a,a),b,c);", "unary": "((a),b,c);",
+    "empty": "", "comment_only": "[nothing];",
+}
+DEEP = "t0"
+for _i in range(1, 1100):  # deeper than Python's recursion limit
+    DEEP = f"({DEEP},t{_i})"
+FUZZ_TEXTS.update(deep=DEEP + ";", deep_unrooted=f"({DEEP},x,y);")
+SMALL_FILES = sorted(set(FUZZ_TEXTS) - {"deep", "deep_unrooted"} | {"bad_utf8", "missing"})
+ALL_FILES = sorted(SMALL_FILES + ["deep", "deep_unrooted"])
+# valid values thrice, so that most commands get past their checks
+P_VALUES = ("1/2", "2/3", "0", "1", "0.75") * 3 + ("2", "-1/3", "1/0", "x", "nan", "inf", "1e400")
+INTS = ("0", "1", "2", "3", "4", "7", "9") * 3 + ("-1", str(MAX_COUNT_N + 1), "x", "2.5")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The files above, plus bad UTF-8 and a path that does not exist."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_TEXTS.items():
+        (root / f"{name}.nwk").write_text(text + "\n")
+    (root / "bad_utf8.nwk").write_bytes(b"((a,\xff),c);\n")
+    return {name: str(root / f"{name}.nwk") for name in ALL_FILES}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for any subcommand, files named by "@" and their key above,
+    each option present or not, with valid and invalid values, and now
+    and then an argument the subcommand does not take."""
+    command = draw(st.sampled_from(["dist", "hausdorff-bounds", "consensus", "refine",
+                                    "enumerate", "expected", "selftest"]))
+
+    def option(name, values=None):
+        if draw(st.integers(0, 3)) == 0:
+            return []
+        return [name] if values is None else [name, draw(st.sampled_from(values))]
+
+    def files(count, pool=ALL_FILES):
+        return ["@" + draw(st.sampled_from(pool)) for _ in range(count)]
+
+    argv = [command]
+    if command == "dist":
+        metric = draw(st.sampled_from(["triplet", "quartet"]))
+        method = option("--method", ("brute",) + DIST_METHODS[metric] * 3 + ("none",))
+        # the oracle enumerates every triplet or quartet by design, so the
+        # brute method reads only the small files
+        argv += [metric] + files(2, SMALL_FILES if "brute" in method else ALL_FILES)
+        argv += method + option("--p", P_VALUES) + option("--unrooted") * (metric == "quartet")
+    elif command == "hausdorff-bounds":
+        argv += files(2) + option("--unrooted") + option("--adversarial")
+    elif command in ("consensus", "refine"):
+        argv += files(1 if command == "consensus" else 2) + option("--unrooted")
+        argv += option("--p", P_VALUES) + option("--refine") * (command == "consensus")
+    elif command in ("enumerate", "expected"):
+        argv += option("--n", INTS) + option("--unrooted")
+        if command == "expected":
+            argv += option("--p", P_VALUES) + option("--samples", ("-1", "0", "3"))
+            argv += option("--seed", INTS)
+    else:
+        argv += option("--trials", ("1", "2") * 3 + ("-1", "0", "x")) + option("--seed", INTS)
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.sampled_from([["--verbose"], ["--refine"], ["--n", "3"], ["extra"],
+                                      ["--unrooted"], ["--adversarial"]]))
+    return argv + option("--json")
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, argv):
+    argv = [fuzz_files[a[1:]] if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("error:")

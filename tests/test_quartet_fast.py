@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classification_pairs, seeded_pair, unrooted_pairs, unrooted_trees
+from conftest import classification_pairs, reoriented, seeded_pair, unrooted_pairs, unrooted_trees
 from polydist import quartet
 from polydist.newick import parse_newick
 from polydist.oracle import CapacityError, classify_quartets, enumerate_phylogenies
@@ -139,8 +139,7 @@ class TestApproxR1:
         a, b = pair
         y = approx_r1_quartets(a, b)
         for w in b.internal_nodes():
-            turned = Phylogeny.from_adjacency(Kind.UNROOTED, b.taxa, b._adjacency(),
-                                              b.leaf_taxon, w)
+            turned = reoriented(b, w)
             assert approx_r1_quartets(a, turned) == y
 
     def test_int64_exact_at_largest_supported_n(self):
@@ -339,8 +338,7 @@ def test_two_r1_identity_under_both_rootings():
         dp = c.to_distance_pair()
         ys = set()
         for v in a.internal_nodes():
-            turned = Phylogeny.from_adjacency(Kind.UNROOTED, a.taxa, a._adjacency(),
-                                              a.leaf_taxon, v)
+            turned = reoriented(a, v)
             y = approx_r1_quartets(turned, b)
             assert c.r1 <= y <= 2 * c.r1
             ys.add(y)

@@ -63,13 +63,20 @@ def test_basic_shape_accessors():
 
 
 def test_validate_flags_problems():
-    # hand-built node arrays with unary internal nodes and a missing taxon
+    # a hand-built parent array with a unary chain and a missing taxon
     taxa = TaxonSet(("a", "b"))
-    t = Phylogeny(Kind.ROOTED, taxa, [[1], [2], []], 0, [None, None, 0])
+    t = Phylogeny(Kind.ROOTED, taxa, [-1, 0, 1], [None, None, 0])
     assert t.validate() != []
-    # inconsistent arrays are rejected outright
-    with pytest.raises(TreeError):
-        Phylogeny(Kind.ROOTED, taxa, [[1, 2], [], [1]], 0, [None, 0, 1])
+    # arrays that are not one tree are rejected outright
+    for parent, leaf_taxon in (
+        ([-1, 0], [None, 0, 1]),  # lengths differ
+        ([-1, -1, 0], [None, 0, 1]),  # two roots
+        ([1, 0], [0, 1]),  # no root
+        ([-1, 2, 1, 0], [None, 0, 1, None]),  # 1 and 2 form a cycle
+        ([-1, 0, 3], [None, 0, 1]),  # parent out of range
+    ):
+        with pytest.raises(TreeError):
+            Phylogeny(Kind.ROOTED, taxa, parent, leaf_taxon)
 
 
 def test_unrooted_degree_rule():
@@ -226,6 +233,52 @@ def test_pull_2_out():
     assert induced(out, (0, 1, 2, 3)) is QuartetTopology.AB_CD
     with pytest.raises(TreeError):
         pull_2_out(out, 0, 1)  # shared neighbor now has degree 3
+
+
+@st.composite
+def pulls(draw, max_n=14):
+    """A conftest shape with a polytomy v, and the neighbors of v that a
+    Pull-Out (a child, rooted) or a Pull-2-Out (any two, unrooted) keeps."""
+    kind = draw(st.sampled_from(Kind))
+    n = draw(st.integers(4 if kind is Kind.ROOTED else 5, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = shaped(kind, draw(st.sampled_from(("partial", "fan", "caterpillar"))),
+                  TaxonSet(tuple(f"t{i}" for i in range(n))), rng)
+    if not tree.unresolved_nodes():
+        tree = contract(tree, *(v for v in tree.internal_nodes() if tree.parent[v] >= 0))
+    v = draw(st.sampled_from(tree.unresolved_nodes()))
+    if kind is Kind.ROOTED:
+        return tree, v, (draw(st.sampled_from(tree.children[v])),)
+    return tree, v, tuple(draw(st.permutations(tree.neighbors(v)))[:2])
+
+
+@given(pulls())
+@settings(max_examples=150, deadline=None)
+def test_pulls_split_one_node_in_place(case):
+    tree, v, pulled = case
+    m = tree.num_nodes
+    if tree.kind is Kind.ROOTED:
+        out = pull_out(tree, pulled[0])
+        keep = set(pulled) | ({tree.parent[v]} - {-1})
+        new_edge = tree.subtree_taxa(v) - tree.subtree_taxa(pulled[0])
+    else:
+        out = pull_2_out(tree, *pulled)
+        keep = set(pulled)
+        side = frozenset().union(*(tree.subtree_taxa(w) if tree.parent[w] == v
+                                   else frozenset(range(tree.n)) - tree.subtree_taxa(v)
+                                   for w in pulled))
+        new_edge = side if 0 in side else frozenset(range(tree.n)) - side
+    assert out.validate() == []
+    assert new_edge not in _edges(tree)
+    assert _edges(out) == _edges(tree) | {new_edge}
+    # v keeps `keep`, the new node m takes v's other neighbors, and every
+    # other node keeps its id, its taxon and its parent unless it moved to m
+    assert out.num_nodes == m + 1 and out.leaf_taxon == tree.leaf_taxon + (None,)
+    assert set(out.neighbors(v)) == keep | {m}
+    assert set(out.neighbors(m)) == set(tree.neighbors(v)) - keep | {v}
+    for w in range(m):
+        moved = w != v and tree.parent[w] == v and w not in keep
+        assert out.parent[w] == (m if moved else tree.parent[w]) or w == v
 
 
 def test_refinement_partial_order():

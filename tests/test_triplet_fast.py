@@ -38,7 +38,7 @@ class TestTables:
         la = t1.leaf_of_taxon("a")
         assert tab.I[la, t2.leaf_of_taxon("a")] == 1
         assert tab.I[t1.root, t2.root] == 4
-        assert tab.alpha1[t1.root] == tab.alpha2[t2.root] == 4
+        assert t1.subtree_sizes()[t1.root] == tab.alpha2[t2.root] == 4
 
     def test_named_intersection(self):
         t1 = Phylogeny.rooted("abcd", ((("a", "b"), "c"), "d"))
@@ -52,15 +52,16 @@ class TestTables:
     def test_quadrants_sum_to_n(self, pair):
         a, b = pair
         tab = build_tables(a, b)
+        alpha1 = a.subtree_sizes()
         everything = frozenset(range(a.n))
         # direct set computation on a sample of node pairs
         for u in a.internal_nodes()[:4]:
             for v in b.internal_nodes()[:4]:
                 A, B = a.subtree_taxa(u), b.subtree_taxa(v)
                 assert tab.I[u, v] == len(A & B)
-                assert tab.alpha1[u] - tab.I[u, v] == len(A - B)
+                assert alpha1[u] - tab.I[u, v] == len(A - B)
                 assert tab.alpha2[v] - tab.I[u, v] == len(B - A)
-                assert a.n - tab.alpha1[u] - tab.alpha2[v] + tab.I[u, v] == \
+                assert a.n - alpha1[u] - tab.alpha2[v] + tab.I[u, v] == \
                     len(everything - A - B)
         # the sides of every node pair split the taxa both ways
         for M, sizes1, sizes2 in node_pair_blocks(tab):
@@ -133,6 +134,7 @@ class TestOverlapFilter:
     def test_filter_yields_exactly_the_overlapping_pairs(self, pair):
         a, b = pair
         tab = build_tables(a, b)
+        alpha1 = a.subtree_sizes()
         internal1, internal2 = a.internal_nodes(), b.internal_nodes()
         for min_children2 in (0, 3):
             wide2 = [v for v in internal2 if len(b.children[v]) >= min_children2]
@@ -144,7 +146,7 @@ class TestOverlapFilter:
                 assert _overlapping_stream(blocks) == \
                     _overlapping_stream(everything, min_overlap)
                 # and, by (I[u, v], |L(u)|, |L(v)|), the pairs of the table
-                want = sorted((int(tab.I[u, v]), int(tab.alpha1[u]), int(tab.alpha2[v]))
+                want = sorted((int(tab.I[u, v]), int(alpha1[u]), int(tab.alpha2[v]))
                               for u in internal1 for v in wide2
                               if tab.I[u, v] >= min_overlap)
                 got = sorted(t for M, sizes1, sizes2 in blocks
@@ -178,7 +180,7 @@ def test_blocks_are_sides_first_gathers_of_the_table():
     b = random_partial(n, Kind.ROOTED, rng, 0.3, taxa)
     tab = build_tables(a, b)
     I = tab.I.tolist()
-    alpha1, alpha2 = tab.alpha1.tolist(), tab.alpha2.tolist()
+    alpha1, alpha2 = a.subtree_sizes().tolist(), tab.alpha2.tolist()
     by_shape = {}
     for M, sizes1, sizes2 in node_pair_blocks(tab):
         d1, d2, P = M.shape
