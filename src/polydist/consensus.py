@@ -11,15 +11,21 @@ sizes, but two approximations have guarantees in the metric range:
   candidate always exists (votes split 1 agreeing : 2 disagreeing), so a
   fully resolved tree is reached without increasing the profile distance.
 
-best_refinement is the one routine that chooses the next step from the
-vote tallies; polydist.hausdorff's adversarial refinement runs it against
-the one-tree profile (T2,) with score A - 2F in place of the distance change.
-"""
+refinements is the one loop that chooses each step from the vote tallies;
+polydist.hausdorff's adversarial refinement runs it against the one-tree
+profile (T2,) with score 2F - A in place of the distance change.  A step
+splits one polytomy v, so the loop counts each polytomy's tallies once
+and keeps them for the run, keyed by the node and its candidate nodes.
+The new node's tallies are v's minus the votes of the subsets that hold
+every kept group, which are the only subsets the new node loses: for a
+fan that counts C(K-1, 2) triplets per step instead of C(K, 3).  Scores
+are Python ints: with p = P/Q the greedy compares Q times the exact
+distance change, with no Fraction per candidate."""
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,18 +128,23 @@ class VoteTally:
         return -p * self.f + (1 - p) * self.a + p * self.nv
 
 
-def _cross_rows(groups: list[list[int]], size: int) -> np.ndarray:
-    """Every choice of `size` taxa from `size` distinct groups, one row each,
-    in the order of `itertools.product` over `itertools.combinations` of
-    the groups.  The group combinations are repeated by their product
+def _cross_rows(groups: list[list[int]], size: int, must: tuple[int, ...] = ()) -> np.ndarray:
+    """Every choice of `size` taxa from `size` distinct groups, among them
+    every group in `must`, one row each, in the order of `itertools.product`
+    over the `itertools.combinations` of the groups that hold `must`.  Those
+    are `must` merged into each combination of the other groups, which
+    keeps their order.  The group combinations are repeated by their product
     sizes, and each row's position within its combination is read in mixed
     radix (last group fastest) as offsets into the concatenated groups."""
     lengths = np.array([len(g) for g in groups], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = np.array([t for g in groups for t in g], dtype=np.int64)
+    rest = [g for g in range(len(groups)) if g not in must]
     combos = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(len(groups)), size)),
-        dtype=np.int64).reshape(-1, size)
+        itertools.combinations(rest, size - len(must))),
+        dtype=np.int64).reshape(-1, size - len(must))
+    combos = np.sort(np.hstack([np.full((len(combos), len(must)), must, dtype=np.int64),
+                                combos]), axis=1)
     counts = lengths[combos].prod(axis=1)
     which = np.repeat(combos, counts, axis=0)
     pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -145,15 +156,17 @@ def _cross_rows(groups: list[list[int]], size: int) -> np.ndarray:
     return rows
 
 
-def _votes(groups: list[list[int]], profile: Profile,
-           rooted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _votes(groups: list[list[int]], profile: Profile, rooted: bool,
+           must: tuple[int, ...] = ()) -> list[list]:
     """f, a and nv per candidate at a polytomy with the given groups of
-    taxa, over the triplets (rooted) or quartets with taxa in distinct groups.
+    taxa, over the triplets (rooted) or quartets with taxa in distinct
+    groups, among them every group in `must`: lists of K ints (rooted) or
+    symmetric K x K nested lists, one cell per group pair (unrooted).
 
     Each subset is a sorted row; `cand[row]` holds the candidates it votes
     on: the group of each taxon (rooted), or the group pair g*K + h of each
-    taxon pair (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) (unrooted, not yet
-    symmetrised).  A resolved code c makes column c agree (the apart taxon;
+    taxon pair (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) (unrooted, symmetrised
+    at the end).  A resolved code c makes column c agree (the apart taxon;
     the pair {0, c+1}) and, unrooted, column 5 - c (the other side of the
     split); every other candidate of the row disagrees.
     """
@@ -161,7 +174,7 @@ def _votes(groups: list[list[int]], profile: Profile,
     group = np.zeros(profile.taxa.n, dtype=np.int64)
     for g, taxa in enumerate(groups):
         group[taxa] = g
-    rows = _cross_rows(groups, size)
+    rows = _cross_rows(groups, size, must)
     rows.sort(axis=1)
     cand = group[rows]
     if not rooted:
@@ -180,30 +193,79 @@ def _votes(groups: list[list[int]], profile: Profile,
         f += np.bincount(voters[at, codes], minlength=width)
         if not rooted:
             f += np.bincount(voters[at, 5 - codes], minlength=width)
-    return f, seen - f - nv, nv
+    tallies = (f, seen - f - nv, nv)
+    if not rooted:
+        tallies = (x.reshape(K, K) + x.reshape(K, K).T for x in tallies)
+    return [x.tolist() for x in tallies]
+
+
+def _candidates(tree: Phylogeny, v: int) -> tuple[int, ...]:
+    """The nodes whose groups meet at polytomy v: its children (rooted) or
+    its neighbors (unrooted)."""
+    return tree.children[v] if tree.kind is Kind.ROOTED else tree.neighbors(v)
+
+
+def _groups(tree: Phylogeny, v: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The candidate nodes at polytomy v and the taxa of each one's group,
+    the parent's group (unrooted) being every taxon outside v's subtree."""
+    nodes = _candidates(tree, v)
+    order, lo, hi = tree.leaf_ranges()
+    return nodes, [order[lo[x]:hi[x]].tolist() if tree.parent[x] == v
+                   else order[:lo[v]].tolist() + order[hi[v]:].tolist() for x in nodes]
 
 
 def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, VoteTally]:
     """Votes per child q of polytomy v, over triplets with leaves in three
     distinct child groups, one of them the q group."""
-    children = tree.children[v]
-    order, lo, hi = tree.leaf_ranges()
-    f, a, nv = _votes([order[lo[c]:hi[c]].tolist() for c in children], profile, rooted=True)
-    return {q: VoteTally(int(f[g]), int(a[g]), int(nv[g])) for g, q in enumerate(children)}
+    children, groups = _groups(tree, v)
+    f, a, nv = _votes(groups, profile, rooted=True)
+    return {q: VoteTally(f[g], a[g], nv[g]) for g, q in enumerate(children)}
 
 
 def unrooted_vote_tally(tree: Phylogeny, w: int, profile: Profile) -> dict[frozenset, VoteTally]:
     """Votes per unordered neighbor pair {q, r} of polytomy w, over quartets
     with leaves in four distinct neighbor groups, two of them q and r."""
-    nbrs = tree.neighbors(w)
-    order, lo, hi = tree.leaf_ranges()
-    groups = [order[lo[x]:hi[x]].tolist() if tree.parent[x] == w
-              else order[:lo[w]].tolist() + order[hi[w]:].tolist() for x in nbrs]
-    K = len(nbrs)
-    f, a, nv = (x.reshape(K, K) + x.reshape(K, K).T
-                for x in _votes(groups, profile, rooted=False))
-    return {frozenset((nbrs[g], nbrs[h])): VoteTally(int(f[g, h]), int(a[g, h]), int(nv[g, h]))
-            for g, h in itertools.combinations(range(K), 2)}
+    nbrs, groups = _groups(tree, w)
+    f, a, nv = _votes(groups, profile, rooted=False)
+    return {frozenset((nbrs[g], nbrs[h])): VoteTally(f[g][h], a[g][h], nv[g][h])
+            for g, h in itertools.combinations(range(len(nbrs)), 2)}
+
+
+def _tallies(tree: Phylogeny, v: int, profile: Profile, cache: dict) -> dict:
+    """The tallies at polytomy v: cached under (v, candidate nodes), else
+    counted fresh.  Node ids survive every split, and a split leaves every
+    other node's groups unchanged, so an equal key means equal tallies."""
+    key = v, _candidates(tree, v)
+    if key not in cache:
+        tally_at = rooted_vote_tally if tree.kind is Kind.ROOTED else unrooted_vote_tally
+        cache[key] = tally_at(tree, v, profile)
+    return cache[key]
+
+
+def _split_tallies(tree: Phylogeny, v: int, kept: tuple[int, ...], tallies: dict,
+                   profile: Profile) -> dict:
+    """The tallies at the node m that pulling the candidate `kept` out of
+    polytomy v makes, from v's `tallies`.  m's subsets are v's subsets
+    minus those that hold every kept group, so their votes are subtracted.
+    Rooted, m's candidates are v's children but the kept one.  Unrooted,
+    the kept groups are one group of m, its neighbor v: the pairs {q, u1}
+    and {q, u2} add up to the pair {q, v}."""
+    nodes, groups = _groups(tree, v)
+    rooted = tree.kind is Kind.ROOTED
+    f, a, nv = _votes(groups, profile, rooted, tuple(nodes.index(u) for u in kept))
+    if rooted:
+        return {q: VoteTally(tallies[q].f - f[g], tallies[q].a - a[g], tallies[q].nv - nv[g])
+                for g, q in enumerate(nodes) if q not in kept}
+    sums: dict[frozenset, list[int]] = {}
+    for g, h in itertools.combinations(range(len(nodes)), 2):
+        pair = frozenset(v if x in kept else x for x in (nodes[g], nodes[h]))
+        if len(pair) == 2:
+            t = tallies[frozenset((nodes[g], nodes[h]))]
+            s = sums.setdefault(pair, [0, 0, 0])
+            s[0] += t.f - f[g][h]
+            s[1] += t.a - a[g][h]
+            s[2] += t.nv - nv[g][h]
+    return {pair: VoteTally(*s) for pair, s in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -215,45 +277,60 @@ class GreedyResult:
     steps: int
 
 
-def best_refinement(tree: Phylogeny, profile: Profile,
-                    cost: Callable[[VoteTally], Fraction | None]
-                    ) -> tuple[VoteTally, Phylogeny] | None:
-    """The cheapest refinement step of `tree` against `profile`.
+def refinements(tree: Phylogeny, profile: Profile,
+                score: Callable[[VoteTally], int | None]
+                ) -> Iterator[tuple[VoteTally, Phylogeny]]:
+    """Refine `tree` against `profile` one cheapest step at a time.
 
     Every candidate at every polytomy (a child to Pull-Out for rooted
     trees, a neighbor pair to Pull-2-Out for unrooted ones) is scored by
-    `cost(tally)` on its VoteTally; a cost of None drops the candidate.
-    Returns (tally, refined tree) for the cheapest candidate, ties going to
-    the smallest (node, sorted candidate), or None if no candidate is left;
-    the step changes only the subsets its tally counts, by exactly the tally.
+    `score(tally)` on its VoteTally; a score of None drops the candidate.
+    Each step applies the candidate with the smallest score, ties going to
+    the smallest (node, sorted candidate), and yields (tally, refined
+    tree); the step changes only the subsets its tally counts, by exactly
+    the tally.  The steps end when no candidate is left.
+
+    A polytomy's tallies are counted once and cached for the run under
+    (node, candidate nodes); the node a step creates gets its tallies by
+    subtraction from the split node's (_split_tallies).
     """
     rooted = tree.kind is Kind.ROOTED
-    tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
-    best = None
-    for v in tree.unresolved_nodes():
-        for candidate, votes in tally_at(tree, v, profile).items():
-            c = cost(votes)
-            if c is None:
-                continue
-            key = (c, v, (candidate,) if rooted else tuple(sorted(candidate)))
-            if best is None or key < best[0]:
-                best = key, votes
-    if best is None:
-        return None
-    (_, _, nodes), votes = best
-    return votes, (pull_out if rooted else pull_2_out)(tree, *nodes)
+    cache: dict = {}
+    while True:
+        best = None
+        for v in tree.unresolved_nodes():
+            for candidate, votes in _tallies(tree, v, profile, cache).items():
+                s = score(votes)
+                if s is None:
+                    continue
+                key = (s, v, (candidate,) if rooted else tuple(sorted(candidate)))
+                if best is None or key < best[0]:
+                    best = key, votes
+        if best is None:
+            return
+        (_, v, nodes), votes = best
+        refined = (pull_out if rooted else pull_2_out)(tree, *nodes)
+        m = tree.num_nodes
+        tallies = cache.pop((v, _candidates(tree, v)))
+        if refined.is_unresolved(m):
+            cache[m, _candidates(refined, m)] = _split_tallies(tree, v, nodes, tallies, profile)
+        yield votes, refined
+        tree = refined
 
 
 def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:
     """Refine `tree` to full resolution, greedily minimizing the exact
     distance change at each step (tie: lexicographically smallest candidate);
-    the final distance is the initial one plus each applied tally's delta(p)."""
+    the final distance is the initial one plus each applied tally's delta(p).
+
+    With p = P/Q the steps compare Q·delta = −P·f + (Q − P)·a + P·nv in
+    Python ints, which do not overflow for any denominator."""
     p = Fraction(p)
     initial = final = profile_distance(tree, profile, p)
-    current = tree
-    steps = 0
-    while (step := best_refinement(current, profile, lambda votes: votes.delta(p))) is not None:
-        votes, current = step
+    P, Q = p.numerator, p.denominator
+    current, steps = tree, 0
+    for votes, current in refinements(tree, profile,
+                                      lambda t: P * (t.nv - t.f) + (Q - P) * t.a):
         final += votes.delta(p)
         steps += 1
     guaranteed = p >= Fraction(2, 3) and all(m.is_fully_resolved() for m in profile.trees)

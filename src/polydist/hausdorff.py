@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from polydist.consensus import Profile, VoteTally, best_refinement
+from polydist.consensus import Profile, VoteTally, refinements
 from polydist.oracle import Classification
 from polydist.quartet import quartet_classification
 from polydist.trees import Kind, Phylogeny
@@ -104,9 +104,7 @@ def adversarial_refinement(t1: Phylogeny, t2: Phylogeny) -> AdversarialResult:
     """
     start = classification_counts(t1, t2)
     current, d_achieved = t1, start.d
-    profile = Profile((t2,))
-    while (step := best_refinement(current, profile, _adversarial_cost)) is not None:
-        votes, current = step
+    for votes, current in refinements(t1, Profile((t2,)), _adversarial_cost):
         if _adversarial_cost(votes) > 0:
             # guaranteed not to happen; the certified lower bound needs A >= 2F
             raise AssertionError("no admissible refinement candidate")

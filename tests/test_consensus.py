@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_pair, seeded_partial
-from polydist import consensus
+from polydist import consensus, hausdorff
 from polydist.consensus import (
     Profile,
     best_of_profile,
@@ -56,14 +56,18 @@ def taxon_groups(draw):
     return [list(taxa[s:s + k]) for s, k in zip(starts, lengths)]
 
 
-@given(taxon_groups(), st.sampled_from((3, 4)))
+@given(taxon_groups(), st.sampled_from((3, 4)), st.data())
 @settings(max_examples=60, deadline=None)
-def test_cross_rows_match_product_enumeration(groups, size):
-    rows = consensus._cross_rows(groups, size)
-    want = [row for gs in combinations(range(len(groups)), size)
+def test_cross_rows_match_product_enumeration(groups, size, data):
+    # the rows of the group combinations that hold every group in `must`,
+    # in product order; must = () gives every combination
+    must = tuple(data.draw(st.permutations(range(len(groups))))
+                 [:data.draw(st.integers(0, min(size - 1, len(groups))))])
+    rows = consensus._cross_rows(groups, size, must)
+    want = [row for gs in combinations(range(len(groups)), size) if set(must) <= set(gs)
             for row in product(*(groups[g] for g in gs))]
     assert rows.shape == (len(want), size) and rows.dtype == np.int64
-    assert sorted(map(tuple, rows.tolist())) == sorted(want)
+    assert list(map(tuple, rows.tolist())) == want
 
 
 def test_profile_validation():
@@ -316,6 +320,98 @@ class TestGreedyRefine:
         tree = Phylogeny.rooted("abcd", ("a", "b", "c", "d"))
         with pytest.raises(TreeError):
             greedy_refine_median(tree, THREE_LEAF_PROFILE, Fraction(1))
+
+
+@st.composite
+def refinement_cases(draw):
+    """A fan / star or partially resolved start tree, a profile of fully and
+    partially resolved members, and a score: the greedy's at some p, or the
+    adversarial 2F - A against the first member."""
+    kind = draw(st.sampled_from(list(Kind)))
+    n = draw(st.integers(4, 11) if kind is Kind.ROOTED else st.integers(5, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    start = random_partial(n, kind, rng, contract_prob=draw(st.sampled_from((1.0, 0.8, 0.5))))
+    members = tuple(random_partial(n, kind, rng, taxa=start.taxa,
+                                   contract_prob=draw(st.sampled_from((0.0, 0.3, 0.7))))
+                    for _ in range(draw(st.integers(1, 3))))
+    p = draw(st.sampled_from((None, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))))
+    if p is None:
+        return start, Profile(members[:1]), hausdorff._adversarial_cost
+    return start, Profile(members), lambda t: p.numerator * (t.nv - t.f) + \
+        (p.denominator - p.numerator) * t.a
+
+
+def _check_cached_tallies(start: Phylogeny, profile: Profile, score) -> set:
+    """Run `refinements` and compare every tally it reads with a fresh count
+    of the current tree; returns how each was read (fresh, cached, or
+    derived by a split) and whether an unrooted split put the new node
+    between the split node and its parent."""
+    fresh = rooted_vote_tally if start.kind is Kind.ROOTED else unrooted_vote_tally
+    read, split = consensus._tallies, consensus._split_tallies
+    seen = set()
+
+    def checked_read(tree, v, profile, cache):
+        if (v, consensus._candidates(tree, v)) not in cache:
+            seen.add("fresh")
+        else:
+            seen.add("derived" if v >= start.num_nodes else "cached")
+        tallies = read(tree, v, profile, cache)
+        assert tallies == fresh(tree, v, profile)
+        return tallies
+
+    def checked_split(tree, v, kept, tallies, profile):
+        if tree.kind is Kind.UNROOTED and tree.parent[v] >= 0 and tree.parent[v] not in kept:
+            seen.add("between")
+        return split(tree, v, kept, tallies, profile)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "_tallies", checked_read)
+        patch.setattr(consensus, "_split_tallies", checked_split)
+        for _ in consensus.refinements(start, profile, score):
+            pass
+    return seen
+
+
+class TestRefinements:
+    @given(refinement_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_cached_tallies_equal_fresh_counts(self, case):
+        _check_cached_tallies(*case)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_cache_reads_every_way(self, kind):
+        # fan / star and partial starts reach every way of reading a tally
+        rng = random.Random(5)
+        seen = set()
+        for contract_prob in (1.0, 0.7, 0.7, 0.7):
+            start = random_partial(10, kind, rng, contract_prob=contract_prob)
+            profile = Profile(tuple(random_partial(10, kind, rng, taxa=start.taxa)
+                                    for _ in range(3)))
+            seen |= _check_cached_tallies(start, profile, lambda t: t.a - 2 * t.f)
+        assert seen == {"fresh", "cached", "derived"} | \
+            (set() if kind is Kind.ROOTED else {"between"})
+
+    @pytest.mark.parametrize("kind,n", [(Kind.ROOTED, 30), (Kind.UNROOTED, 14)])
+    def test_large_denominator_p(self, kind, n):
+        # p = 3333333333333333/(5·10^15), just below 2/3: the integer scores
+        # order the candidates as a reference that compares delta(p) does
+        p = Fraction("0.6666666666666666")
+        rng = random.Random(n)
+        start = random_partial(n, kind, rng, contract_prob=0.8)
+        profile = Profile(tuple(random_partial(n, kind, rng, contract_prob=0.3,
+                                               taxa=start.taxa) for _ in range(4)))
+        g = greedy_refine_median(start, profile, p)
+        tree, final, steps = start, profile_distance(start, profile, p), 0
+        tally_at = rooted_vote_tally if kind is Kind.ROOTED else unrooted_vote_tally
+        while tree.unresolved_nodes():
+            delta, v, nodes = min(
+                (t.delta(p), v, (c,) if kind is Kind.ROOTED else tuple(sorted(c)))
+                for v in tree.unresolved_nodes() for c, t in tally_at(tree, v, profile).items())
+            tree = pull_out(tree, *nodes) if kind is Kind.ROOTED else pull_2_out(tree, *nodes)
+            final += delta
+            steps += 1
+        assert (g.tree.parent, g.steps, g.final_distance) == (tree.parent, steps, final)
+        assert g.final_distance == profile_distance(g.tree, profile, p)
 
 
 # (kind, p, start, profile, result.canonical_key(), steps, initial, final).
