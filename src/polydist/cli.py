@@ -31,10 +31,6 @@ class InputError(Exception):
     pass
 
 
-# --method values accepted by each dist metric
-DIST_METHODS = {"triplet": ("fast", "brute"), "quartet": ("approx", "exact", "brute")}
-
-
 def _parse_p(text: str) -> Fraction:
     try:
         p = Fraction(text)
@@ -88,63 +84,60 @@ def _emit(report: dict, as_json: bool, elapsed: float | None = None):
         print(f"elapsed_s: {elapsed:.3f}")
 
 
-def _cmd_dist(args) -> tuple[int, dict]:
+def _load_pair(args):
+    """The two trees of a comparison and its report's inputs."""
+    t1 = _load_one(args.tree1, args.kind)
+    t2 = _load_one(args.tree2, args.kind)
+    return t1, t2, {"tree1": args.tree1, "tree2": args.tree2,
+                    "n": t1.n, "kind": args.kind.value}
+
+
+def _cmd_triplet(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
-    if args.metric == "triplet":
-        kind = Kind.ROOTED
-        t1 = _load_one(args.tree1, kind)
-        t2 = _load_one(args.tree2, kind)
-        method = args.method or "fast"
-        if method == "fast":
-            dp = triplet.parametric_triplet_distance(t1, t2)
-        else:
-            dp = oracle.classify_triplets(t1, t2).to_distance_pair()
-        value = dp.evaluate(p)
-        report = {
-            "command": "dist triplet",
-            "inputs": {"tree1": args.tree1, "tree2": args.tree2,
-                       "n": t1.n, "kind": kind.value},
-            "p": _frac(p),
-            "method": method,
-            "result": {"d_count": dp.d_count, "r_count": dp.r_count,
-                       "value": _frac(value), "status": "exact"},
-        }
+    t1, t2, inputs = _load_pair(args)
+    if args.method == "fast":
+        dp = triplet.parametric_triplet_distance(t1, t2)
     else:
-        kind = Kind.UNROOTED
-        t1 = _load_one(args.tree1, kind)
-        t2 = _load_one(args.tree2, kind)
-        method = args.method or "exact"
-        if method == "brute":
-            d = oracle.classify_quartets(t1, t2).to_distance_pair().evaluate(p)
-            ad = quartet.ApproxDistance(d, d, d, exact=True)
-        else:
-            try:
-                ad = quartet.parametric_quartet_distance(t1, t2, p, mode=method)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-        report = {
-            "command": "dist quartet",
-            "inputs": {"tree1": args.tree1, "tree2": args.tree2,
-                       "n": t1.n, "kind": kind.value},
-            "p": _frac(p),
-            "method": method,
-            "result": {"value": _frac(ad.value),
-                       "interval": [_frac(ad.lower), _frac(ad.upper)],
-                       "status": "exact" if ad.exact else "2-approx"},
-        }
-    return 0, report
+        dp = oracle.classify_triplets(t1, t2).to_distance_pair()
+    return 0, {
+        "command": "dist triplet",
+        "inputs": inputs,
+        "p": _frac(p),
+        "method": args.method,
+        "result": {"d_count": dp.d_count, "r_count": dp.r_count,
+                   "value": _frac(dp.evaluate(p)), "status": "exact"},
+    }
+
+
+def _cmd_quartet(args) -> tuple[int, dict]:
+    p = _parse_p(args.p)
+    t1, t2, inputs = _load_pair(args)
+    if args.method == "brute":
+        d = oracle.classify_quartets(t1, t2).to_distance_pair().evaluate(p)
+        ad = quartet.ApproxDistance(d, d, d, exact=True)
+    else:
+        try:
+            ad = quartet.parametric_quartet_distance(t1, t2, p, mode=args.method)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    return 0, {
+        "command": "dist quartet",
+        "inputs": inputs,
+        "p": _frac(p),
+        "method": args.method,
+        "result": {"value": _frac(ad.value),
+                   "interval": [_frac(ad.lower), _frac(ad.upper)],
+                   "status": "exact" if ad.exact else "2-approx"},
+    }
 
 
 def _cmd_hausdorff(args) -> tuple[int, dict]:
-    kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
-    t1 = _load_one(args.tree1, kind)
-    t2 = _load_one(args.tree2, kind)
+    t1, t2, inputs = _load_pair(args)
     hb = hd.hausdorff_bounds(t1, t2)
     c = hb.components
     report = {
         "command": "hausdorff-bounds",
-        "inputs": {"tree1": args.tree1, "tree2": args.tree2,
-                   "n": t1.n, "kind": kind.value},
+        "inputs": inputs,
         "result": {"lower": _frac(hb.lower), "upper": _frac(hb.upper),
                    "status": "bound",
                    "components": {"s": c.s, "d": c.d, "r1": c.r1,
@@ -163,13 +156,12 @@ def _cmd_hausdorff(args) -> tuple[int, dict]:
 
 def _cmd_consensus(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
-    kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
-    profile = cns.Profile(tuple(_load_trees(args.profile, kind)))
+    profile = cns.Profile(tuple(_load_trees(args.profile, args.kind)))
     bp = cns.best_of_profile(profile, p)
     report = {
         "command": "consensus",
         "inputs": {"profile": args.profile, "k": profile.k,
-                   "n": profile.taxa.n, "kind": kind.value},
+                   "n": profile.taxa.n, "kind": args.kind.value},
         "p": _frac(p),
         "best_of_profile": {"tree": write_newick(bp.tree), "index": bp.index,
                             "total": _frac(bp.total),
@@ -193,14 +185,13 @@ def _greedy_report(g: cns.GreedyResult) -> dict:
 
 def _cmd_refine(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
-    kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
-    tree = _load_one(args.tree, kind)
-    profile = cns.Profile(tuple(_load_trees(args.profile, kind)))
+    tree = _load_one(args.tree, args.kind)
+    profile = cns.Profile(tuple(_load_trees(args.profile, args.kind)))
     g = cns.greedy_refine_median(tree, profile, p)
     report = {
         "command": "refine",
         "inputs": {"tree": args.tree, "profile": args.profile,
-                   "k": profile.k, "n": profile.taxa.n, "kind": kind.value},
+                   "k": profile.k, "n": profile.taxa.n, "kind": args.kind.value},
         "p": _frac(p),
         "result": _greedy_report(g),
     }
@@ -208,13 +199,12 @@ def _cmd_refine(args) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
-    kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
-    trees = expd.tree_count(args.n, kind)
+    trees = expd.tree_count(args.n, args.kind)
     # binary trees: (2n-3)!! rooted, (2n-5)!! unrooted
-    resolved = math.prod(range(2 * args.n - (3 if kind is Kind.ROOTED else 5), 0, -2))
+    resolved = math.prod(range(2 * args.n - (3 if args.kind is Kind.ROOTED else 5), 0, -2))
     report = {
         "command": "enumerate",
-        "inputs": {"n": args.n, "kind": kind.value},
+        "inputs": {"n": args.n, "kind": args.kind.value},
         "result": {"trees": trees, "fully_resolved": resolved,
                    "status": "exact"},
     }
@@ -223,20 +213,19 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 
 def _cmd_expected(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
-    kind = Kind.UNROOTED if args.unrooted else Kind.ROOTED
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
-    formula = expd.expected_distance_formula(args.n, p, kind)
-    stats = expd.exact_resolution_probability(args.n, kind)
+    formula = expd.expected_distance_formula(args.n, p, args.kind)
+    stats = expd.exact_resolution_probability(args.n, args.kind)
     report = {
         "command": "expected",
-        "inputs": {"n": args.n, "kind": kind.value},
+        "inputs": {"n": args.n, "kind": args.kind.value},
         "p": _frac(p),
         "result": {"expected": _frac(formula), "r": _frac(stats.r),
                    "u": _frac(stats.u), "status": "exact"},
     }
     if args.samples:
-        em = expd.empirical_expected_distance(args.n, p, kind, args.samples, args.seed)
+        em = expd.empirical_expected_distance(args.n, p, args.kind, args.samples, args.seed)
         report["empirical"] = {"mean": _frac(em.mean),
                                "stderr_sq": _frac(em.stderr_sq),
                                "samples": em.samples, "seed": em.seed,
@@ -295,23 +284,31 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output (deterministic)")
 
+    def unrooted(sp):
+        return sp.add_argument("--unrooted", dest="kind", action="store_const",
+                               const=Kind.UNROOTED, default=Kind.ROOTED)
+
     d = sub.add_parser("dist", help="parametric distance between two trees")
-    d.add_argument("metric", choices=["triplet", "quartet"])
-    d.add_argument("tree1")
-    d.add_argument("tree2")
-    d.add_argument("--p", default="1/2", help='rational, e.g. "1/2" or "0.75"')
-    methods = sorted({m for ms in DIST_METHODS.values() for m in ms})
-    d.add_argument("--method", choices=methods,
-                   help="triplet: fast (default)|brute; quartet: exact (default)|approx|brute")
-    d.add_argument("--unrooted", action="store_true",
-                   help="quartet only, whose input is always unrooted")
-    common(d)
-    d.set_defaults(fn=_cmd_dist)
+    metric = d.add_subparsers(dest="metric", required=True)
+    t = metric.add_parser("triplet", help="rooted triplet distance, exact")
+    q = metric.add_parser("quartet", help="unrooted quartet distance, exact or 2-approximate")
+    for sp in (t, q):
+        sp.add_argument("tree1")
+        sp.add_argument("tree2")
+        sp.add_argument("--p", default="1/2", help='rational, e.g. "1/2" or "0.75"')
+        common(sp)
+    t.add_argument("--method", choices=["fast", "brute"], default="fast",
+                   help="fast (default) or brute, the oracle")
+    q.add_argument("--method", choices=["exact", "approx", "brute"], default="exact",
+                   help="exact (default), approx (p >= 1/2) or brute, the oracle")
+    unrooted(q).help = "accepted; a quartet's input is always unrooted"
+    t.set_defaults(fn=_cmd_triplet, kind=Kind.ROOTED)
+    q.set_defaults(fn=_cmd_quartet, kind=Kind.UNROOTED)
 
     h = sub.add_parser("hausdorff-bounds", help="bounds on the Hausdorff distance")
     h.add_argument("tree1")
     h.add_argument("tree2")
-    h.add_argument("--unrooted", action="store_true")
+    unrooted(h)
     h.add_argument("--adversarial", action="store_true",
                    help="also run the constructive refinement")
     common(h)
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("consensus", help="approximate median of a profile")
     c.add_argument("profile")
     c.add_argument("--p", default="2/3")
-    c.add_argument("--unrooted", action="store_true")
+    unrooted(c)
     c.add_argument("--refine", action="store_true",
                    help="greedily refine the best member to full resolution")
     common(c)
@@ -330,20 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("tree")
     r.add_argument("profile")
     r.add_argument("--p", default="2/3")
-    r.add_argument("--unrooted", action="store_true")
+    unrooted(r)
     common(r)
     r.set_defaults(fn=_cmd_refine)
 
     e = sub.add_parser("enumerate", help="count phylogenies on n taxa")
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--unrooted", action="store_true")
+    unrooted(e)
     common(e)
     e.set_defaults(fn=_cmd_enumerate)
 
     x = sub.add_parser("expected", help="expected distance over uniform trees")
     x.add_argument("--n", type=int, required=True)
     x.add_argument("--p", default="1/2")
-    x.add_argument("--unrooted", action="store_true")
+    unrooted(x)
     x.add_argument("--samples", type=int, default=0)
     x.add_argument("--seed", type=int, default=0)
     common(x)
@@ -358,12 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.command == "dist" and args.method not in (None, *DIST_METHODS[args.metric]):
-        ap.error(f"{args.metric} method must be one of {', '.join(DIST_METHODS[args.metric])}")
-    if args.command == "dist" and args.metric == "triplet" and args.unrooted:
-        ap.error("triplet distances compare rooted trees; --unrooted applies to quartet")
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code, report = args.fn(args)

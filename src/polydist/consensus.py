@@ -169,6 +169,10 @@ def _votes(groups: list[list[int]], profile: Profile, rooted: bool,
     at the end).  A resolved code c makes column c agree (the apart taxon;
     the pair {0, c+1}) and, unrooted, column 5 - c (the other side of the
     split); every other candidate of the row disagrees.
+
+    Each int64 f, a and nv is at most k·C(n, 3) rooted or k·C(n, 4) unrooted
+    (k members), so exact while that is below 2^63.  No test reaches that:
+    the rows alone, up to C(n, 3)·3 or C(n, 4)·4 int64, exhaust memory first.
     """
     size, K = (3 if rooted else 4), len(groups)
     group = np.zeros(profile.taxa.n, dtype=np.int64)
@@ -217,6 +221,7 @@ def _groups(tree: Phylogeny, v: int) -> tuple[tuple[int, ...], list[list[int]]]:
 def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, VoteTally]:
     """Votes per child q of polytomy v, over triplets with leaves in three
     distinct child groups, one of them the q group."""
+    check_pair(tree, profile.trees[0], Kind.ROOTED)
     children, groups = _groups(tree, v)
     f, a, nv = _votes(groups, profile, rooted=True)
     return {q: VoteTally(f[g], a[g], nv[g]) for g, q in enumerate(children)}
@@ -225,6 +230,7 @@ def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, Vo
 def unrooted_vote_tally(tree: Phylogeny, w: int, profile: Profile) -> dict[frozenset, VoteTally]:
     """Votes per unordered neighbor pair {q, r} of polytomy w, over quartets
     with leaves in four distinct neighbor groups, two of them q and r."""
+    check_pair(tree, profile.trees[0], Kind.UNROOTED)
     nbrs, groups = _groups(tree, w)
     f, a, nv = _votes(groups, profile, rooted=False)
     return {frozenset((nbrs[g], nbrs[h])): VoteTally(f[g][h], a[g][h], nv[g][h])
@@ -294,6 +300,7 @@ def refinements(tree: Phylogeny, profile: Profile,
     (node, candidate nodes); the node a step creates gets its tallies by
     subtraction from the split node's (_split_tallies).
     """
+    check_pair(tree, profile.trees[0])
     rooted = tree.kind is Kind.ROOTED
     cache: dict = {}
     while True:

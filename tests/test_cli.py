@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import polydist
 from polydist import hausdorff, oracle, quartet, triplet
-from polydist.cli import DIST_METHODS, _emit, main
+from polydist.cli import _emit, main
 from polydist.expected import MAX_COUNT_N
 from polydist.oracle import Classification, classify_quartets, classify_triplets
 
@@ -76,7 +77,7 @@ class TestDist:
             return int(num) / int(den)
         assert val(lo) <= val(brute["result"]["value"]) <= val(hi)
 
-    @pytest.mark.parametrize("method", DIST_METHODS["quartet"])
+    @pytest.mark.parametrize("method", ("approx", "exact", "brute"))
     def test_quartet_text(self, capsys, trees, method):
         argv = ["dist", "quartet", trees["u1.nwk"], trees["u2.nwk"], "--p", "3/4",
                 "--method", method]
@@ -459,7 +460,8 @@ def cli_argv(draw):
     argv = [command]
     if command == "dist":
         metric = draw(st.sampled_from(["triplet", "quartet"]))
-        method = option("--method", ("brute",) + DIST_METHODS[metric] * 3 + ("none",))
+        methods = ("fast", "brute") if metric == "triplet" else ("approx", "exact", "brute")
+        method = option("--method", ("brute",) + methods * 3 + ("none",))
         # the oracle enumerates every triplet or quartet by design, so the
         # brute method reads only the small files
         argv += [metric] + files(2, SMALL_FILES if "brute" in method else ALL_FILES)
@@ -496,3 +498,48 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, argv):
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert err.getvalue().startswith("error:")
+
+
+# argv of every subcommand, every dist metric x method (and methods a metric
+# does not offer) and --unrooted wherever it is accepted, over FUZZ_TEXTS
+GOLDEN_ARGV = [
+    ["dist", "triplet", "rooted.nwk", "rooted_fan.nwk"],
+    *(["dist", "triplet", "rooted.nwk", "rooted_fan.nwk", "--p", "2/3", "--method", m]
+      for m in ("fast", "brute")),
+    ["dist", "triplet", "rooted_fan.nwk", "rooted.nwk", "--method", "brute"],
+    ["dist", "triplet", "rooted.nwk", "rooted_fan.nwk", "--method", "approx"],
+    ["dist", "triplet", "rooted.nwk", "rooted_fan.nwk", "--unrooted"],
+    ["dist", "quartet", "unrooted.nwk", "unrooted_star.nwk"],
+    *(["dist", "quartet", "unrooted.nwk", "unrooted_star.nwk", "--p", p, "--method", m]
+      for p in ("1/4", "3/4") for m in ("exact", "approx", "brute")),
+    ["dist", "quartet", "unrooted.nwk", "unrooted_star.nwk", "--p", "3/4", "--unrooted"],
+    ["dist", "quartet", "unrooted.nwk", "unrooted_star.nwk", "--method", "fast"],
+    ["hausdorff-bounds", "rooted.nwk", "rooted_fan.nwk"],
+    ["hausdorff-bounds", "rooted.nwk", "rooted_fan.nwk", "--adversarial"],
+    ["hausdorff-bounds", "unrooted.nwk", "unrooted_star.nwk", "--unrooted", "--adversarial"],
+    ["consensus", "profile.nwk"],
+    ["consensus", "profile.nwk", "--p", "3/4", "--refine"],
+    ["consensus", "unrooted_profile.nwk", "--unrooted", "--p", "3/4", "--refine"],
+    ["refine", "rooted_fan.nwk", "profile.nwk", "--p", "1/2"],
+    ["refine", "unrooted_star.nwk", "unrooted_profile.nwk", "--unrooted"],
+    ["enumerate", "--n", "6"],
+    ["enumerate", "--n", "6", "--unrooted"],
+    ["expected", "--n", "5", "--p", "1/3", "--samples", "4", "--seed", "2"],
+    ["expected", "--n", "6", "--unrooted", "--samples", "3"],
+    ["selftest", "--trials", "2", "--seed", "1"],
+]
+# sha256 of (argv, exit code, --json stdout) over GOLDEN_ARGV, recorded
+# before dist triplet and dist quartet became sub-commands with their own options
+GOLDEN_CLI = "d077cda530caa736f66b241a443cb7bf57c57cc5a4cb4eb095db9a6c30b67590"
+
+
+def test_cli_reports_pinned(capsys, monkeypatch, fuzz_files):
+    monkeypatch.chdir(Path(fuzz_files["rooted"]).parent)  # reports name relative paths
+    h = hashlib.sha256()
+    for argv in GOLDEN_ARGV:
+        try:
+            code, out, _ = run(capsys, argv + ["--json"])
+        except SystemExit as exc:  # argparse's usage errors
+            code, out = exc.code, capsys.readouterr().out
+        h.update(repr((argv, code, out)).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_CLI

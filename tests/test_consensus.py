@@ -320,6 +320,19 @@ class TestGreedyRefine:
         tree = Phylogeny.rooted("abcd", ("a", "b", "c", "d"))
         with pytest.raises(TreeError):
             greedy_refine_median(tree, THREE_LEAF_PROFILE, Fraction(1))
+        # a fan over a-d against a member over other taxa, over fewer taxa,
+        # or of the other kind, at every entry point that reads the tallies
+        for kind, tally in ((Kind.ROOTED, rooted_vote_tally),
+                            (Kind.UNROOTED, unrooted_vote_tally)):
+            fan = parse_newick("(a,b,c,d);", kind)
+            other = Kind.UNROOTED if kind is Kind.ROOTED else Kind.ROOTED
+            for text, member_kind in (("((w,x),y,z);", kind), ("(a,b,c);", kind),
+                                      ("((a,b),c,d);", other)):
+                profile = Profile((parse_newick(text, member_kind),))
+                with pytest.raises(TreeError):
+                    tally(fan, fan.root, profile)
+                with pytest.raises(TreeError):
+                    list(consensus.refinements(fan, profile, lambda t: 0))
 
 
 @st.composite
