@@ -128,32 +128,57 @@ class VoteTally:
         return -p * self.f + (1 - p) * self.a + p * self.nv
 
 
-def _cross_rows(groups: list[list[int]], size: int, must: tuple[int, ...] = ()) -> np.ndarray:
+# The most cross-group rows a polytomy's tally builds and codes at once.
+VOTE_ROWS = 1 << 16
+
+
+def _cross_rows(groups: list[list[int]], size: int, must: tuple[int, ...] = (),
+                chunk: int = VOTE_ROWS) -> Iterator[np.ndarray]:
     """Every choice of `size` taxa from `size` distinct groups, among them
-    every group in `must`, one row each, in the order of `itertools.product`
-    over the `itertools.combinations` of the groups that hold `must`.  Those
-    are `must` merged into each combination of the other groups, which
-    keeps their order.  The group combinations are repeated by their product
-    sizes, and each row's position within its combination is read in mixed
-    radix (last group fastest) as offsets into the concatenated groups."""
+    every group in `must`, one row each, in chunks of at most `chunk` rows,
+    in the order of `itertools.product` over the `itertools.combinations`
+    of the groups that hold `must`.  Those are `must` merged into each
+    combination of the other groups, which keeps their order.  The
+    combinations are taken `chunk` at a time, since each has a row, and
+    their rows numbered: a chunk is a range of row numbers, whose first and
+    last combinations `searchsorted` finds in the cumulative product sizes.
+    Each combination in between is repeated by its rows in the chunk, and
+    each row's position within its combination is read in mixed radix
+    (last group fastest) as offsets into the concatenated groups."""
     lengths = np.array([len(g) for g in groups], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = np.array([t for g in groups for t in g], dtype=np.int64)
     rest = [g for g in range(len(groups)) if g not in must]
-    combos = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(rest, size - len(must))),
-        dtype=np.int64).reshape(-1, size - len(must))
-    combos = np.sort(np.hstack([np.full((len(combos), len(must)), must, dtype=np.int64),
-                                combos]), axis=1)
-    counts = lengths[combos].prod(axis=1)
-    which = np.repeat(combos, counts, axis=0)
-    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    rows = np.empty((len(pos), size), dtype=np.int64)
-    for i in reversed(range(size)):
-        g = which[:, i]
-        pos, digit = np.divmod(pos, lengths[g])
-        rows[:, i] = flat[starts[g] + digit]
-    return rows
+    free = size - len(must)
+    combinations = itertools.combinations(rest, free)
+    while True:
+        combos = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combinations, chunk)), dtype=np.int64).reshape(-1, free)
+        if not len(combos):
+            return
+        combos = np.sort(np.hstack([np.full((len(combos), len(must)), must, dtype=np.int64),
+                                    combos]), axis=1)
+        counts = lengths[combos].prod(axis=1)
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for first in range(0, total, chunk):
+            last = min(first + chunk, total)
+            c0, c1 = np.searchsorted(ends, [first, last - 1], side="right")
+            begins = ends[c0:c1 + 1] - counts[c0:c1 + 1]
+            here = np.minimum(ends[c0:c1 + 1], last) - np.maximum(begins, first)
+            which = np.repeat(combos[c0:c1 + 1], here, axis=0)
+            pos = np.arange(first, last) - np.repeat(begins, here)
+            rows = np.empty((len(pos), size), dtype=np.int64)
+            for i in reversed(range(size)):
+                g = which[:, i]
+                pos, digit = np.divmod(pos, lengths[g])
+                rows[:, i] = flat[starts[g] + digit]
+            # hold only the rows while the caller codes them, and the batch
+            # only if more of its chunks follow
+            del begins, here, which, pos, digit, g
+            if last == total:
+                del combos, counts, ends
+            yield rows
 
 
 def _votes(groups: list[list[int]], profile: Profile, rooted: bool,
@@ -168,36 +193,39 @@ def _votes(groups: list[list[int]], profile: Profile, rooted: bool,
     taxon pair (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) (unrooted, symmetrised
     at the end).  A resolved code c makes column c agree (the apart taxon;
     the pair {0, c+1}) and, unrooted, column 5 - c (the other side of the
-    split); every other candidate of the row disagrees.
+    split); every other candidate of the row disagrees.  The rows are
+    built, coded and counted one `_cross_rows` chunk at a time, so memory
+    is bounded by VOTE_ROWS rows whatever the polytomy's size.
 
     Each int64 f, a and nv is at most k·C(n, 3) rooted or k·C(n, 4) unrooted
-    (k members), so exact while that is below 2^63.  No test reaches that:
-    the rows alone, up to C(n, 3)·3 or C(n, 4)·4 int64, exhaust memory first.
+    (k members), so exact while that is below 2^63; coding that many rows
+    would take far longer than any run.
     """
     size, K = (3 if rooted else 4), len(groups)
     group = np.zeros(profile.taxa.n, dtype=np.int64)
     for g, taxa in enumerate(groups):
         group[taxa] = g
-    rows = _cross_rows(groups, size, must)
-    rows.sort(axis=1)
-    cand = group[rows]
-    if not rooted:
-        cand = np.stack([cand[:, i] * K + cand[:, j]
-                         for i, j in itertools.combinations(range(4), 2)], axis=1)
     width = K if rooted else K * K
-    seen = profile.k * np.bincount(cand.ravel(), minlength=width)
+    seen = np.zeros(width, dtype=np.int64)
     f = np.zeros(width, dtype=np.int64)
     nv = np.zeros(width, dtype=np.int64)
-    for member in profile.trees:
-        codes = topology_codes(member, rows)
-        unresolved = codes == UNRESOLVED
-        nv += np.bincount(cand[unresolved].ravel(), minlength=width)
-        voters, codes = cand[~unresolved], codes[~unresolved]
-        at = np.arange(len(codes))
-        f += np.bincount(voters[at, codes], minlength=width)
+    for rows in _cross_rows(groups, size, must):
+        rows.sort(axis=1)
+        cand = group[rows]
         if not rooted:
-            f += np.bincount(voters[at, 5 - codes], minlength=width)
-    tallies = (f, seen - f - nv, nv)
+            cand = np.stack([cand[:, i] * K + cand[:, j]
+                             for i, j in itertools.combinations(range(4), 2)], axis=1)
+        seen += np.bincount(cand.ravel(), minlength=width)
+        for member in profile.trees:
+            codes = topology_codes(member, rows)
+            unresolved = codes == UNRESOLVED
+            nv += np.bincount(cand[unresolved].ravel(), minlength=width)
+            voters, codes = cand[~unresolved], codes[~unresolved]
+            at = np.arange(len(codes))
+            f += np.bincount(voters[at, codes], minlength=width)
+            if not rooted:
+                f += np.bincount(voters[at, 5 - codes], minlength=width)
+    tallies = (f, profile.k * seen - f - nv, nv)
     if not rooted:
         tallies = (x.reshape(K, K) + x.reshape(K, K).T for x in tallies)
     return [x.tolist() for x in tallies]

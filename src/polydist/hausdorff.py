@@ -49,10 +49,11 @@ def classification_counts(t1: Phylogeny, t2: Phylogeny) -> Classification:
     Unrooted trees: quartet_classification.  Rooted trees: s and r1 from
     one count_S_R1 walk of the (T1, T2) I-table, r2 from a count_r1 walk of
     the table with the trees swapped, and R(T1), U(T1) from count_R_U;
-    then d = R(T1) - s - r1 and u = U(T1) - r2.  One (m1 × m2) int32
-    I-table (4·m1·m2 bytes) is live at a time, and the arithmetic runs over
-    the node pairs whose subtrees overlap only: O(n²) in the worst case
-    (caterpillars, where every pair overlaps).
+    then d = R(T1) - s - r1 and u = U(T1) - r2.  One I-table over internal
+    nodes (uint16, 2·(k1 + 1)·(k2 + 1) bytes for k1, k2 internal nodes) is
+    live at a time, and the arithmetic runs over the node pairs whose
+    subtrees overlap only: O(n²) in the worst case (caterpillars, where
+    every pair overlaps).  Both kinds need n <= MAX_TABLE_N (65535).
     """
     if t1.kind is Kind.UNROOTED:
         return quartet_classification(t1, t2)

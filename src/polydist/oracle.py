@@ -37,8 +37,9 @@ UNROOTED_ENUM_CAP = 8
 class CapacityError(RuntimeError):
     """A request beyond a size the library supports: a tree enumeration, a
     refinement set or a pair of refinement sets above its cap, exact quartet
-    counts above the int64 bound `quartet.MAX_EXACT_N`, or tree counts
-    above `expected.MAX_COUNT_N`."""
+    counts above the int64 bound `quartet.MAX_EXACT_N`, an intersection
+    table above `triplet.MAX_TABLE_N` taxa, or tree counts above
+    `expected.MAX_COUNT_N`."""
 
 
 @dataclass(frozen=True)

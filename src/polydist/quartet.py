@@ -21,8 +21,9 @@ with I = 0 the children block is zero, so every nonzero cell of M lies in
 the last row or the last column, and no anchor pattern fits there (see
 `_count`).  The arithmetic sums d1·d2·min(d1, d2) over those overlapping
 pairs only, O(n²·d) for maximum degree d in the worst case (caterpillars,
-where every pair overlaps); the (m1 × m2) int32 I-table of `build_tables`
-(4·m1·m2 bytes) sets the memory.
+where every pair overlaps); the I-table of `build_tables` over internal
+nodes (uint16, 2·(k1 + 1)·(k2 + 1) bytes for k1, k2 internal nodes) sets
+the memory.
 
 `parametric_quartet_distance` reads one classification for both of its
 modes: d^(p) = d + p(r1 + r2) exactly (mode="exact", any p), or the
@@ -44,9 +45,10 @@ divisions are the C(x, 2) of side counts 0 <= x <= n and each pair's
 4y <= 4·C(n, 4) divided by 4; the values read out are per-block sums of
 at most 2|S|, 4|D| <= 4·C(n, 4), y <= 2·C(n, 4) and 2R <= 2·C(n, 4).
 Hence the counts are exact while 4·C(n, 4) < 2^63, that is for
-n <= MAX_EXACT_N = 86251; larger n raises CapacityError.  Long before
-that, the I-table's 4·m1·m2 bytes are the limit; every M is cast to int64
-as it is gathered from it.
+n <= MAX_EXACT_N = 86251.  The uint16 I-table holds n <= MAX_TABLE_N =
+65535, so the kernels' limit is min(MAX_EXACT_N, MAX_TABLE_N) = 65535, and
+larger n raises CapacityError; every M is cast to int64 as it is gathered
+from the table.
 """
 
 from __future__ import annotations
@@ -219,7 +221,8 @@ def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, 
 def quartet_classification(t1: Phylogeny, t2: Phylogeny) -> Classification:
     """Exact (s, d, r1, r2, u) over all C(n, 4) quartets of two unrooted
     trees, from one pass over node pairs grouped by (child count in T1, in
-    T2); exact for n <= MAX_EXACT_N, larger n raises CapacityError."""
+    T2); exact for n <= min(MAX_EXACT_N, MAX_TABLE_N), larger n raises
+    CapacityError."""
     return _count(t1, t2, with_y=False)[0]
 
 
@@ -234,7 +237,7 @@ def approx_r1_quartets(t1: Phylogeny, t2: Phylogeny) -> int:
     `node_pair_blocks` with w of three or more children, counted in the
     classification's pass.  T1's root adds 0 (nothing lies outside it),
     and so does a T2 node with fewer than four non-empty sides.  Exact for
-    n <= MAX_EXACT_N, larger n raises CapacityError.
+    n <= min(MAX_EXACT_N, MAX_TABLE_N), larger n raises CapacityError.
     """
     return _count(t1, t2, with_y=True)[1]
 

@@ -9,8 +9,9 @@ parent.  Rooted trees have a semantic root; for unrooted trees the same
 array holds an arbitrary orientation from a distinguished "handle" node,
 which carries no meaning beyond giving the traversal code a place to
 start.  Every counting kernel reads the side layout each tree caches:
-`leaf_ranges` (subtrees as ranges of the leaf order) and `node_sides`
-(children and subtree complement of each node).
+`leaf_ranges` (subtrees as ranges of the leaf order), `node_sides`
+(children and subtree complement of each node) and `side_cells` (where
+each side's cells of an intersection table come from).
 
 The module also provides the elementary edits: `pull_out` and
 `pull_2_out`, with which the consensus and Hausdorff machinery refine a
@@ -259,6 +260,48 @@ class Phylogeny:
                 sizes[-1] = self.n - sizes[-1]
                 groups.append(_read_only(rows, sizes))
         return groups
+
+    def side_cells(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """(position, groups): where each side's cells of an intersection
+        table come from; cached and read-only.
+
+        An intersection table over two trees has one row (column) per
+        internal node, in `node_sides` order group by group, and one zero
+        row (column) after them that every leaf shares.  A leaf's cells are
+        read from leaf positions instead: position[t] is taxon t's position
+        in the leaf order, and position[n] a sentinel that lies in no range.
+
+        Per `node_sides` group, (ints, cells) are stacked so that one `take`
+        along the last axis gathers them for any of the group's nodes:
+        ints (2, d + 1, g) int64 holds each side's row of the table and its
+        size (as in `node_sides`); cells (4, d + 1, g) uint16 holds its
+        taxon (a leaf side's, else n), lo, span and inner: the side's
+        subtree is the leaf-order range lo + [0, span), or lo + [0, inner),
+        which is empty for leaves.  Positions are uint16, exact for
+        n < 2^16: a position p, or the sentinel 2^16 - 1, is in a side's
+        range exactly when (p - lo) mod 2^16 < span, since lo + span <= n.
+        """
+        cells = self._cache.get("side_cells")
+        if cells is None:
+            order, lo, hi = self.leaf_ranges()
+            position = np.full(self.n + 1, 0xFFFF, dtype=np.uint16)
+            position[order] = np.arange(self.n)
+            taxon = np.array([self.n if t is None else t for t in self.leaf_taxon])
+            is_leaf = taxon < self.n
+            rank = np.empty(self.num_nodes, dtype=np.int64)
+            start = 0
+            for rows, _ in self.node_sides():
+                rank[rows[-1]] = np.arange(start, start + rows.shape[1])
+                start += rows.shape[1]
+            rank[is_leaf] = start
+            span = hi - lo
+            stacked = np.stack([taxon, lo, span, np.where(is_leaf, 0, span)]).astype(np.uint16)
+            groups = [(np.stack([rank[rows], sizes]), stacked[:, rows])
+                      for rows, sizes in self.node_sides()]
+            for a in [position] + [a for group in groups for a in group]:
+                a.flags.writeable = False
+            cells = self._cache["side_cells"] = position, groups
+        return cells
 
     def subtree_taxa(self, v: int) -> frozenset[int]:
         """The taxa below v in the stored orientation, read off `leaf_ranges`."""

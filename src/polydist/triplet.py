@@ -27,8 +27,11 @@ a 2- to 5-wide trailing axis.  Each caller skips the pairs that provably add not
 arithmetic is a sum of d(u)·d(v) over the overlapping pairs only: O(n²)
 in the worst case (two caterpillars, where every pair overlaps), far
 less when most subtrees are disjoint.
-The (m1 × m2) int32 I-table (4·m1·m2 bytes) is the only table of that
-size and sets the memory.
+The table holds internal nodes only, as (k1 + 1) × (k2 + 1) uint16 cells
+for k1 and k2 internal nodes (2·(k1 + 1)·(k2 + 1) bytes, at most about
+2n² for n <= MAX_TABLE_N); it is the only table of that size and sets
+the memory.  A leaf's cells are read off leaf positions as the blocks
+are gathered.
 """
 
 from __future__ import annotations
@@ -39,24 +42,28 @@ from math import comb
 
 import numpy as np
 
-from polydist.oracle import DistancePair
+from polydist.oracle import CapacityError, DistancePair
 from polydist.trees import Kind, Phylogeny, check_pair
 
 # The number of array cells one block of node pairs may hold.
 BLOCK_CELLS = 1 << 18
 
+# The largest n whose intersection counts the uint16 table holds (I <= n).
+MAX_TABLE_N = (1 << 16) - 1
+
 
 @dataclass(frozen=True)
 class RootedIntersectionTables:
-    """Pairwise leaf-set intersection sizes and T2's subtree sizes.
+    """Pairwise leaf-set intersection sizes of internal nodes.
 
-    I[u, v] = |L(T1(u)) ∩ L(T2(v))|.
+    I[i, j] = |L(T1(u)) ∩ L(T2(v))| for the i-th internal node u of T1 and
+    the j-th v of T2, both in `node_sides` order, and one zero row and
+    column last that every leaf shares (`Phylogeny.side_cells`).
     """
 
     t1: Phylogeny
     t2: Phylogeny
-    I: np.ndarray          # (m1, m2) int32
-    alpha2: np.ndarray     # (m2,) subtree leaf counts of T2
+    I: np.ndarray          # (k1 + 1, k2 + 1) uint16, k the internal node counts
 
 
 def c2(x):
@@ -64,32 +71,40 @@ def c2(x):
     return x * (x - 1) // 2
 
 
+def _internal(tree: Phylogeny) -> np.ndarray:
+    """The internal nodes in table order, `node_sides` group by group."""
+    return np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [rows[-1] for rows, _ in tree.node_sides()])
+
+
 def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
-    """All pairwise intersection sizes in O(n^2): a T1 leaf's row marks the
-    T2 nodes whose `leaf_ranges` range holds its taxon, internal rows are
-    child-row sums.  Memory: the (m1 × m2) I-table, 4·m1·m2 bytes, no leaf
-    rows; int32 holds it exactly, since 0 <= I <= n < 2^31 for any n whose
-    table fits in memory."""
+    """The intersection sizes of every pair of internal nodes, in O(n·k2 +
+    k1·k2) for k internal nodes, from prefix counts over T1's leaf order:
+    F[i, v] = #{first i T1 leaves in T2 node v}, and I[u, v] = F[hi1[u], v]
+    - F[lo1[u], v], in column chunks of at most BLOCK_CELLS cells of F.
+    Memory: the (k1 + 1) × (k2 + 1) uint16 table, 2·(k1 + 1)·(k2 + 1)
+    bytes, no leaf rows or columns.  uint16 holds it exactly, since
+    0 <= I <= n; larger n than MAX_TABLE_N raises CapacityError before
+    anything is allocated."""
     check_pair(t1, t2)
-    # Both trees' cached layouts are built before I.  Made after it, these
-    # long-lived arrays can land above I on the malloc heap and pin the hole
-    # I leaves, which the next, larger table then does not fit (20 MB more
-    # peak RSS on some pairs of rooted trees at n = 1600).
-    alpha2 = t2.subtree_sizes()
-    t1.node_sides()
-    t2.node_sides()
-    order2, lo2, hi2 = t2.leaf_ranges()
-    pos2 = np.empty(t2.n, dtype=np.int64)  # leaf-order position of each taxon
-    pos2[order2] = np.arange(t2.n)
-    I = np.zeros((t1.num_nodes, t2.num_nodes), dtype=np.int32)
-    for u in t1.postorder():
-        t = t1.leaf_taxon[u]
-        if t is not None:
-            I[u] = (lo2 <= pos2[t]) & (pos2[t] < hi2)
-        else:
-            for c in t1.children[u]:
-                I[u] += I[c]
-    return RootedIntersectionTables(t1, t2, I, alpha2)
+    if t1.n > MAX_TABLE_N:
+        raise CapacityError(f"intersection tables need n <= {MAX_TABLE_N}, got {t1.n}")
+    _, lo1, hi1 = t1.leaf_ranges()
+    _, lo2, hi2 = t2.leaf_ranges()
+    inner1, inner2 = _internal(t1), _internal(t2)
+    lo1, hi1 = lo1[inner1], hi1[inner1]
+    # positions modulo 2^16, as in `Phylogeny.side_cells`
+    lo2, span2 = lo2[inner2].astype(np.uint16), (hi2 - lo2)[inner2].astype(np.uint16)
+    p = t2.side_cells()[0][t1.leaf_ranges()[0], None]   # T2 position of each T1 leaf
+    I = np.zeros((len(inner1) + 1, len(inner2) + 1), dtype=np.uint16)
+    step = max(1, BLOCK_CELLS // (t1.n + 1))
+    F = np.zeros((t1.n + 1, min(step, len(inner2))), dtype=np.uint16)
+    for c in range(0, len(inner2), step):
+        inside = p - lo2[c:c + step] < span2[c:c + step]
+        w = inside.shape[1]
+        np.cumsum(inside, axis=0, dtype=np.uint16, out=F[1:, :w])
+        np.subtract(F[hi1, :w], F[lo1, :w], out=I[:-1, c:c + w])
+    return RootedIntersectionTables(t1, t2, I)
 
 
 def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *,
@@ -109,35 +124,54 @@ def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *
     sizes2[0, k, i] (1, d2, P).  Every kernel reduces over the two side
     axes, so each sum adds a few contiguous length-P vectors instead of
     reducing many 2- to 5-wide trailing axes.  The pairs are read off the
-    nodes' own cells of I, grid by grid, before anything else is
-    gathered, so skipped pairs cost one table read each.
+    nodes' own cells of I, a contiguous slice per grid of a T1 run and a
+    T2 group, before anything else is gathered, so skipped pairs cost one
+    table read each.  Cells of two internal sides are gathered from I, and
+    a leaf side adds its one taxon from positions (`Phylogeny.side_cells`):
+    a T1 leaf x adds [pos2(x) in range2(y)] to each side y, a T2 leaf y
+    adds [pos1(y) in range1(x)] to each internal side x.
     """
-    I, alpha2 = tables.I, tables.alpha2
-    m2 = I.shape[1]
-    sides2 = [(rows, sizes) for rows, sizes in tables.t2.node_sides()
-              if rows.shape[0] > min_children2]
-    for rows1, sizes1 in tables.t1.node_sides():
-        offsets1 = rows1 * m2   # flat offsets of the rows of I
-        for rows2, sizes2 in sides2:
-            per_block = max(1, BLOCK_CELLS // (rows1.shape[0] * rows2.shape[0]))
-            step = max(1, BLOCK_CELLS // rows2.shape[1])
-            for lo in range(0, rows1.shape[1], step):
-                # the node itself is the last of its sides
-                a, b = np.nonzero(I[rows1[-1, lo:lo + step, None], rows2[-1]]
+    t1, t2, I = tables.t1, tables.t2, tables.I
+    position1, groups1 = t1.side_cells()
+    position2, groups2 = t2.side_cells()
+    # per group and call: (taxon position in the other tree, lo, span) of
+    # T2's sides and (taxon position, lo, inner) of T1's
+    wide2, first2 = [], 0
+    for ints, cells in groups2:
+        if ints.shape[1] > min_children2:
+            wide2.append((first2, ints, np.concatenate([position1[cells[:1]], cells[1:3]])))
+        first2 += ints.shape[2]
+    first1 = 0
+    for ints1, cells1 in groups1:
+        cells1 = np.concatenate([position2[cells1[:1]], cells1[[1, 3]]])
+        _, d1, g1 = ints1.shape
+        for first2, ints2, cells2 in wide2:
+            _, d2, g2 = ints2.shape
+            per_block = max(1, BLOCK_CELLS // (d1 * d2))
+            step = max(1, BLOCK_CELLS // g2)
+            for start in range(first1, first1 + g1, step):
+                # each group's nodes are a contiguous run of rows (columns)
+                a, b = np.nonzero(I[start:min(start + step, first1 + g1), first2:first2 + g2]
                                   >= min_overlap)
-                a += lo
+                a += start - first1
                 for first in range(0, len(a), per_block):
                     pa, pb = a[first:first + per_block], b[first:first + per_block]
-                    rb = rows2.take(pb, axis=1)
-                    M = I.take(offsets1.take(pa, axis=1)[:, None, :]
-                               + rb[None, :, :]).astype(np.int64)
-                    s1 = sizes1.take(pa, axis=1)[:, None, :]
+                    (rank1, s1), (rank2, s2) = ints1.take(pa, axis=2), ints2.take(pb, axis=2)
+                    (x, lo1, inner1), (y, lo2, span2) = (cells1.take(pa, axis=2),
+                                                         cells2.take(pb, axis=2))
+                    M = I[rank1[:, None, :], rank2]
+                    # a leaf side adds its one taxon where the other tree's
+                    # side holds it; x and y are the sentinel off leaves
+                    M += x[:, None, :] - lo2 < span2
+                    M += y - lo1[:, None, :] < inner1[:, None, :]
+                    M = M.astype(np.int64)
                     # the last side of each node is the complement of its
                     # subtree: T1's row first, so that T2's column then
                     # turns the corner into the taxa outside both
-                    M[-1] = alpha2.take(rb) - M[-1]
-                    M[:, -1] = s1[:, 0] - M[:, -1]
-                    yield M, s1, sizes2.take(pb, axis=1)[None, :, :]
+                    M[-1] = span2 - M[-1]
+                    M[:, -1] = s1 - M[:, -1]
+                    yield M, s1[:, None, :], s2[None, :, :]
+        first1 += g1
 
 
 def count_R_U(tree: Phylogeny) -> tuple[int, int]:
@@ -194,12 +228,12 @@ def count_S_R1(tables: RootedIntersectionTables) -> tuple[int, int]:
     the taxa of L(u) ∩ L(v), with I[u, v] <= 1 at most one, so
     `_split_pairs`, the column counts X and both counts are 0.
 
-    int64 bound: every M is cast to int64 as it is gathered from the int32
+    int64 bound: every M is cast to int64 as it is gathered from the uint16
     table; numpy's int64 +, - and × are exact modulo 2^64; the only
     divisions are the C(x, 2) of side counts 0 <= x <= n; and each block's
     read-outs are at most C(n, 3).  The counts are exact while
-    C(n, 3) < 2^63, that is for n <= 3810779, far beyond any n whose
-    I-table fits in memory.
+    C(n, 3) < 2^63, that is for n <= 3810779, far beyond the table's
+    MAX_TABLE_N.
     """
     counts = [_block_counts(M) for M, _, _ in node_pair_blocks(tables, min_overlap=2)]
     return sum(s for s, _ in counts), sum(r1 for _, r1 in counts)
@@ -223,10 +257,12 @@ def count_r1(tables: RootedIntersectionTables) -> int:
 def parametric_triplet_distance(t1: Phylogeny, t2: Phylogeny) -> DistancePair:
     """Exact parametric triplet distance as a DistancePair.
 
-    One `build_tables` I-table (int32, 4·m1·m2 bytes), walked once by
-    count_S_R1 for |S| and |R1|: arithmetic summing d(u)·d(v) over the node
-    pairs with I[u, v] >= 2 only, O(n²) in the worst case (caterpillars,
-    where every pair overlaps); exact in int64 for n <= 3810779.
+    One `build_tables` I-table over internal nodes (uint16, 2·(k1 + 1)·(k2
+    + 1) bytes), walked once by count_S_R1 for |S| and |R1|: arithmetic
+    summing d(u)·d(v) over the node pairs with I[u, v] >= 2 only, O(n²) in
+    the worst case (caterpillars, where every pair overlaps).  n is at most
+    MAX_TABLE_N, larger n raises CapacityError; the counts are exact in
+    int64 far beyond that.
     """
     check_pair(t1, t2, Kind.ROOTED)
     S, r1 = count_S_R1(build_tables(t1, t2))

@@ -63,11 +63,15 @@ def test_cross_rows_match_product_enumeration(groups, size, data):
     # in product order; must = () gives every combination
     must = tuple(data.draw(st.permutations(range(len(groups))))
                  [:data.draw(st.integers(0, min(size - 1, len(groups))))])
-    rows = consensus._cross_rows(groups, size, must)
     want = [row for gs in combinations(range(len(groups)), size) if set(must) <= set(gs)
             for row in product(*(groups[g] for g in gs))]
-    assert rows.shape == (len(want), size) and rows.dtype == np.int64
-    assert list(map(tuple, rows.tolist())) == want
+    # in chunks of at most `chunk` rows that concatenate to the same rows
+    for chunk in (consensus.VOTE_ROWS, data.draw(st.integers(1, 60))):
+        chunks = list(consensus._cross_rows(groups, size, must, chunk))
+        assert all(0 < len(rows) <= chunk for rows in chunks)
+        rows = np.concatenate(chunks) if chunks else np.empty((0, size), dtype=np.int64)
+        assert rows.shape == (len(want), size) and rows.dtype == np.int64
+        assert list(map(tuple, rows.tolist())) == want
 
 
 def test_profile_validation():
@@ -207,6 +211,37 @@ class TestVoteTallies:
                     == expected
                 polytomies += 1
         assert polytomies >= 12
+
+
+def test_tallies_of_a_fan_past_one_chunk():
+    # the root of an 80-taxon fan has C(80, 3) > VOTE_ROWS cross-group rows,
+    # counted chunk by chunk.  Reference, per member: q is apart in the
+    # pairs whose LCA w leaves q out (f), and the triplet is a fan when w
+    # holds q and the pair lies in two children of w other than q's (nv)
+    n, k = 80, 3
+    taxa = [f"t{i}" for i in range(n)]
+    fan = Phylogeny.rooted(taxa, tuple(taxa))
+    assert len(list(consensus._cross_rows([[t] for t in range(n)], 3))) >= 2
+    rng = random.Random(3)
+    profile = Profile(tuple(random_partial(n, Kind.ROOTED, rng, contract_prob=0.4, taxa=fan.taxa)
+                            for _ in range(k)))
+    f, nv = [0] * n, [0] * n
+    for member in profile.trees:
+        for w in member.internal_nodes():
+            kids = [member.subtree_taxa(c) for c in member.children[w]]
+            sizes = [len(kid) for kid in kids]
+            apart = comb(sum(sizes), 2) - sum(comb(s, 2) for s in sizes)
+            for q in set(range(n)) - member.subtree_taxa(w):
+                f[q] += apart
+            for kid, s in zip(kids, sizes):
+                for q in kid:
+                    nv[q] += (comb(sum(sizes) - s, 2)
+                              - sum(comb(x, 2) for x in sizes) + comb(s, 2))
+    tally = rooted_vote_tally(fan, fan.root, profile)
+    assert len(tally) == n
+    for leaf, votes in tally.items():
+        q = fan.leaf_taxon[leaf]
+        assert (votes.f, votes.a, votes.nv) == (f[q], k * comb(n - 1, 2) - f[q] - nv[q], nv[q])
 
 
 def _seeded_tally_cases(rng: random.Random, per_kind: int) -> list:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classification_pairs, induced, rooted_pairs, rooted_trees, seeded_pair
+from polydist.cli import main
 from polydist.hausdorff import classification_counts
-from polydist.oracle import DistancePair, classify_triplets, enumerate_phylogenies
+from polydist.oracle import CapacityError, DistancePair, classify_triplets, enumerate_phylogenies
 from polydist.quartet import _anchor_counts, _y_per_pair
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, TripletTopology
 from polydist.triplet import (
+    MAX_TABLE_N,
     _block_counts,
     build_tables,
     count_R_U,
@@ -30,46 +33,113 @@ def oracle_pair(a, b):
     return c.d, c.r1 + c.r2
 
 
+def table_order(tree):
+    """The internal nodes in the order of the table's rows (columns):
+    `node_sides` group by group."""
+    return [v for rows, _ in tree.node_sides() for v in rows[-1].tolist()]
+
+
+def full_table(a, b):
+    """|L(u) ∩ L(v)| for every pair of nodes, leaves included, from the
+    taxon sets `subtree_taxa` gives."""
+    def indicator(tree):
+        X = np.zeros((tree.num_nodes, tree.n))
+        for v in range(tree.num_nodes):
+            X[v, list(tree.subtree_taxa(v))] = 1
+        return X
+    # float64 products of 0/1 rows are exact counts for any n tested here
+    return (indicator(a) @ indicator(b).T).astype(np.int64)
+
+
+def expected_table(a, b):
+    """The table `build_tables` should hold: the internal rows and columns
+    of `full_table` in table order, then one zero row and column."""
+    want = np.zeros((len(a.internal_nodes()) + 1, len(b.internal_nodes()) + 1), dtype=np.int64)
+    want[:-1, :-1] = full_table(a, b)[np.ix_(table_order(a), table_order(b))]
+    return want
+
+
+def stream_pairs(a, b, min_children2=0):
+    """The (u, v) of the unfiltered `node_pair_blocks` stream, in order:
+    each pair of groups in turn, its grid of node pairs row by row."""
+    return [(u, v) for rows1, _ in a.node_sides() for rows2, _ in b.node_sides()
+            if rows2.shape[0] > min_children2
+            for u in rows1[-1].tolist() for v in rows2[-1].tolist()]
+
+
+def expected_block(a, b, full, u, v):
+    """M of the node pair (u, v) from `full_table`: the sides are the
+    children, then the complement of the subtree."""
+    A, B = a.children[u] + (u,), b.children[v] + (v,)
+    alpha1, alpha2 = a.subtree_sizes(), b.subtree_sizes()
+    want = [[int(full[x, y]) for y in B[:-1]] + [int(alpha1[x] - full[x, v])] for x in A[:-1]]
+    want.append([int(alpha2[y] - full[u, y]) for y in B[:-1]]
+                + [int(a.n - alpha1[u] - alpha2[v] + full[u, v])])
+    return want
+
+
+def assert_stream_is_the_sets(a, b, blocks, min_children2=0):
+    """Every cell of an unfiltered stream, leaf sides included, against
+    `full_table`, pair by pair in stream order."""
+    full = full_table(a, b)
+    columns = [M[..., i].tolist() for M, _, _ in blocks for i in range(M.shape[-1])]
+    pairs = stream_pairs(a, b, min_children2)
+    assert len(columns) == len(pairs)
+    for got, (u, v) in zip(columns, pairs):
+        assert got == expected_block(a, b, full, u, v)
+
+
 class TestTables:
     def test_leaf_and_root_entries(self):
         t1 = Phylogeny.rooted("abcd", ((("a", "b"), "c"), "d"))
         t2 = Phylogeny.rooted("abcd", (("a", "c"), ("b", "d")))
         tab = build_tables(t1, t2)
-        la = t1.leaf_of_taxon("a")
-        assert tab.I[la, t2.leaf_of_taxon("a")] == 1
-        assert tab.I[t1.root, t2.root] == 4
-        assert t1.subtree_sizes()[t1.root] == tab.alpha2[t2.root] == 4
+        # three by three internal nodes, then the leaves' zero row and column
+        assert tab.I.dtype == np.uint16 and tab.I.shape == (4, 4)
+        assert not tab.I[-1].any() and not tab.I[:, -1].any()
+        assert tab.I[table_order(t1).index(t1.root), table_order(t2).index(t2.root)] == 4
+        # leaf cells come from positions: leaf a meets leaf a, and the
+        # subtrees holding a, and nothing else
+        blocks = list(node_pair_blocks(tab))
+        assert_stream_is_the_sets(t1, t2, blocks)
+        ab = next(v for v in t1.internal_nodes() if t1.subtree_taxa(v) == frozenset({0, 1}))
+        ac = next(w for w in t2.internal_nodes() if t2.subtree_taxa(w) == frozenset({0, 2}))
+        i = stream_pairs(t1, t2).index((ab, ac))
+        M = np.concatenate([M for M, _, _ in blocks], axis=-1)[..., i]
+        assert M.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 1]]  # rows a, b; columns a, c
 
     def test_named_intersection(self):
         t1 = Phylogeny.rooted("abcd", ((("a", "b"), "c"), "d"))
         t2 = Phylogeny.rooted("abcd", (("a", "c"), ("b", "d")))
         u = next(v for v in t1.internal_nodes() if t1.subtree_taxa(v) == frozenset({0, 1}))
         v = next(w for w in t2.internal_nodes() if t2.subtree_taxa(w) == frozenset({0, 2}))
-        assert build_tables(t1, t2).I[u, v] == 1
+        assert build_tables(t1, t2).I[table_order(t1).index(u), table_order(t2).index(v)] == 1
 
     @given(rooted_pairs())
     @settings(max_examples=50, deadline=None)
     def test_quadrants_sum_to_n(self, pair):
         a, b = pair
         tab = build_tables(a, b)
-        alpha1 = a.subtree_sizes()
+        alpha1, alpha2 = a.subtree_sizes(), b.subtree_sizes()
         everything = frozenset(range(a.n))
-        # direct set computation on a sample of node pairs
-        for u in a.internal_nodes()[:4]:
-            for v in b.internal_nodes()[:4]:
+        assert not tab.I[-1].any() and not tab.I[:, -1].any()
+        # every internal pair's cell, against set arithmetic
+        for i, u in enumerate(table_order(a)):
+            for j, v in enumerate(table_order(b)):
                 A, B = a.subtree_taxa(u), b.subtree_taxa(v)
-                assert tab.I[u, v] == len(A & B)
-                assert alpha1[u] - tab.I[u, v] == len(A - B)
-                assert tab.alpha2[v] - tab.I[u, v] == len(B - A)
-                assert a.n - alpha1[u] - tab.alpha2[v] + tab.I[u, v] == \
+                assert tab.I[i, j] == len(A & B)
+                assert alpha1[u] - tab.I[i, j] == len(A - B)
+                assert alpha2[v] - tab.I[i, j] == len(B - A)
+                assert a.n - alpha1[u] - alpha2[v] + tab.I[i, j] == \
                     len(everything - A - B)
         # the sides of every node pair split the taxa both ways
-        for M, sizes1, sizes2 in node_pair_blocks(tab):
+        blocks = list(node_pair_blocks(tab))
+        for M, sizes1, sizes2 in blocks:
             assert (M >= 0).all()
             assert (M.sum((0, 1)) == a.n).all()
             assert (M.sum(1, keepdims=True) == sizes1).all()
             assert (M.sum(0, keepdims=True) == sizes2).all()
-
+        assert_stream_is_the_sets(a, b, blocks)
 
     def test_deep_caterpillar_against_fan(self):
         # a 1200-leaf caterpillar, 1199 levels deep, as T2 and then as T1
@@ -80,16 +150,41 @@ class TestTables:
             nested = (nested, t)
         caterpillar = Phylogeny.rooted(taxa, nested)
         fan = Phylogeny.rooted(taxa, tuple(range(n)))
-
-        def indicator(tree):
-            X = np.zeros((tree.num_nodes, n))
-            for v in range(tree.num_nodes):
-                X[v, list(tree.subtree_taxa(v))] = 1
-            return X
-
         for a, b in ((fan, caterpillar), (caterpillar, fan)):
-            assert (build_tables(a, b).I == indicator(a) @ indicator(b).T).all()
+            assert (build_tables(a, b).I == expected_table(a, b)).all()
             assert parametric_triplet_distance(a, b) == DistancePair(0, comb(n, 3))
+
+
+class TestTableLimit:
+    """The table is uint16, exact since I <= n, so n is at most MAX_TABLE_N."""
+
+    @staticmethod
+    def fan(n):
+        return Phylogeny.rooted(TaxonSet(tuple(f"t{i}" for i in range(n))), tuple(range(n)))
+
+    def test_fan_pair_at_the_largest_n(self):
+        fan = self.fan(MAX_TABLE_N)
+        assert build_tables(fan, fan).I.tolist() == [[MAX_TABLE_N, 0], [0, 0]]
+
+    def test_one_taxon_more_raises_before_allocating(self):
+        fan = self.fan(MAX_TABLE_N + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build_tables(fan, fan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # neither a table nor a layout of the trees
+
+    @pytest.mark.parametrize("argv", [["dist", "triplet"], ["dist", "quartet", "--unrooted"],
+                                      ["hausdorff-bounds"]])
+    def test_cli_exits_3(self, capsys, tmp_path, argv):
+        path = tmp_path / "fan.nwk"
+        path.write_text("(" + ",".join(f"t{i}" for i in range(MAX_TABLE_N + 1)) + ");\n")
+        assert main(argv + [str(path), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_TABLE_N) in err
 
 
 def _overlapping_stream(blocks, min_overlap=0):
@@ -134,21 +229,23 @@ class TestOverlapFilter:
     def test_filter_yields_exactly_the_overlapping_pairs(self, pair):
         a, b = pair
         tab = build_tables(a, b)
-        alpha1 = a.subtree_sizes()
         internal1, internal2 = a.internal_nodes(), b.internal_nodes()
         for min_children2 in (0, 3):
             wide2 = [v for v in internal2 if len(b.children[v]) >= min_children2]
             everything = list(node_pair_blocks(tab, min_children2))
             assert sum(M.shape[-1] for M, _, _ in everything) == len(internal1) * len(wide2)
+            assert_stream_is_the_sets(a, b, everything, min_children2)
             for min_overlap in (1, 2):
                 blocks = list(node_pair_blocks(tab, min_children2, min_overlap=min_overlap))
                 # the unfiltered stream with the thin pairs taken out, in order
                 assert _overlapping_stream(blocks) == \
                     _overlapping_stream(everything, min_overlap)
-                # and, by (I[u, v], |L(u)|, |L(v)|), the pairs of the table
-                want = sorted((int(tab.I[u, v]), int(alpha1[u]), int(tab.alpha2[v]))
-                              for u in internal1 for v in wide2
-                              if tab.I[u, v] >= min_overlap)
+                # and, by (|L(u) ∩ L(v)|, |L(u)|, |L(v)|) from the taxon
+                # sets, the overlapping pairs
+                want = sorted((len(A & B), len(A), len(B))
+                              for A in map(a.subtree_taxa, internal1)
+                              for B in map(b.subtree_taxa, wide2)
+                              if len(A & B) >= min_overlap)
                 got = sorted(t for M, sizes1, sizes2 in blocks
                              for t in zip(M[:-1, :-1].sum((0, 1)).tolist(),
                                           (a.n - sizes1[-1, 0]).tolist(),
@@ -157,11 +254,12 @@ class TestOverlapFilter:
 
     @given(rooted_pairs())
     @settings(max_examples=30, deadline=None)
-    def test_int32_table_int64_blocks(self, pair):
-        # the table holds 0 <= I <= n in half the bytes; every gathered block
-        # is int64 before any kernel arithmetic
+    def test_uint16_table_int64_blocks(self, pair):
+        # the table holds 0 <= I <= n in two bytes a cell; every gathered
+        # block is int64 before any kernel arithmetic
         tab = build_tables(*pair)
-        assert tab.I.dtype == np.int32
+        assert tab.I.dtype == np.uint16
+        assert (tab.I == expected_table(*pair)).all()
         for min_overlap in (0, 1, 2):
             for M, sizes1, sizes2 in node_pair_blocks(tab, min_overlap=min_overlap):
                 assert M.dtype == sizes1.dtype == sizes2.dtype == np.int64
@@ -178,11 +276,9 @@ def test_blocks_are_sides_first_gathers_of_the_table():
     taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
     a = random_binary(n, Kind.ROOTED, rng, taxa)
     b = random_partial(n, Kind.ROOTED, rng, 0.3, taxa)
-    tab = build_tables(a, b)
-    I = tab.I.tolist()
-    alpha1, alpha2 = a.subtree_sizes().tolist(), tab.alpha2.tolist()
+    full = full_table(a, b)
     by_shape = {}
-    for M, sizes1, sizes2 in node_pair_blocks(tab):
+    for M, sizes1, sizes2 in node_pair_blocks(build_tables(a, b)):
         d1, d2, P = M.shape
         assert M.flags.c_contiguous and M.dtype == np.int64
         assert sizes1.shape == (d1, 1, P) and sizes2.shape == (1, d2, P)
@@ -197,12 +293,8 @@ def test_blocks_are_sides_first_gathers_of_the_table():
             assert (sizes1[:, 0] == np.repeat(sides1, g2, axis=1)).all()
             assert (sizes2[0] == np.tile(sides2, rows1.shape[1])).all()
             for i in range(M.shape[-1]):
-                A, B = rows1[:, i // g2].tolist(), rows2[:, i % g2].tolist()
-                u, v = A[-1], B[-1]
-                want = [[I[x][y] for y in B[:-1]] + [alpha1[x] - I[x][v]] for x in A[:-1]]
-                want.append([alpha2[y] - I[u][y] for y in B[:-1]]
-                            + [n - alpha1[u] - alpha2[v] + I[u][v]])
-                assert M[..., i].tolist() == want
+                u, v = int(rows1[-1, i // g2]), int(rows2[-1, i % g2])
+                assert M[..., i].tolist() == expected_block(a, b, full, u, v)
     assert not by_shape
 
 
