@@ -16,11 +16,11 @@ polydist.hausdorff's adversarial refinement runs it against the one-tree
 profile (T2,) with score 2F - A in place of the distance change.  A step
 splits one polytomy v, so the loop counts each polytomy's tallies once
 and keeps them for the run, keyed by the node and its candidate nodes.
-The new node's tallies are v's minus the votes of the subsets that hold
-every kept group, which are the only subsets the new node loses: for a
-fan that counts C(K-1, 2) triplets per step instead of C(K, 3).  Scores
-are Python ints: with p = P/Q the greedy compares Q times the exact
-distance change, with no Fraction per candidate."""
+A count sums closed forms of each member's group histograms over its
+nodes, as the distance kernels sum over node pairs (`_vote_counts`), and
+builds no LCA table.  Scores are Python ints: with p = P/Q the greedy
+compares Q times the exact distance change, with no Fraction per
+candidate."""
 
 from __future__ import annotations
 
@@ -28,21 +28,13 @@ import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from polydist.quartet import parametric_quartet_distance
-from polydist.trees import (
-    UNRESOLVED,
-    Kind,
-    Phylogeny,
-    TreeError,
-    check_pair,
-    pull_2_out,
-    pull_out,
-    topology_codes,
-)
-from polydist.triplet import parametric_triplet_distance
+from polydist.trees import Kind, Phylogeny, TreeError, check_pair, pull_2_out, pull_out
+from polydist.triplet import BLOCK_CELLS, parametric_triplet_distance
 
 
 @dataclass(frozen=True)
@@ -64,6 +56,18 @@ class Profile:
     @property
     def taxa(self):
         return self.trees[0].taxa
+
+    @cached_property
+    def _sides(self) -> tuple:
+        """(first, sides): per child count, every member's `node_sides`
+        (rows, sizes), node x of member i renumbered first[i] + x."""
+        first = np.cumsum([0] + [t.num_nodes for t in self.trees]).tolist()
+        by_count: dict[int, list] = {}
+        for tree, base in zip(self.trees, first):
+            for rows, sizes in tree.node_sides():
+                by_count.setdefault(len(rows), []).append((rows + base, sizes))
+        return first, [tuple(np.concatenate(x, axis=1) for x in zip(*by_count[d]))
+                       for d in sorted(by_count)]
 
 
 def _member_distance(tree: Phylogeny, member: Phylogeny, p: Fraction) -> Fraction:
@@ -128,130 +132,153 @@ class VoteTally:
         return -p * self.f + (1 - p) * self.a + p * self.nv
 
 
-# The most cross-group rows a polytomy's tally builds and codes at once.
-VOTE_ROWS = 1 << 16
+def _parts(count: int, width: int) -> Iterator[slice]:
+    """Slices of range(count) of at most BLOCK_CELLS // width items, one at least."""
+    step = max(1, BLOCK_CELLS // width)
+    return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _cross_rows(groups: list[list[int]], size: int, must: tuple[int, ...] = (),
-                chunk: int = VOTE_ROWS) -> Iterator[np.ndarray]:
-    """Every choice of `size` taxa from `size` distinct groups, among them
-    every group in `must`, one row each, in chunks of at most `chunk` rows,
-    in the order of `itertools.product` over the `itertools.combinations`
-    of the groups that hold `must`.  Those are `must` merged into each
-    combination of the other groups, which keeps their order.  The
-    combinations are taken `chunk` at a time, since each has a row, and
-    their rows numbered: a chunk is a range of row numbers, whose first and
-    last combinations `searchsorted` finds in the cumulative product sizes.
-    Each combination in between is repeated by its rows in the chunk, and
-    each row's position within its combination is read in mixed radix
-    (last group fastest) as offsets into the concatenated groups."""
-    lengths = np.array([len(g) for g in groups], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    flat = np.array([t for g in groups for t in g], dtype=np.int64)
-    rest = [g for g in range(len(groups)) if g not in must]
-    free = size - len(must)
-    combinations = itertools.combinations(rest, free)
-    while True:
-        combos = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(combinations, chunk)), dtype=np.int64).reshape(-1, free)
-        if not len(combos):
-            return
-        combos = np.sort(np.hstack([np.full((len(combos), len(must)), must, dtype=np.int64),
-                                    combos]), axis=1)
-        counts = lengths[combos].prod(axis=1)
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        for first in range(0, total, chunk):
-            last = min(first + chunk, total)
-            c0, c1 = np.searchsorted(ends, [first, last - 1], side="right")
-            begins = ends[c0:c1 + 1] - counts[c0:c1 + 1]
-            here = np.minimum(ends[c0:c1 + 1], last) - np.maximum(begins, first)
-            which = np.repeat(combos[c0:c1 + 1], here, axis=0)
-            pos = np.arange(first, last) - np.repeat(begins, here)
-            rows = np.empty((len(pos), size), dtype=np.int64)
-            for i in reversed(range(size)):
-                g = which[:, i]
-                pos, digit = np.divmod(pos, lengths[g])
-                rows[:, i] = flat[starts[g] + digit]
-            # hold only the rows while the caller codes them, and the batch
-            # only if more of its chunks follow
-            del begins, here, which, pos, digit, g
-            if last == total:
-                del combos, counts, ends
-            yield rows
+def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """UᵀV for int64 U and V of equal rows, exactly: in float64 over runs of
+    rows whose sums of |U[r, i]·V[r, j]| stay below 2^53, or in int64
+    (exact modulo 2^64, slow) if one product may reach 2^53."""
+    bound = max(int(U.max()), -int(U.min())) * max(int(V.max()), -int(V.min()))
+    step = ((1 << 53) - 1) // max(bound, 1)
+    if not step:
+        return U.T @ V
+    return sum((U[r:r + step].T.astype(float) @ V[r:r + step].astype(float)).astype(np.int64)
+               for r in range(0, len(U), step))
 
 
-def _votes(groups: list[list[int]], profile: Profile, rooted: bool,
-           must: tuple[int, ...] = ()) -> list[list]:
-    """f, a and nv per candidate at a polytomy with the given groups of
-    taxa, over the triplets (rooted) or quartets with taxa in distinct
-    groups, among them every group in `must`: lists of K ints (rooted) or
-    symmetric K x K nested lists, one cell per group pair (unrooted).
+def _rooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f and a per group, summed over member nodes with children rows[:-1].
 
-    Each subset is a sorted row; `cand[row]` holds the candidates it votes
-    on: the group of each taxon (rooted), or the group pair g*K + h of each
-    taxon pair (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) (unrooted, symmetrised
-    at the end).  A resolved code c makes column c agree (the apart taxon;
-    the pair {0, c+1}) and, unrooted, column 5 - c (the other side of the
-    split); every other candidate of the row disagrees.  The rows are
-    built, coded and counted one `_cross_rows` chunk at a time, so memory
-    is bounded by VOTE_ROWS rows whatever the polytomy's size.
+    A resolved triplet xy|z counts at w = lca(x, y).  With C[j, q] the taxa
+    of w's child j in group q, Q its column sums, O = s - Q, P the pairs in
+    distinct rows and columns of C and X[q] those with one in column q,
+    f[q] = O[q]·(P - X[q]) (`_block_counts`' R1 summand) and a[q] = Σ_{r≠q}
+    (pairs split between columns q and r)·(ΣO - O[q] - O[r]) = (ΣO - O[q])·
+    X[q] - Q[q]·(Q·O) + Σ_j C[j, q]·(C O)[j] + O[q]·(Q[q]² - Σ_j C[j, q]²)."""
+    C = H[rows[:-1]].astype(np.int64)
+    Q, R = C.sum(0), np.einsum("jck->jc", C)
+    O, T = s - Q, R.sum(0)
+    squares = np.einsum("jck,jck->ck", C, C)
+    QQ = np.einsum("ck,ck->c", Q, Q)
+    X = Q * (T[:, None] - Q) - np.einsum("jc,jck->ck", R, C) + squares
+    P = (T * T - (R * R).sum(0) - QQ + np.einsum("ck->c", squares)) // 2
+    a = (((s.sum() - T)[:, None] - O) * X - Q * np.einsum("ck,ck->c", Q, O)[:, None]
+         + np.einsum("jc,jck->ck", np.einsum("jck,ck->jc", C, O), C) + O * (Q * Q - squares))
+    return ((P[:, None] - X) * O).sum(0), a.sum(0)
 
-    Each int64 f, a and nv is at most k·C(n, 3) rooted or k·C(n, 4) unrooted
-    (k members), so exact while that is below 2^63; coding that many rows
-    would take far longer than any run.
-    """
-    size, K = (3 if rooted else 4), len(groups)
-    group = np.zeros(profile.taxa.n, dtype=np.int64)
-    for g, taxa in enumerate(groups):
-        group[taxa] = g
-    width = K if rooted else K * K
-    seen = np.zeros(width, dtype=np.int64)
-    f = np.zeros(width, dtype=np.int64)
-    nv = np.zeros(width, dtype=np.int64)
-    for rows in _cross_rows(groups, size, must):
-        rows.sort(axis=1)
-        cand = group[rows]
-        if not rooted:
-            cand = np.stack([cand[:, i] * K + cand[:, j]
-                             for i, j in itertools.combinations(range(4), 2)], axis=1)
-        seen += np.bincount(cand.ravel(), minlength=width)
-        for member in profile.trees:
-            codes = topology_codes(member, rows)
-            unresolved = codes == UNRESOLVED
-            nv += np.bincount(cand[unresolved].ravel(), minlength=width)
-            voters, codes = cand[~unresolved], codes[~unresolved]
-            at = np.arange(len(codes))
-            f += np.bincount(voters[at, codes], minlength=width)
-            if not rooted:
-                f += np.bincount(voters[at, 5 - codes], minlength=width)
-    tallies = (f, profile.k * seen - f - nv, nv)
-    if not rooted:
-        tallies = (x.reshape(K, K) + x.reshape(K, K).T for x in tallies)
-    return [x.tolist() for x in tallies]
+
+def _unrooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray,
+                    sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f and a per ordered group pair (g, h), summed over member nodes with
+    sides `rows` (children, then the subtree's complement) of `sizes` taxa.
+
+    A resolved quartet counts at one of its two anchors, where two of its
+    taxa lie in distinct sides and two together in a third, l.  With M[l, k]
+    side l's taxa in group k (column sums s), R[l] its size, G = MᵀM, m =
+    M[l, g] and μ = M[l, h], f puts g and h apart: Σ_l D·S, D = E[l] - m(R -
+    m) - μ(R - μ) + mμ the pairs of two other groups in side l (E[l] of any
+    two) and S = (s_g - m)(s_h - μ) - G[g, h] + mμ.  a puts g apart from a
+    group r and h together with a group t ≠ r: Σ_l μ·(the pairs g, r in two
+    other sides).  Expanded, both are products UᵀV over the sides (`_dot`)
+    with the h-vectors M, M∘s, M², M²∘s and M³, plus G[g, h]·x[h] = Σ_l M[l]
+    ⊗ (M[l]∘x) and -G∘G per node; a's (G G)[g, h] enters as (G M[l])[g]."""
+    K, c, n = len(s), rows.shape[1], int(s.sum())
+    M = H[rows].astype(np.int64)
+    M[-1] = s - M[-1]
+    R = sizes[..., None]
+    rho, d = np.einsum("lc,lck->ck", sizes, M), np.einsum("lck,lck->ck", M, M)
+    A, E = rho - d, ((R * R).sum(0) - d.sum(1, keepdims=True)) // 2
+    # G <= s_g·s_h and G M <= n^3 sum non-negative integers: exact in float64
+    Mf = M.astype(float)
+    G = np.matmul(Mf.transpose(1, 2, 0), Mf.transpose(1, 0, 2))
+    f = -np.square(G.astype(np.int64)).sum(0)
+    a = f.copy()
+    for part in _parts(len(M), 5 * c * K):
+        m, r = M[part], R[part]
+        mm = m * m
+        q = mm.sum(2, keepdims=True)
+        GM = np.matmul(Mf[part].transpose(1, 0, 2), G).transpose(1, 0, 2).astype(np.int64)
+        c0, r0, e = s - m, r - m, 2 * m - s
+        d0 = (r * r - q) // 2 - m * r0
+        b0 = c0 * (n - s - r0) - rho + d + m * r0
+        f += np.outer((d0 * c0).sum((0, 1)), s)
+        Z = _dot(np.concatenate([
+            d0 * e - (E - A) * m, r0 * b0 + GM - m * d - m * (q - mm)
+            - c0 * ((m * s).sum(2, keepdims=True) - m * s - q + mm),
+            -r0 * c0, m * A, m * (A - d)], axis=2).reshape(-1, 5 * K), m.reshape(-1, K))
+        f += Z[:K] + Z[2 * K:3 * K] * s + Z[3 * K:4 * K].T
+        a += Z[K:2 * K] + Z[2 * K:3 * K] * s + Z[4 * K:].T
+        Z = _dot(np.concatenate([-r0 * e, -r0 * e - b0, c0], axis=2).reshape(-1, 3 * K),
+                 mm.reshape(-1, K))
+        f += Z[:K] + Z[2 * K:] * s
+        a += Z[K:2 * K] + 2 * Z[2 * K:] * s
+        Z = _dot(e.reshape(-1, K), (mm * m).reshape(-1, K))
+        f += Z
+        a += 2 * Z
+    return f, a
+
+
+def _vote_counts(group: np.ndarray, K: int, profile: Profile,
+                 rooted: bool) -> tuple[np.ndarray, ...]:
+    """f, a and nv at a polytomy whose K groups `group` maps each taxon to
+    (-1 for none), per group (rooted) or ordered group pair (unrooted).
+
+    Each member's group histograms H[x, q] = |L(x) ∩ G_q| come from prefix
+    counts over its leaf order, as `build_tables` fills I; chunks of member
+    nodes add their closed forms, and nv = k·seen - f - a.  O(k·n·K)
+    rooted, O(k·n·K²) unrooted.  Besides the prefix counts, the histograms
+    and K × K arrays, an array holds at most BLOCK_CELLS cells or one node's
+    sides.  f, a and nv are at most k·C(n, 3) rooted and k·C(n, 4)
+    unrooted, exact while that is below 2^63: int64 arithmetic is exact
+    modulo 2^64, each division is of a pair count below n², `_dot` exact."""
+    first, sides = profile._sides
+    H = np.empty((first[-1], K), dtype=np.int32)
+    F = np.zeros((profile.taxa.n + 1, K), dtype=np.int32)
+    for i, member in enumerate(profile.trees):
+        order, lo, hi = member.leaf_ranges()
+        np.cumsum(group[order, None] == np.arange(K), axis=0, dtype=np.int32, out=F[1:])
+        np.subtract(F[hi], F[lo], out=H[first[i]:first[i + 1]])
+    s = np.bincount(group[group >= 0], minlength=K)
+    f = a = 0
+    for rows, sizes in sides:
+        width = (len(rows) - 1) * K if rooted else max(5 * len(rows) * K, K * K)
+        for nodes in _parts(rows.shape[1], width):
+            df, da = (_rooted_votes(H, s, rows[:, nodes]) if rooted
+                      else _unrooted_votes(H, s, rows[:, nodes], sizes[:, nodes]))
+            f, a = f + df, a + da
+    # seen: a taxon of q (of g and of h) times the pairs of two other groups
+    named, own, ss = (s, s, s * s) if rooted else (s[:, None] * s, s[:, None] + s,
+                                                    (s * s)[:, None] + s * s)
+    seen = named * (((s.sum() - own) ** 2 - (s * s).sum() + ss) // 2)
+    return f, a, profile.k * seen - f - a
 
 
 def _candidates(tree: Phylogeny, v: int) -> tuple[int, ...]:
-    """The nodes whose groups meet at polytomy v: its children (rooted) or
-    its neighbors (unrooted)."""
+    """The nodes whose groups meet at polytomy v: children, or neighbors unrooted."""
     return tree.children[v] if tree.kind is Kind.ROOTED else tree.neighbors(v)
 
 
-def _groups(tree: Phylogeny, v: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The candidate nodes at polytomy v and the taxa of each one's group,
-    the parent's group (unrooted) being every taxon outside v's subtree."""
+def _groups(tree: Phylogeny, v: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The candidates at polytomy v and each taxon's group, its candidate's
+    index; outside v's subtree the parent's (last, unrooted) or -1 (rooted)."""
     nodes = _candidates(tree, v)
     order, lo, hi = tree.leaf_ranges()
-    return nodes, [order[lo[x]:hi[x]].tolist() if tree.parent[x] == v
-                   else order[:lo[v]].tolist() + order[hi[v]:].tolist() for x in nodes]
+    group = np.full(tree.n, -1 if tree.kind is Kind.ROOTED else len(nodes) - 1)
+    for g, x in enumerate(tree.children[v]):
+        group[order[lo[x]:hi[x]]] = g
+    return nodes, group
 
 
 def rooted_vote_tally(tree: Phylogeny, v: int, profile: Profile) -> dict[int, VoteTally]:
     """Votes per child q of polytomy v, over triplets with leaves in three
     distinct child groups, one of them the q group."""
     check_pair(tree, profile.trees[0], Kind.ROOTED)
-    children, groups = _groups(tree, v)
-    f, a, nv = _votes(groups, profile, rooted=True)
+    children, group = _groups(tree, v)
+    f, a, nv = (x.tolist() for x in _vote_counts(group, len(children), profile, rooted=True))
     return {q: VoteTally(f[g], a[g], nv[g]) for g, q in enumerate(children)}
 
 
@@ -259,8 +286,8 @@ def unrooted_vote_tally(tree: Phylogeny, w: int, profile: Profile) -> dict[froze
     """Votes per unordered neighbor pair {q, r} of polytomy w, over quartets
     with leaves in four distinct neighbor groups, two of them q and r."""
     check_pair(tree, profile.trees[0], Kind.UNROOTED)
-    nbrs, groups = _groups(tree, w)
-    f, a, nv = _votes(groups, profile, rooted=False)
+    nbrs, group = _groups(tree, w)
+    f, a, nv = (x.tolist() for x in _vote_counts(group, len(nbrs), profile, rooted=False))
     return {frozenset((nbrs[g], nbrs[h])): VoteTally(f[g][h], a[g][h], nv[g][h])
             for g, h in itertools.combinations(range(len(nbrs)), 2)}
 
@@ -274,32 +301,6 @@ def _tallies(tree: Phylogeny, v: int, profile: Profile, cache: dict) -> dict:
         tally_at = rooted_vote_tally if tree.kind is Kind.ROOTED else unrooted_vote_tally
         cache[key] = tally_at(tree, v, profile)
     return cache[key]
-
-
-def _split_tallies(tree: Phylogeny, v: int, kept: tuple[int, ...], tallies: dict,
-                   profile: Profile) -> dict:
-    """The tallies at the node m that pulling the candidate `kept` out of
-    polytomy v makes, from v's `tallies`.  m's subsets are v's subsets
-    minus those that hold every kept group, so their votes are subtracted.
-    Rooted, m's candidates are v's children but the kept one.  Unrooted,
-    the kept groups are one group of m, its neighbor v: the pairs {q, u1}
-    and {q, u2} add up to the pair {q, v}."""
-    nodes, groups = _groups(tree, v)
-    rooted = tree.kind is Kind.ROOTED
-    f, a, nv = _votes(groups, profile, rooted, tuple(nodes.index(u) for u in kept))
-    if rooted:
-        return {q: VoteTally(tallies[q].f - f[g], tallies[q].a - a[g], tallies[q].nv - nv[g])
-                for g, q in enumerate(nodes) if q not in kept}
-    sums: dict[frozenset, list[int]] = {}
-    for g, h in itertools.combinations(range(len(nodes)), 2):
-        pair = frozenset(v if x in kept else x for x in (nodes[g], nodes[h]))
-        if len(pair) == 2:
-            t = tallies[frozenset((nodes[g], nodes[h]))]
-            s = sums.setdefault(pair, [0, 0, 0])
-            s[0] += t.f - f[g][h]
-            s[1] += t.a - a[g][h]
-            s[2] += t.nv - nv[g][h]
-    return {pair: VoteTally(*s) for pair, s in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -325,8 +326,7 @@ def refinements(tree: Phylogeny, profile: Profile,
     the tally.  The steps end when no candidate is left.
 
     A polytomy's tallies are counted once and cached for the run under
-    (node, candidate nodes); the node a step creates gets its tallies by
-    subtraction from the split node's (_split_tallies).
+    (node, candidate nodes); a step's new node is counted on the next pass.
     """
     check_pair(tree, profile.trees[0])
     rooted = tree.kind is Kind.ROOTED
@@ -344,13 +344,9 @@ def refinements(tree: Phylogeny, profile: Profile,
         if best is None:
             return
         (_, v, nodes), votes = best
-        refined = (pull_out if rooted else pull_2_out)(tree, *nodes)
-        m = tree.num_nodes
-        tallies = cache.pop((v, _candidates(tree, v)))
-        if refined.is_unresolved(m):
-            cache[m, _candidates(refined, m)] = _split_tallies(tree, v, nodes, tallies, profile)
-        yield votes, refined
-        tree = refined
+        del cache[v, _candidates(tree, v)]
+        tree = (pull_out if rooted else pull_2_out)(tree, *nodes)
+        yield votes, tree
 
 
 def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:

@@ -10,6 +10,8 @@ own, so no arity-based guessing is done here.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from polydist.trees import Kind, Phylogeny, TaxonSet
 
 
@@ -134,7 +136,8 @@ def _statement(sc: _Scanner, kind: Kind) -> Phylogeny:
     sc.expect(";")
 
     if len(set(labels)) != len(labels):
-        dup = next(l for l in labels if labels.count(l) > 1)
+        counts = Counter(labels)
+        dup = next(l for l in labels if counts[l] > 1)
         raise NewickError(f"duplicate leaf label {dup!r}", first)
     if not labels:
         raise NewickError("tree has no leaves", first)

@@ -23,10 +23,10 @@ isomorphism checks complete it.
 One topology kernel lives here too: `topology_codes` reads the induced
 topologies of whole arrays of sorted triplet (rooted) or quartet
 (unrooted) rows as the argmax of three sums of LCA depths, the four-point
-condition in the unrooted case.  It serves the oracle and the consensus
-vote tallies alike, from the one (n, n) int32 table `leaf_lca_tables`
-caches per tree (4n^2 bytes); `oracle.topology_by_restriction` is the
-independent route the tests check.
+condition in the unrooted case, from the (n, n) int32 table that
+`leaf_lca_tables` caches per tree (4n^2 bytes).  It serves the oracle
+only; `oracle.topology_by_restriction` is the independent route the tests
+check, and no distance or consensus kernel builds an LCA table.
 """
 
 from __future__ import annotations

@@ -216,6 +216,12 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, ["dist", "triplet"] + files)
         assert code == 3 and "different taxon sets" in err
 
+    def test_large_duplicate_label_exit_3(self, capsys, trees, tmp_path):
+        path = tmp_path / "dup.nwk"
+        path.write_text("(" + ",".join(f"t{i}" for i in range(40000)) + ",t7);\n")
+        code, out, err = run(capsys, ["dist", "triplet", str(path), trees["t2.nwk"]])
+        assert code == 3 and "duplicate leaf label 't7'" in err
+
     def test_multi_tree_file_rejected_where_one_expected(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "triplet",
                                       trees["profile.nwk"], trees["t2.nwk"]])

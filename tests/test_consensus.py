@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from polydist.trees import (
     Kind,
     Phylogeny,
     QuartetTopology,
+    TaxonSet,
     TreeError,
     TripletTopology,
     pull_2_out,
@@ -39,39 +41,51 @@ THREE_LEAF_PROFILE = Profile((
 ))
 
 
+def _nested(tree: Phylogeny, v: int, labels) -> object:
+    """The subtree at v as nested tuples, taxon t written labels[t]."""
+    if tree.is_leaf(v):
+        return labels[tree.leaf_taxon[v]]
+    return tuple(_nested(tree, c, labels) for c in tree.children[v])
+
+
 @st.composite
-def taxon_groups(draw):
-    """Disjoint groups of taxa: all singletons (a fan's children) with up
-    to 40 groups, one large group among singletons, or mixed sizes."""
-    shape = draw(st.sampled_from(("fan", "one large", "mixed")))
+def wide_tally_cases(draw):
+    """A tree with a wide polytomy and a profile over its taxa.  The tree is
+    a fan / star (every group a singleton), one large group among
+    singletons at the root, or partially resolved; each member is a
+    caterpillar, a fan / star or partially resolved."""
+    kind = draw(st.sampled_from(list(Kind)))
+    n = draw(st.integers(4 if kind is Kind.ROOTED else 5, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = [f"t{i}" for i in range(n)]
+    taxa = TaxonSet.of(labels)
+    build = Phylogeny.rooted if kind is Kind.ROOTED else Phylogeny.unrooted
+    shape = draw(st.sampled_from(("fan", "one large", "partial")))
     if shape == "fan":
-        lengths = [1] * draw(st.integers(0, 40))
+        tree = build(taxa, tuple(labels))
     elif shape == "one large":
-        lengths = [1] * draw(st.integers(2, 19))
-        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(2, 25)))
+        large = draw(st.integers(2, n - (2 if kind is Kind.ROOTED else 3)))
+        inner = random_partial(large, Kind.ROOTED, rng, contract_prob=0.3)
+        tree = build(taxa, (_nested(inner, inner.root, labels),) + tuple(labels[large:]))
     else:
-        lengths = draw(st.lists(st.integers(1, 4), max_size=10))
-    taxa = draw(st.permutations(range(sum(lengths))))
-    starts = [sum(lengths[:i]) for i in range(len(lengths))]
-    return [list(taxa[s:s + k]) for s, k in zip(starts, lengths)]
-
-
-@given(taxon_groups(), st.sampled_from((3, 4)), st.data())
-@settings(max_examples=60, deadline=None)
-def test_cross_rows_match_product_enumeration(groups, size, data):
-    # the rows of the group combinations that hold every group in `must`,
-    # in product order; must = () gives every combination
-    must = tuple(data.draw(st.permutations(range(len(groups))))
-                 [:data.draw(st.integers(0, min(size - 1, len(groups))))])
-    want = [row for gs in combinations(range(len(groups)), size) if set(must) <= set(gs)
-            for row in product(*(groups[g] for g in gs))]
-    # in chunks of at most `chunk` rows that concatenate to the same rows
-    for chunk in (consensus.VOTE_ROWS, data.draw(st.integers(1, 60))):
-        chunks = list(consensus._cross_rows(groups, size, must, chunk))
-        assert all(0 < len(rows) <= chunk for rows in chunks)
-        rows = np.concatenate(chunks) if chunks else np.empty((0, size), dtype=np.int64)
-        assert rows.shape == (len(want), size) and rows.dtype == np.int64
-        assert list(map(tuple, rows.tolist())) == want
+        tree = random_partial(n, kind, rng, contract_prob=0.7, taxa=taxa)
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        member = draw(st.sampled_from(("caterpillar", "fan", "partial")))
+        if member == "caterpillar":
+            order = rng.sample(labels, n)
+            nested = order[-1]
+            for t in reversed(order[2:-1]):
+                nested = (t, nested)
+            top = (order[0], order[1], nested) if kind is Kind.UNROOTED \
+                else (order[0], (order[1], nested))
+            members.append(build(taxa, top))
+        elif member == "fan":
+            members.append(build(taxa, tuple(labels)))
+        else:
+            members.append(random_partial(n, kind, rng, taxa=taxa,
+                                          contract_prob=rng.choice((0.0, 0.4))))
+    return tree, Profile(tuple(members))
 
 
 def test_profile_validation():
@@ -214,14 +228,13 @@ class TestVoteTallies:
 
 
 def test_tallies_of_a_fan_past_one_chunk():
-    # the root of an 80-taxon fan has C(80, 3) > VOTE_ROWS cross-group rows,
-    # counted chunk by chunk.  Reference, per member: q is apart in the
-    # pairs whose LCA w leaves q out (f), and the triplet is a fan when w
-    # holds q and the pair lies in two children of w other than q's (nv)
+    # the 80 groups of an 80-taxon fan's root.  Reference, per member: q is
+    # apart in the pairs whose LCA w leaves q out (f), and the triplet is a
+    # fan when w holds q and the pair lies in two children of w other than
+    # q's (nv)
     n, k = 80, 3
     taxa = [f"t{i}" for i in range(n)]
     fan = Phylogeny.rooted(taxa, tuple(taxa))
-    assert len(list(consensus._cross_rows([[t] for t in range(n)], 3))) >= 2
     rng = random.Random(3)
     profile = Profile(tuple(random_partial(n, Kind.ROOTED, rng, contract_prob=0.4, taxa=fan.taxa)
                             for _ in range(k)))
@@ -242,6 +255,181 @@ def test_tallies_of_a_fan_past_one_chunk():
     for leaf, votes in tally.items():
         q = fan.leaf_taxon[leaf]
         assert (votes.f, votes.a, votes.nv) == (f[q], k * comb(n - 1, 2) - f[q] - nv[q], nv[q])
+
+
+@given(wide_tally_cases())
+@settings(max_examples=120, deadline=None)
+def test_tallies_of_wide_shapes_match_enumeration(case):
+    tree, profile = case
+    tally_at = rooted_vote_tally if tree.kind is Kind.ROOTED else unrooted_vote_tally
+    for v in tree.unresolved_nodes():
+        assert {c: (t.f, t.a, t.nv) for c, t in tally_at(tree, v, profile).items()} \
+            == _enumerated_tally(tree, v, profile)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_tallies_do_not_depend_on_the_chunks(kind, monkeypatch):
+    # with BLOCK_CELLS = 64 every count splits its member nodes into chunks
+    # of one or a few nodes, and the sides of wide nodes into runs
+    rng = random.Random(21)
+    cases = []
+    for contract_prob in (1.0, 0.6):
+        tree = random_partial(14, kind, rng, contract_prob=contract_prob)
+        cases.append((tree, Profile(tuple(random_partial(14, kind, rng, contract_prob=c,
+                                                         taxa=tree.taxa)
+                                          for c in (1.0, 0.2, 0.6)))))
+    tally_at = rooted_vote_tally if kind is Kind.ROOTED else unrooted_vote_tally
+
+    def tallies():
+        return [tally_at(tree, v, p) for tree, p in cases for v in tree.unresolved_nodes()]
+    whole = tallies()
+    monkeypatch.setattr(consensus, "BLOCK_CELLS", 64)
+    assert tallies() == whole
+
+
+def test_exact_products_past_two_to_the_53():
+    # UᵀV against Python ints: runs of rows whose absolute sums pass 2^53
+    # (float64 in runs), single products past 2^53 (the int64 fallback), and
+    # signed rows that cancel
+    rng = np.random.default_rng(5)
+    for high, rows in ((2**22, 5000), (2**26, 400), (2**27, 50), (3, 7)):
+        U = rng.integers(-high, high, (rows, 4))
+        V = rng.integers(-high, high, (rows, 3))
+        want = [[sum(int(U[r, i]) * int(V[r, j]) for r in range(rows)) for j in range(3)]
+                for i in range(4)]
+        got = consensus._dot(U, V)
+        assert got.dtype == np.int64 and got.tolist() == want
+    U = np.full((5000, 2), 2**25, dtype=np.int64)
+    assert 5000 * 2**50 > 2**53
+    assert consensus._dot(U, U).tolist() == [[5000 * 2**50] * 2] * 2
+
+
+def _rooted_node_reference(C: list[list[int]], O: list[int]) -> tuple[list[int], list[int]]:
+    """f and a per group at one member node with children block C and group
+    taxa O outside it, choosing the pair below it cell by cell."""
+    K = len(O)
+    f, a = [0] * K, [0] * K
+    cells = [(j, k) for j in range(len(C)) for k in range(K)]
+    for (j, k), (jj, kk) in combinations(cells, 2):
+        if j != jj and k != kk:
+            for r in range(K):
+                if r not in (k, kk):
+                    votes = C[j][k] * C[jj][kk] * O[r]
+                    f[r] += votes
+                    a[k] += votes
+                    a[kk] += votes
+    return f, a
+
+
+def _unrooted_node_reference(M: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """f and a per ordered group pair (g, h) at one member node with sides
+    M (rows) over the groups, by choosing the sides and groups of the four
+    taxa."""
+    d, K = len(M), len(M[0])
+    f = [[0] * K for _ in range(K)]
+    a = [[0] * K for _ in range(K)]
+    for g, h in product(range(K), repeat=2):
+        if g == h:
+            continue
+        others = [r for r in range(K) if r not in (g, h)]
+        for i, j, l in product(range(d), repeat=3):
+            if len({i, j, l}) < 3:
+                continue
+            together = sum(M[l][r] * M[l][t] for r, t in combinations(others, 2))
+            f[g][h] += M[i][g] * M[j][h] * together
+            a[g][h] += M[i][g] * M[l][h] * sum(M[j][r] * M[l][t] for r, t in
+                                               product(others, repeat=2) if r != t)
+    return f, a
+
+
+def _largest_n(size: int) -> int:
+    """The largest n with C(n, size) < 2^63, one member's int64 bound."""
+    n = round((factorial(size) * 2**63) ** (1 / size))
+    while comb(n, size) >= 2**63:
+        n -= 1
+    while comb(n + 1, size) < 2**63:
+        n += 1
+    return n
+
+
+def test_tallies_int64_bound():
+    # f, a and nv are at most k·C(n, 3) rooted and k·C(n, 4) unrooted.  At
+    # the largest n with one member, single member nodes with a few large
+    # children (rooted) or sides (unrooted) whose products pass 2^53 and,
+    # the rooted ones, wrap past 2^63
+    rng = random.Random(8)
+    n = _largest_n(3)
+    assert comb(n, 3) < 2**63 <= comb(n + 1, 3)
+    a3 = n // 3
+    blocks = [([[a3, 0, 0], [0, a3, 0]], [0, 0, n - 2 * a3]),
+              ([[n - 4, 1, 0, 0], [0, 0, 1, 1]], [0, 0, 0, 1])]
+    for _ in range(4):
+        d, K = rng.randint(2, 4), rng.randint(3, 5)
+        cuts = np.diff([0] + sorted(rng.sample(range(1, n), d * K + K - 1)) + [n])
+        blocks.append((cuts[:d * K].reshape(d, K).tolist(), cuts[d * K:].tolist()))
+    for C, O in blocks:
+        H = np.array(C + [np.sum(C, axis=0).tolist()], dtype=np.int32)
+        s = H[-1] + np.array(O)
+        f, a = consensus._rooted_votes(H, s, np.arange(len(H))[:, None])
+        assert (f.tolist(), a.tolist()) == _rooted_node_reference(C, O)
+    n = _largest_n(4)
+    assert comb(n, 4) < 2**63 <= comb(n + 1, 4)
+    h = n // 4
+    blocks = [[[h, 0, 0, 0], [0, h, 0, 0], [0, 0, h, 0], [0, 0, 0, n - 3 * h]],
+              [[n - 5, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1]]]
+    for _ in range(4):
+        d, K = rng.randint(3, 4), rng.randint(4, 5)
+        blocks.append(np.diff([0] + sorted(rng.sample(range(1, n), d * K - 1)) + [n])
+                      .reshape(d, K).tolist())
+    for M in blocks:
+        # the last side is the complement of the node's subtree: the node's
+        # histogram is its children's sum
+        H = np.array(M[:-1] + [np.sum(M[:-1], axis=0).tolist()], dtype=np.int32)
+        rows = np.arange(len(M))[:, None]
+        f, a = consensus._unrooted_votes(H, np.sum(M, axis=0), rows,
+                                         np.sum(M, axis=1)[:, None])
+        want_f, want_a = _unrooted_node_reference(M)
+        off = ~np.eye(len(M[0]), dtype=bool)
+        assert f[off].tolist() == np.array(want_f, dtype=object)[off].tolist()
+        assert a[off].tolist() == np.array(want_a, dtype=object)[off].tolist()
+
+
+def test_count_of_a_wide_member_stays_small():
+    # a star member of 600 taxa against a polytomy of 30 groups of 20: one
+    # member node of 601 sides; the star resolves nothing, so every quartet
+    # is a vote nv
+    n, K = 600, 30
+    labels = [f"t{i}" for i in range(n)]
+    groups = tuple(tuple(labels[g * 20:(g + 1) * 20]) for g in range(K))
+    tree = Phylogeny.unrooted(labels, tuple((grp[0], (grp[1:])) for grp in groups))
+    star = Profile((Phylogeny.unrooted(labels, tuple(labels)),))
+    tracemalloc.start()
+    try:
+        tallies = unrooted_vote_tally(tree, tree.root, star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    seen = 20 * 20 * comb(K - 2, 2) * 20 * 20
+    assert len(tallies) == comb(K, 2)
+    assert {(t.f, t.a, t.nv) for t in tallies.values()} == {(0, 0, seen)}
+
+
+def test_consensus_builds_no_lca_table(monkeypatch):
+    # the tallies count; no LCA table is built on the consensus path
+    def refuse(self):
+        raise AssertionError("leaf_lca_tables called")
+    monkeypatch.setattr(Phylogeny, "leaf_lca_tables", refuse)
+    for kind in Kind:
+        rng = random.Random(kind.value)
+        start = random_partial(12, kind, rng, contract_prob=0.8)
+        profile = Profile(tuple(random_partial(12, kind, rng, contract_prob=0.3, taxa=start.taxa)
+                                for _ in range(3)))
+        best = best_of_profile(profile, Fraction(3, 4))
+        g = greedy_refine_median(start, profile, Fraction(3, 4))
+        assert g.tree.is_fully_resolved() and best.tree in profile.trees
+        adversarial = hausdorff.adversarial_refinement(start, profile.trees[0])
+        assert adversarial.d_achieved >= adversarial.d_initial
 
 
 def _seeded_tally_cases(rng: random.Random, per_kind: int) -> list:
@@ -391,32 +579,27 @@ def refinement_cases(draw):
 
 def _check_cached_tallies(start: Phylogeny, profile: Profile, score) -> set:
     """Run `refinements` and compare every tally it reads with a fresh count
-    of the current tree; returns how each was read (fresh, cached, or
-    derived by a split) and whether an unrooted split put the new node
-    between the split node and its parent."""
+    of the current tree; returns how each was read (fresh or cached) and
+    whether an unrooted split put the new node between the split node and
+    its parent, which gives that parent a new candidate node."""
     fresh = rooted_vote_tally if start.kind is Kind.ROOTED else unrooted_vote_tally
-    read, split = consensus._tallies, consensus._split_tallies
+    read = consensus._tallies
     seen = set()
 
     def checked_read(tree, v, profile, cache):
-        if (v, consensus._candidates(tree, v)) not in cache:
-            seen.add("fresh")
-        else:
-            seen.add("derived" if v >= start.num_nodes else "cached")
+        seen.add("cached" if (v, consensus._candidates(tree, v)) in cache else "fresh")
         tallies = read(tree, v, profile, cache)
         assert tallies == fresh(tree, v, profile)
         return tallies
 
-    def checked_split(tree, v, kept, tallies, profile):
-        if tree.kind is Kind.UNROOTED and tree.parent[v] >= 0 and tree.parent[v] not in kept:
-            seen.add("between")
-        return split(tree, v, kept, tallies, profile)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(consensus, "_tallies", checked_read)
-        patch.setattr(consensus, "_split_tallies", checked_split)
-        for _ in consensus.refinements(start, profile, score):
-            pass
+        before = start
+        for _, tree in consensus.refinements(start, profile, score):
+            up = tree.parent[tree.num_nodes - 1]
+            if tree.kind is Kind.UNROOTED and tree.degree(up) == before.degree(up):
+                seen.add("between")
+            before = tree
     return seen
 
 
@@ -436,8 +619,7 @@ class TestRefinements:
             profile = Profile(tuple(random_partial(10, kind, rng, taxa=start.taxa)
                                     for _ in range(3)))
             seen |= _check_cached_tallies(start, profile, lambda t: t.a - 2 * t.f)
-        assert seen == {"fresh", "cached", "derived"} | \
-            (set() if kind is Kind.ROOTED else {"between"})
+        assert seen == {"fresh", "cached"} | (set() if kind is Kind.ROOTED else {"between"})
 
     @pytest.mark.parametrize("kind,n", [(Kind.ROOTED, 30), (Kind.UNROOTED, 14)])
     def test_large_denominator_p(self, kind, n):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,17 @@ def test_parse_star_unrooted():
 def test_duplicate_label_rejected():
     with pytest.raises(NewickError):
         parse_newick("((a,b),(a,c));", Kind.ROOTED)
+
+
+def test_duplicate_label_found_in_linear_time():
+    # a 40000-leaf fan whose last leaf repeats the first: the repeat is named
+    # with the statement's position, in one pass over the labels
+    text = "(" + ",".join(f"t{i}" for i in range(40000)) + ",t0);"
+    start = time.perf_counter()
+    with pytest.raises(NewickError) as exc:
+        parse_newick(text, Kind.ROOTED)
+    assert time.perf_counter() - start < 0.8
+    assert str(exc.value) == "duplicate leaf label 't0' (at position 0)"
 
 
 def test_empty_label_rejected():
