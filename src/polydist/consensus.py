@@ -327,6 +327,9 @@ def refinements(tree: Phylogeny, profile: Profile,
 
     A polytomy's tallies are counted once and cached for the run under
     (node, candidate nodes); a step's new node is counted on the next pass.
+    A Pull-2-Out at v leaves each other neighbor x of the new node m with
+    the same groups, m's in place of v's, so x's tallies move to its new
+    key with m for v instead of being counted again.
     """
     check_pair(tree, profile.trees[0])
     rooted = tree.kind is Kind.ROOTED
@@ -345,7 +348,17 @@ def refinements(tree: Phylogeny, profile: Profile,
             return
         (_, v, nodes), votes = best
         del cache[v, _candidates(tree, v)]
-        tree = (pull_out if rooted else pull_2_out)(tree, *nodes)
+        if rooted:
+            tree = pull_out(tree, *nodes)
+        else:
+            moved = [(x, _candidates(tree, x)) for x in tree.neighbors(v) if x not in nodes]
+            tree = pull_2_out(tree, *nodes)
+            m = tree.num_nodes - 1
+            for x, old in moved:
+                if (x, old) in cache:
+                    cache[x, _candidates(tree, x)] = {
+                        frozenset(m if y == v else y for y in pair): tally
+                        for pair, tally in cache.pop((x, old)).items()}
         yield votes, tree
 
 

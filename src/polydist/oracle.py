@@ -1,9 +1,11 @@
 """Brute-force reference implementations.
 
 Everything here is ground truth for the fast algorithms: triplet/quartet
-classification by direct enumeration, the induced topology of one subset
-by explicit restriction (`topology_by_restriction`, the route that checks
-`trees.topology_codes`), exhaustive tree-space enumeration,
+classification by direct enumeration, each subset's topology read as a
+code (`topology_codes`) off the LCA-depth table that
+`Phylogeny.leaf_lca_tables` caches per tree; the induced topology of one
+subset by explicit restriction (`topology_by_restriction`, the route that
+checks `topology_codes`); exhaustive tree-space enumeration,
 full-refinement enumeration, exact Hausdorff distance, and exhaustive
 median search.  Counts are exact integers; distances are exact rationals.
 """
@@ -18,7 +20,6 @@ import numpy as np
 
 from polydist.newick import write_newick
 from polydist.trees import (
-    UNRESOLVED,
     Kind,
     Phylogeny,
     QuartetTopology,
@@ -27,11 +28,13 @@ from polydist.trees import (
     TripletTopology,
     check_pair,
     restrict,
-    topology_codes,
 )
 
 ROOTED_ENUM_CAP = 7
 UNROOTED_ENUM_CAP = 8
+
+UNRESOLVED = 3  # topology code of a fan triplet or a star quartet
+TOPOLOGY_BLOCK_ROWS = 1 << 16  # rows per block of topology_codes
 
 
 class CapacityError(RuntimeError):
@@ -81,9 +84,56 @@ class Classification:
         return Classification(self.s, self.d, self.r2, self.r1, self.u)
 
 
+def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
+    """Induced topology code per sorted row of a tree's taxon indices: for
+    a rooted tree, triplets a < b < c with 0 = a|bc, 1 = b|ac, 2 = c|ab;
+    for an unrooted tree, quartets a < b < c < d with 0 = ab|cd, 1 = ac|bd,
+    2 = ad|bc; UNRESOLVED (3) for a fan or a star.
+
+    One rule on the LCA-depth table L of `Phylogeny.leaf_lca_tables`, read
+    at each taxon's leaf position: the code is the argmax of three sums,
+    UNRESOLVED when all three are equal.
+
+    Rooted, the sums are [L(b,c), L(a,c), L(a,b)]: two of the three LCAs
+    coincide and the third is at least as deep, strictly deeper exactly
+    when the triplet is resolved, and its pair leaves the other taxon apart.
+
+    Unrooted, they are the four-point sums [L(a,b) + L(c,d),
+    L(a,c) + L(b,d), L(a,d) + L(b,c)] (Buneman 1974).  In any orientation
+    the path length in edges is d(x,y) = D(x) + D(y) - 2L(x,y), with D(x)
+    the depth of x's leaf, so L(a,b) + L(c,d) = (D(a) + D(b) + D(c) + D(d)
+    - d(a,b) - d(c,d)) / 2: the leaf depths cancel between pairings.  A
+    resolved quartet ab|cd has d(a,c) + d(b,d) = d(a,d) + d(b,c) =
+    d(a,b) + d(c,d) + 2m, m >= 1 the edges of its middle path, so its own
+    pairing's sum is the unique maximum and the other two are equal; a
+    star (m = 0) gives three equal sums.
+
+    Every depth is below 2n, so every sum is below 4n, which int32 holds
+    for any n whose (n, n) table fits in memory.  Rows are read in blocks
+    of TOPOLOGY_BLOCK_ROWS, so the rows mapped to leaf positions and their
+    sums take memory for one block, not for all of `rows`.
+    """
+    L = tree.leaf_lca_tables()
+    position = np.empty(tree.n, dtype=np.int64)
+    position[tree.leaf_ranges()[0]] = np.arange(tree.n)
+    codes = np.empty(len(rows), dtype=np.int8)
+    for start in range(0, len(rows), TOPOLOGY_BLOCK_ROWS):
+        block = position[rows[start:start + TOPOLOGY_BLOCK_ROWS]].T
+        if tree.kind is Kind.ROOTED:
+            a, b, c = block
+            sums = np.stack([L[b, c], L[a, c], L[a, b]])
+        else:
+            a, b, c, d = block
+            sums = np.stack([L[a, b] + L[c, d], L[a, c] + L[b, d], L[a, d] + L[b, c]])
+        out = codes[start:start + TOPOLOGY_BLOCK_ROWS]
+        out[:] = np.argmax(sums, axis=0)
+        out[(sums[0] == sums[1]) & (sums[1] == sums[2])] = UNRESOLVED
+    return codes
+
+
 def _classify(t1: Phylogeny, t2: Phylogeny, kind: Kind) -> Classification:
     """Classify every triplet (rooted) or quartet (unrooted), as sorted rows,
-    by its topology code (trees.topology_codes) in each tree."""
+    by its topology code (`topology_codes`) in each tree."""
     check_pair(t1, t2, kind)
     size = 3 if kind is Kind.ROOTED else 4
     rows = np.fromiter(itertools.chain.from_iterable(
@@ -159,21 +209,23 @@ def _insertions(node, new: int, widen: bool = True):
         yield tuple(kids + [new])
 
 
-def _nested_rooted(n: int):
-    """All rooted phylogenies over taxa 0..n-1 as nested tuples, each once.
+def _nested_rooted(n: int, widen: bool = True):
+    """All rooted phylogenies over taxa 0..n-1 as nested tuples, each once,
+    or, without `widen`, all binary ones.
 
     Leaf n-1 is inserted into each smaller tree at every edge, at every
-    internal node, and as a sibling of the root; deleting that leaf again
-    inverts every insertion uniquely, so no deduplication is needed.
+    internal node when `widen`, and as a sibling of the root; deleting that
+    leaf again inverts every insertion uniquely, so no deduplication is
+    needed.
     """
     if n == 1:
         yield 0
         return
     new = n - 1
-    for base in _nested_rooted(n - 1):
+    for base in _nested_rooted(n - 1, widen):
         # as sibling of the old root
         yield (base, new)
-        yield from _insertions(base, new)
+        yield from _insertions(base, new, widen)
 
 
 def _nested_unrooted(n: int):
@@ -231,17 +283,6 @@ def count_full_refinements(tree: Phylogeny) -> int:
     return total
 
 
-def _binary_shapes_idx(k: int):
-    """All rooted binary trees over atoms 0..k-1: atom k-1 splits the root
-    edge or any edge of a tree over the others (sequential edge insertion)."""
-    if k == 1:
-        yield 0
-        return
-    for base in _binary_shapes_idx(k - 1):
-        yield (base, k - 1)
-        yield from _insertions(base, k - 1, widen=False)
-
-
 def _binary_shapes(parts: list):
     """All rooted binary trees over the given parts, each part kept atomic."""
 
@@ -250,7 +291,7 @@ def _binary_shapes(parts: list):
             return (subst(node[0]), subst(node[1]))
         return parts[node]
 
-    for shape in _binary_shapes_idx(len(parts)):
+    for shape in _nested_rooted(len(parts), widen=False):
         yield subst(shape)
 
 

@@ -8,31 +8,26 @@ Every builder writes parents directly, as it creates each node knowing its
 parent.  Rooted trees have a semantic root; for unrooted trees the same
 array holds an arbitrary orientation from a distinguished "handle" node,
 which carries no meaning beyond giving the traversal code a place to
-start.  Every counting kernel reads the side layout each tree caches:
-`leaf_ranges` (subtrees as ranges of the leaf order), `node_sides`
-(children and subtree complement of each node) and `side_cells` (where
-each side's cells of an intersection table come from).
+start.  A tree never changes, so what is derived from it is computed once
+and cached on it by `per_tree`.  Every counting kernel reads the side
+layout each tree caches: `leaf_ranges` (subtrees as ranges of the leaf
+order) and `node_sides` (children and subtree complement of each node).
 
 The module also provides the elementary edits: `pull_out` and
 `pull_2_out`, with which the consensus and Hausdorff machinery refine a
 polytomy, are one in-place split of a node on the parent array, and
 `contract` merges any set of internal edges in one pass.  Restriction to a
 taxon subset, the refinement partial order and canonical forms for
-isomorphism checks complete it.
-
-One topology kernel lives here too: `topology_codes` reads the induced
-topologies of whole arrays of sorted triplet (rooted) or quartet
-(unrooted) rows as the argmax of three sums of LCA depths, the four-point
-condition in the unrooted case, from the (n, n) int32 table that
-`leaf_lca_tables` caches per tree (4n^2 bytes).  It serves the oracle
-only; `oracle.topology_by_restriction` is the independent route the tests
-check, and no distance or consensus kernel builds an LCA table.
+isomorphism checks complete it.  `leaf_lca_tables`, the (n, n) table of
+LCA depths, serves the oracle's topology codes only: no distance or
+consensus kernel builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,10 +81,6 @@ class TaxonSet:
         return cls(tuple(labels))
 
 
-UNRESOLVED = 3  # topology code of a fan triplet or a star quartet
-TOPOLOGY_BLOCK_ROWS = 1 << 16  # rows per block of topology_codes
-
-
 class TripletTopology(Enum):
     """Topology of a rooted tree restricted to a sorted triplet a < b < c.
 
@@ -109,6 +100,32 @@ class QuartetTopology(Enum):
     AC_BD = "ac|bd"
     AD_BC = "ad|bc"
     STAR = "star"
+
+
+def per_tree(compute):
+    """Cache `compute(tree)` on the tree under its name: a Phylogeny never
+    changes, so the value is computed on the first call and shared by every
+    later one, and each array in it (or in its tuples and lists) is made
+    read-only, since the callers share it.  `Phylogeny.__init__` seeds
+    `postorder`, the walk with which it checks the parent array."""
+    name = compute.__name__
+
+    @wraps(compute)
+    def cached(tree):
+        value = tree._cache.get(name)
+        if value is None:
+            value = tree._cache[name] = compute(tree)
+            _freeze(value)
+        return value
+    return cached
+
+
+def _freeze(value) -> None:
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for part in value:
+            _freeze(part)
 
 
 class Phylogeny:
@@ -183,15 +200,15 @@ class Phylogeny:
         return [v for v in range(self.num_nodes) if not self.is_leaf(v)]
 
     def leaf_of_taxon(self, taxon) -> int:
-        t = self.taxa.index(taxon)
-        table = self._cache.get("leaf_of_taxon")
-        if table is None:
-            table = [-1] * self.n
-            for v, tx in enumerate(self.leaf_taxon):
-                if tx is not None:
-                    table[tx] = v
-            self._cache["leaf_of_taxon"] = table
-        return table[t]
+        return self._leaf_of_taxa()[self.taxa.index(taxon)]
+
+    @per_tree
+    def _leaf_of_taxa(self) -> list[int]:
+        table = [-1] * self.n
+        for v, t in enumerate(self.leaf_taxon):
+            if t is not None:
+                table[t] = v
+        return table
 
     def is_unresolved(self, v: int) -> bool:
         """Polytomy test: >2 children (rooted) or degree >3 (unrooted)."""
@@ -209,37 +226,37 @@ class Phylogeny:
 
     # -- traversals and per-node tables ---------------------------------
 
+    @per_tree
     def postorder(self) -> list[int]:
         """Children before parents, each node's children in stored order."""
-        return self._cache["postorder"]
+        raise AssertionError("Phylogeny.__init__ seeds the postorder")
 
+    @per_tree
     def leaf_ranges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, lo, hi): the taxa in postorder leaf order, and for each
-        node v the range order[lo[v]:hi[v]] of the taxa below it.  Cached
-        in the stored orientation and read-only, since callers share it.
+        node v the range order[lo[v]:hi[v]] of the taxa below it, in the
+        stored orientation.
         """
-        cached = self._cache.get("leaf_ranges")
-        if cached is None:
-            order, lo, hi = [], [0] * self.num_nodes, [0] * self.num_nodes
-            for v in self.postorder():
-                t = self.leaf_taxon[v]
-                if t is None:
-                    lo[v], hi[v] = lo[self.children[v][0]], hi[self.children[v][-1]]
-                else:
-                    lo[v], hi[v] = len(order), len(order) + 1
-                    order.append(t)
-            cached = self._cache["leaf_ranges"] = _read_only(order, lo, hi)
-        return cached
+        order, lo, hi = [], [0] * self.num_nodes, [0] * self.num_nodes
+        for v in self.postorder():
+            t = self.leaf_taxon[v]
+            if t is None:
+                lo[v], hi[v] = lo[self.children[v][0]], hi[self.children[v][-1]]
+            else:
+                lo[v], hi[v] = len(order), len(order) + 1
+                order.append(t)
+        return tuple(np.array(a, dtype=np.int64) for a in (order, lo, hi))
 
     def subtree_sizes(self) -> np.ndarray:
         """alpha[v] = number of leaves in the oriented subtree at v."""
         _, lo, hi = self.leaf_ranges()
         return hi - lo
 
+    @per_tree
     def node_sides(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Internal nodes grouped by child count d, as (rows, sizes) per group
-        in increasing child count, each C-contiguous of shape (d + 1, g) for
-        the group's g nodes; cached and read-only like `leaf_ranges`.
+        in increasing child count, each C-contiguous int64 of shape (d + 1, g)
+        for the group's g nodes.
 
         Sides come first and nodes last: rows[j, i] is side j of the i-th
         node, its children and then the node itself standing for the
@@ -248,71 +265,28 @@ class Phylogeny:
         that side.  The kernels reduce over the few sides, and with the
         nodes last each such sum adds whole contiguous vectors of nodes.
         """
-        groups = self._cache.get("node_sides")
-        if groups is None:
-            by_count: dict[int, list[tuple[int, ...]]] = {}
-            for v in self.internal_nodes():
-                by_count.setdefault(len(self.children[v]), []).append(self.children[v] + (v,))
-            groups = self._cache["node_sides"] = []
-            for _, rows in sorted(by_count.items()):
-                rows = np.array(rows, dtype=np.int64).T.copy()
-                sizes = self.subtree_sizes()[rows]
-                sizes[-1] = self.n - sizes[-1]
-                groups.append(_read_only(rows, sizes))
+        by_count: dict[int, list[tuple[int, ...]]] = {}
+        for v in self.internal_nodes():
+            by_count.setdefault(len(self.children[v]), []).append(self.children[v] + (v,))
+        groups = []
+        for _, rows in sorted(by_count.items()):
+            rows = np.array(rows, dtype=np.int64).T.copy()
+            sizes = self.subtree_sizes()[rows]
+            sizes[-1] = self.n - sizes[-1]
+            groups.append((rows, sizes))
         return groups
-
-    def side_cells(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """(position, groups): where each side's cells of an intersection
-        table come from; cached and read-only.
-
-        An intersection table over two trees has one row (column) per
-        internal node, in `node_sides` order group by group, and one zero
-        row (column) after them that every leaf shares.  A leaf's cells are
-        read from leaf positions instead: position[t] is taxon t's position
-        in the leaf order, and position[n] a sentinel that lies in no range.
-
-        Per `node_sides` group, (ints, cells) are stacked so that one `take`
-        along the last axis gathers them for any of the group's nodes:
-        ints (2, d + 1, g) int64 holds each side's row of the table and its
-        size (as in `node_sides`); cells (4, d + 1, g) uint16 holds its
-        taxon (a leaf side's, else n), lo, span and inner: the side's
-        subtree is the leaf-order range lo + [0, span), or lo + [0, inner),
-        which is empty for leaves.  Positions are uint16, exact for
-        n < 2^16: a position p, or the sentinel 2^16 - 1, is in a side's
-        range exactly when (p - lo) mod 2^16 < span, since lo + span <= n.
-        """
-        cells = self._cache.get("side_cells")
-        if cells is None:
-            order, lo, hi = self.leaf_ranges()
-            position = np.full(self.n + 1, 0xFFFF, dtype=np.uint16)
-            position[order] = np.arange(self.n)
-            taxon = np.array([self.n if t is None else t for t in self.leaf_taxon])
-            is_leaf = taxon < self.n
-            rank = np.empty(self.num_nodes, dtype=np.int64)
-            start = 0
-            for rows, _ in self.node_sides():
-                rank[rows[-1]] = np.arange(start, start + rows.shape[1])
-                start += rows.shape[1]
-            rank[is_leaf] = start
-            span = hi - lo
-            stacked = np.stack([taxon, lo, span, np.where(is_leaf, 0, span)]).astype(np.uint16)
-            groups = [(np.stack([rank[rows], sizes]), stacked[:, rows])
-                      for rows, sizes in self.node_sides()]
-            for a in [position] + [a for group in groups for a in group]:
-                a.flags.writeable = False
-            cells = self._cache["side_cells"] = position, groups
-        return cells
 
     def subtree_taxa(self, v: int) -> frozenset[int]:
         """The taxa below v in the stored orientation, read off `leaf_ranges`."""
         order, lo, hi = self.leaf_ranges()
         return frozenset(order[lo[v]:hi[v]].tolist())
 
+    @per_tree
     def leaf_lca_tables(self) -> np.ndarray:
         """L: the (n, n) int32 table of LCA depths over leaf positions, L[i, j]
         the number of edges from the root (the handle, unrooted) down to the
         LCA of the taxa order[i] and order[j] of `leaf_ranges`, in the stored
-        orientation; 4n^2 bytes, cached read-only.
+        orientation; 4n^2 bytes.
 
         Computed once per tree in O(n^2): each subtree holds a range of the
         leaf order, and the pairs whose LCA is v are the blocks between each
@@ -320,9 +294,6 @@ class Phylogeny:
         depth into its own blocks of the one table.  Every depth is below
         the node count, itself below 2n.
         """
-        cached = self._cache.get("leaf_lca")
-        if cached is not None:
-            return cached
         _, lo, hi = self.leaf_ranges()
         lo, hi = lo.tolist(), hi.tolist()
         table = np.empty((self.n, self.n), dtype=np.int32)
@@ -335,8 +306,6 @@ class Phylogeny:
             for c in self.children[v]:
                 table[lo[c]:hi[c], lo[v]:lo[c]] = depth[v]
                 table[lo[c]:hi[c], hi[c]:hi[v]] = depth[v]
-        table.flags.writeable = False
-        self._cache["leaf_lca"] = table
         return table
 
     # -- validation ------------------------------------------------------
@@ -404,11 +373,9 @@ class Phylogeny:
 
     # -- canonical form / isomorphism -----------------------------------
 
+    @per_tree
     def canonical_key(self) -> str:
         """Canonical string; equal keys <=> isomorphic leaf-labeled trees."""
-        key = self._cache.get("canonical")
-        if key is not None:
-            return key
 
         def enc(top: int, banned: int) -> str:
             # the tree oriented away from `banned`, children before parents
@@ -425,18 +392,14 @@ class Phylogeny:
             return code[top]
 
         if self.kind is Kind.ROOTED:
-            key = "R" + enc(self.root, -1)
-        else:
-            if self.n <= 2:
-                key = "U(" + ",".join(sorted(
-                    f"L{self.taxa.label(t)!r}" for t in self.leaf_taxon if t is not None)) + ")"
-            else:
-                first = min(range(self.n), key=self.taxa.label)
-                leaf0 = self.leaf_of_taxon(first)
-                anchor = self.neighbors(leaf0)[0]
-                key = f"U(L{self.taxa.label(first)!r}|" + enc(anchor, leaf0) + ")"
-        self._cache["canonical"] = key
-        return key
+            return "R" + enc(self.root, -1)
+        if self.n <= 2:
+            return "U(" + ",".join(sorted(
+                f"L{self.taxa.label(t)!r}" for t in self.leaf_taxon if t is not None)) + ")"
+        first = min(range(self.n), key=self.taxa.label)
+        leaf0 = self.leaf_of_taxon(first)
+        anchor = self.neighbors(leaf0)[0]
+        return f"U(L{self.taxa.label(first)!r}|" + enc(anchor, leaf0) + ")"
 
     def isomorphic(self, other: "Phylogeny") -> bool:
         return (self.kind is other.kind
@@ -465,15 +428,8 @@ class Phylogeny:
         return frozenset(out)
 
 
-def _read_only(*values) -> tuple[np.ndarray, ...]:
-    arrays = tuple(np.asarray(v, dtype=np.int64) for v in values)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 # ---------------------------------------------------------------------------
-# Restriction and induced topologies
+# Restriction
 # ---------------------------------------------------------------------------
 
 def restrict(tree: Phylogeny, subset) -> Phylogeny:
@@ -511,53 +467,6 @@ def restrict(tree: Phylogeny, subset) -> Phylogeny:
         a, b = sub.children[sub.root]
         return contract(sub, b if sub.is_leaf(a) else a)
     return sub
-
-
-def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
-    """Induced topology code per sorted row of a tree's taxon indices: for
-    a rooted tree, triplets a < b < c with 0 = a|bc, 1 = b|ac, 2 = c|ab;
-    for an unrooted tree, quartets a < b < c < d with 0 = ab|cd, 1 = ac|bd,
-    2 = ad|bc; UNRESOLVED (3) for a fan or a star.
-
-    One rule on the LCA-depth table L of `leaf_lca_tables`, read at each
-    taxon's leaf position: the code is the argmax of three sums,
-    UNRESOLVED when all three are equal.
-
-    Rooted, the sums are [L(b,c), L(a,c), L(a,b)]: two of the three LCAs
-    coincide and the third is at least as deep, strictly deeper exactly
-    when the triplet is resolved, and its pair leaves the other taxon apart.
-
-    Unrooted, they are the four-point sums [L(a,b) + L(c,d),
-    L(a,c) + L(b,d), L(a,d) + L(b,c)] (Buneman 1974).  In any orientation
-    the path length in edges is d(x,y) = D(x) + D(y) - 2L(x,y), with D(x)
-    the depth of x's leaf, so L(a,b) + L(c,d) = (D(a) + D(b) + D(c) + D(d)
-    - d(a,b) - d(c,d)) / 2: the leaf depths cancel between pairings.  A
-    resolved quartet ab|cd has d(a,c) + d(b,d) = d(a,d) + d(b,c) =
-    d(a,b) + d(c,d) + 2m, m >= 1 the edges of its middle path, so its own
-    pairing's sum is the unique maximum and the other two are equal; a
-    star (m = 0) gives three equal sums.
-
-    Every depth is below 2n, so every sum is below 4n, which int32 holds
-    for any n whose (n, n) table fits in memory.  Rows are read in blocks
-    of TOPOLOGY_BLOCK_ROWS, so the rows mapped to leaf positions and their
-    sums take memory for one block, not for all of `rows`.
-    """
-    L = tree.leaf_lca_tables()
-    position = np.empty(tree.n, dtype=np.int64)
-    position[tree.leaf_ranges()[0]] = np.arange(tree.n)
-    codes = np.empty(len(rows), dtype=np.int8)
-    for start in range(0, len(rows), TOPOLOGY_BLOCK_ROWS):
-        block = position[rows[start:start + TOPOLOGY_BLOCK_ROWS]].T
-        if tree.kind is Kind.ROOTED:
-            a, b, c = block
-            sums = np.stack([L[b, c], L[a, c], L[a, b]])
-        else:
-            a, b, c, d = block
-            sums = np.stack([L[a, b] + L[c, d], L[a, c] + L[b, d], L[a, d] + L[b, c]])
-        out = codes[start:start + TOPOLOGY_BLOCK_ROWS]
-        out[:] = np.argmax(sums, axis=0)
-        out[(sums[0] == sums[1]) & (sums[1] == sums[2])] = UNRESOLVED
-    return codes
 
 
 # ---------------------------------------------------------------------------

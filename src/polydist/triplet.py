@@ -31,7 +31,9 @@ The table holds internal nodes only, as (k1 + 1) × (k2 + 1) uint16 cells
 for k1 and k2 internal nodes (2·(k1 + 1)·(k2 + 1) bytes, at most about
 2n² for n <= MAX_TABLE_N); it is the only table of that size and sets
 the memory.  A leaf's cells are read off leaf positions as the blocks
-are gathered.
+are gathered.  The table's format is this module's alone: `_layout`,
+cached per tree like the sides, fixes its row order, its zero row and
+the uint16 leaf positions.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from math import comb
 import numpy as np
 
 from polydist.oracle import CapacityError, DistancePair
-from polydist.trees import Kind, Phylogeny, check_pair
+from polydist.trees import Kind, Phylogeny, check_pair, per_tree
 
 # The number of array cells one block of node pairs may hold.
 BLOCK_CELLS = 1 << 18
@@ -57,8 +59,8 @@ class RootedIntersectionTables:
     """Pairwise leaf-set intersection sizes of internal nodes.
 
     I[i, j] = |L(T1(u)) ∩ L(T2(v))| for the i-th internal node u of T1 and
-    the j-th v of T2, both in `node_sides` order, and one zero row and
-    column last that every leaf shares (`Phylogeny.side_cells`).
+    the j-th v of T2, in the table order of `_layout`, which also places
+    the zero row and column that every leaf shares.
     """
 
     t1: Phylogeny
@@ -71,10 +73,43 @@ def c2(x):
     return x * (x - 1) // 2
 
 
-def _internal(tree: Phylogeny) -> np.ndarray:
-    """The internal nodes in table order, `node_sides` group by group."""
-    return np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [rows[-1] for rows, _ in tree.node_sides()])
+@per_tree
+def _layout(tree: Phylogeny) -> tuple[np.ndarray, np.ndarray, list]:
+    """(position, own, groups): where each of a tree's sides reads its
+    cells of an intersection table.
+
+    The table has one row (column) per internal node, in `node_sides`
+    order group by group, and one zero row (column) after them that every
+    leaf shares.  A leaf's cells are read from leaf positions instead:
+    position[t] is taxon t's position in the leaf order, and position[n] a
+    sentinel that lies in no range.  own (2, k) uint16 holds the lo and
+    span of each of the k internal nodes in table order: its subtree is
+    the leaf-order range lo + [0, span).
+
+    Per `node_sides` group, (ints, cells) are stacked so that one `take`
+    along the last axis gathers them for any of the group's nodes: ints
+    (2, d + 1, g) int64 holds each side's row of the table and its size
+    (as in `node_sides`); cells (4, d + 1, g) uint16 holds its taxon (a
+    leaf side's, else n), lo, span and inner: the side's subtree is
+    lo + [0, span), or lo + [0, inner), which is empty for leaves.
+    Positions are uint16, exact for n < 2^16: a position p, or the
+    sentinel 2^16 - 1, is in a side's range exactly when
+    (p - lo) mod 2^16 < span, since lo + span <= n.
+    """
+    order, lo, hi = tree.leaf_ranges()
+    position = np.full(tree.n + 1, 0xFFFF, dtype=np.uint16)
+    position[order] = np.arange(tree.n)
+    taxon = np.array([tree.n if t is None else t for t in tree.leaf_taxon])
+    # the internal nodes in table order, none in a lone leaf
+    inner = np.concatenate([np.empty(0, dtype=np.int64)]
+                           + [rows[-1] for rows, _ in tree.node_sides()])
+    rank = np.full(tree.num_nodes, len(inner))
+    rank[inner] = np.arange(len(inner))
+    span = hi - lo
+    stacked = np.stack([taxon, lo, span, np.where(taxon < tree.n, 0, span)]).astype(np.uint16)
+    groups = [(np.stack([rank[rows], sizes]), stacked[:, rows])
+              for rows, sizes in tree.node_sides()]
+    return position, stacked[1:3, inner], groups
 
 
 def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
@@ -89,17 +124,14 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     check_pair(t1, t2)
     if t1.n > MAX_TABLE_N:
         raise CapacityError(f"intersection tables need n <= {MAX_TABLE_N}, got {t1.n}")
-    _, lo1, hi1 = t1.leaf_ranges()
-    _, lo2, hi2 = t2.leaf_ranges()
-    inner1, inner2 = _internal(t1), _internal(t2)
-    lo1, hi1 = lo1[inner1], hi1[inner1]
-    # positions modulo 2^16, as in `Phylogeny.side_cells`
-    lo2, span2 = lo2[inner2].astype(np.uint16), (hi2 - lo2)[inner2].astype(np.uint16)
-    p = t2.side_cells()[0][t1.leaf_ranges()[0], None]   # T2 position of each T1 leaf
-    I = np.zeros((len(inner1) + 1, len(inner2) + 1), dtype=np.uint16)
+    _, (lo1, span1), _ = _layout(t1)
+    position2, (lo2, span2), _ = _layout(t2)
+    hi1 = lo1 + span1
+    p = position2[t1.leaf_ranges()[0], None]   # T2 position of each T1 leaf
+    I = np.zeros((len(lo1) + 1, len(lo2) + 1), dtype=np.uint16)
     step = max(1, BLOCK_CELLS // (t1.n + 1))
-    F = np.zeros((t1.n + 1, min(step, len(inner2))), dtype=np.uint16)
-    for c in range(0, len(inner2), step):
+    F = np.zeros((t1.n + 1, min(step, len(lo2))), dtype=np.uint16)
+    for c in range(0, len(lo2), step):
         inside = p - lo2[c:c + step] < span2[c:c + step]
         w = inside.shape[1]
         np.cumsum(inside, axis=0, dtype=np.uint16, out=F[1:, :w])
@@ -127,13 +159,13 @@ def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *
     nodes' own cells of I, a contiguous slice per grid of a T1 run and a
     T2 group, before anything else is gathered, so skipped pairs cost one
     table read each.  Cells of two internal sides are gathered from I, and
-    a leaf side adds its one taxon from positions (`Phylogeny.side_cells`):
+    a leaf side adds its one taxon from positions (`_layout`):
     a T1 leaf x adds [pos2(x) in range2(y)] to each side y, a T2 leaf y
     adds [pos1(y) in range1(x)] to each internal side x.
     """
     t1, t2, I = tables.t1, tables.t2, tables.I
-    position1, groups1 = t1.side_cells()
-    position2, groups2 = t2.side_cells()
+    position1, _, groups1 = _layout(t1)
+    position2, _, groups2 = _layout(t2)
     # per group and call: (taxon position in the other tree, lo, span) of
     # T2's sides and (taxon position, lo, inner) of T1's
     wide2, first2 = [], 0

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from polydist.expected import add_leaf
 from polydist.hausdorff import classification_counts
-from polydist.oracle import Classification
+from polydist.oracle import Classification, topology_codes
 from polydist.quartet import quartet_classification
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import (Kind, Phylogeny, QuartetTopology, TaxonSet, TripletTopology,
-                            contract, restrict, topology_codes)
+                            contract, restrict)
 
 
 def induced(tree: Phylogeny, subset) -> TripletTopology | QuartetTopology:

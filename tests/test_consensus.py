@@ -643,6 +643,31 @@ class TestRefinements:
         assert (g.tree.parent, g.steps, g.final_distance) == (tree.parent, steps, final)
         assert g.final_distance == profile_distance(g.tree, profile, p)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unrooted_run_counts_each_partition_once(self, seed):
+        # a split keeps the groups of every neighbor of the new node, so a
+        # run never counts the same group partition twice
+        counted = []
+        count = consensus.unrooted_vote_tally
+
+        def recorded(tree, w, profile):
+            nodes, group = consensus._groups(tree, w)
+            counted.append(frozenset(frozenset(np.flatnonzero(group == g).tolist())
+                                     for g in range(len(nodes))))
+            return count(tree, w, profile)
+
+        rng = random.Random(seed)
+        start = random_partial(50, Kind.UNROOTED, rng, contract_prob=0.7)
+        profile = Profile(tuple(random_partial(50, Kind.UNROOTED, rng, contract_prob=0.7,
+                                               taxa=start.taxa) for _ in range(5)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "unrooted_vote_tally", recorded)
+            for run in (lambda: greedy_refine_median(start, profile, Fraction(3, 4)),
+                        lambda: hausdorff.adversarial_refinement(start, profile.trees[0])):
+                counted.clear()
+                run()
+                assert counted and len(set(counted)) == len(counted)
+
 
 # (kind, p, start, profile, result.canonical_key(), steps, initial, final).
 # Fixed inputs with fixed answers: the property tests above accept any

@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SHAPES, induced, rooted_trees, shaped, unrooted_trees
+from polydist import triplet
 from polydist.newick import parse_newick
-from polydist.oracle import enumerate_phylogenies, topology_by_restriction
-from polydist.trees import (
+from polydist.oracle import (
     TOPOLOGY_BLOCK_ROWS,
     UNRESOLVED,
+    enumerate_phylogenies,
+    topology_by_restriction,
+    topology_codes,
+)
+from polydist.trees import (
     Kind,
     Phylogeny,
     QuartetTopology,
@@ -22,10 +27,10 @@ from polydist.trees import (
     check_pair,
     contract,
     is_refinement,
+    per_tree,
     pull_2_out,
     pull_out,
     restrict,
-    topology_codes,
 )
 
 
@@ -420,6 +425,44 @@ def test_side_layout_matches_subtree_taxa(tree):
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[...] = 0
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """Every array in a cached value, through its tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for part in value for a in _arrays(part)]
+    return []
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_per_tree_caches_each_value_once_per_tree(kind):
+    builds = []
+
+    @per_tree
+    def layout(tree):
+        builds.append(tree)
+        return np.arange(tree.n), [(np.zeros(2), "label")]
+
+    tree = shaped(kind, "partial", TaxonSet(tuple(f"t{i}" for i in range(30))),
+                  random.Random(3))
+    copy = contract(tree)  # an isomorphic copy, a tree of its own
+    first = layout(tree)
+    assert layout(tree) is first and builds == [tree]
+    assert layout(copy) is not first and builds == [tree, copy]
+    # each cached value is shared by every call on one tree, read-only,
+    # and never shared with another tree
+    for cached in (layout, Phylogeny.leaf_ranges, Phylogeny.node_sides,
+                   Phylogeny.leaf_lca_tables, Phylogeny.canonical_key, triplet._layout):
+        value = cached(tree)
+        assert cached(tree) is value
+        others = _arrays(cached(copy))
+        for a in _arrays(value):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+            assert not any(np.shares_memory(a, b) for b in others)
 
 
 def _edges(tree: Phylogeny) -> frozenset[frozenset[int]]:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import classification_pairs, induced, rooted_pairs, rooted_trees, seeded_pair
 from polydist.cli import main
 from polydist.hausdorff import classification_counts
-from polydist.oracle import CapacityError, DistancePair, classify_triplets, enumerate_phylogenies
-from polydist.quartet import _anchor_counts, _y_per_pair
+from polydist.oracle import (CapacityError, DistancePair, classify_quartets, classify_triplets,
+                             enumerate_phylogenies)
+from polydist.quartet import _anchor_counts, _y_per_pair, quartet_classification
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, TripletTopology
 from polydist.triplet import (
@@ -263,6 +264,30 @@ class TestOverlapFilter:
         for min_overlap in (0, 1, 2):
             for M, sizes1, sizes2 in node_pair_blocks(tab, min_overlap=min_overlap):
                 assert M.dtype == sizes1.dtype == sizes2.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind,n", [(Kind.ROOTED, n) for n in range(1, 7)]
+                         + [(Kind.UNROOTED, n) for n in range(1, 6)])
+def test_trees_with_few_internal_nodes(kind, n):
+    # a lone leaf, a cherry and fans (stars), with one internal node or
+    # none, against each other and against binary and partial trees
+    rng = random.Random(n)
+    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+    build = Phylogeny.rooted if kind is Kind.ROOTED else Phylogeny.unrooted
+    fan = build(taxa, tuple(range(n)) if n > 1 else 0)
+    assert len(fan.internal_nodes()) == (n > 1)
+    trees = (fan, random_binary(n, kind, rng, taxa), random_partial(n, kind, rng, 0.5, taxa))
+    for a, b in itertools.product(trees, repeat=2):
+        tab = build_tables(a, b)
+        assert (tab.I == expected_table(a, b)).all()
+        assert_stream_is_the_sets(a, b, list(node_pair_blocks(tab)))
+        if kind is Kind.ROOTED:
+            want = classify_triplets(a, b)
+            assert parametric_triplet_distance(a, b) == want.to_distance_pair()
+        else:
+            want = classify_quartets(a, b)
+            assert quartet_classification(a, b) == want
+        assert classification_counts(a, b) == want
 
 
 def test_blocks_are_sides_first_gathers_of_the_table():
