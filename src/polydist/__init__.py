@@ -8,13 +8,12 @@ approximate median consensus, and exact small-case oracles.
 from polydist.trees import (
     Kind,
     Phylogeny,
-    QuartetTopology,
     TaxonSet,
     TreeError,
-    TripletTopology,
     restrict,
     is_refinement,
 )
+from polydist.oracle import QuartetTopology, TripletTopology
 from polydist.newick import parse_newick, write_newick, NewickError
 from polydist.triplet import parametric_triplet_distance
 from polydist.quartet import parametric_quartet_distance

@@ -18,7 +18,8 @@ splits one polytomy v, so the loop counts each polytomy's tallies once
 and keeps them for the run, keyed by the node and its candidate nodes.
 A count sums closed forms of each member's group histograms over its
 nodes, as the distance kernels sum over node pairs (`_vote_counts`), and
-builds no LCA table.  Scores are Python ints: with p = P/Q the greedy
+builds no LCA table, and refuses profiles past its int64 bound
+(`_check_vote_bound`).  Scores are Python ints: with p = P/Q the greedy
 compares Q times the exact distance change, with no Fraction per
 candidate."""
 
@@ -29,12 +30,14 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
+from polydist.oracle import CapacityError, check_p
 from polydist.quartet import parametric_quartet_distance
 from polydist.trees import Kind, Phylogeny, TreeError, check_pair, pull_2_out, pull_out
-from polydist.triplet import BLOCK_CELLS, parametric_triplet_distance
+from polydist.triplet import parametric_triplet_distance, parts
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,7 @@ def best_of_profile(profile: Profile, p) -> BestOfProfile:
     d^(p) is symmetric and zero on the diagonal, so each of the k(k-1)/2
     member pairs is computed once and added to both members' totals.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = check_p(p)
     trees = profile.trees
     totals = [Fraction(0)] * profile.k
     for i, j in itertools.combinations(range(profile.k), 2):
@@ -130,12 +131,6 @@ class VoteTally:
     def delta(self, p: Fraction) -> Fraction:
         """Exact change of the profile distance if the candidate is applied."""
         return -p * self.f + (1 - p) * self.a + p * self.nv
-
-
-def _parts(count: int, width: int) -> Iterator[slice]:
-    """Slices of range(count) of at most BLOCK_CELLS // width items, one at least."""
-    step = max(1, BLOCK_CELLS // width)
-    return (slice(i, i + step) for i in range(0, count, step))
 
 
 def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -197,7 +192,7 @@ def _unrooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray,
     G = np.matmul(Mf.transpose(1, 2, 0), Mf.transpose(1, 0, 2))
     f = -np.square(G.astype(np.int64)).sum(0)
     a = f.copy()
-    for part in _parts(len(M), 5 * c * K):
+    for part in parts(len(M), 5 * c * K):
         m, r = M[part], R[part]
         mm = m * m
         q = mm.sum(2, keepdims=True)
@@ -222,6 +217,14 @@ def _unrooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray,
     return f, a
 
 
+def _check_vote_bound(k: int, n: int, rooted: bool) -> None:
+    """CapacityError unless k·C(n, 3) rooted or k·C(n, 4) unrooted, the
+    bound of k members' vote counts on n taxa, is below 2^63."""
+    size = 3 if rooted else 4
+    if k * comb(n, size) >= 1 << 63:
+        raise CapacityError(f"vote tallies need k·C(n, {size}) < 2^63, got k = {k}, n = {n}")
+
+
 def _vote_counts(group: np.ndarray, K: int, profile: Profile,
                  rooted: bool) -> tuple[np.ndarray, ...]:
     """f, a and nv at a polytomy whose K groups `group` maps each taxon to
@@ -233,8 +236,10 @@ def _vote_counts(group: np.ndarray, K: int, profile: Profile,
     rooted, O(k·n·K²) unrooted.  Besides the prefix counts, the histograms
     and K × K arrays, an array holds at most BLOCK_CELLS cells or one node's
     sides.  f, a and nv are at most k·C(n, 3) rooted and k·C(n, 4)
-    unrooted, exact while that is below 2^63: int64 arithmetic is exact
+    unrooted, exact while that is below 2^63, which is checked first and
+    also keeps `_unrooted_votes`' n³ below 2^53: int64 arithmetic is exact
     modulo 2^64, each division is of a pair count below n², `_dot` exact."""
+    _check_vote_bound(profile.k, profile.taxa.n, rooted)
     first, sides = profile._sides
     H = np.empty((first[-1], K), dtype=np.int32)
     F = np.zeros((profile.taxa.n + 1, K), dtype=np.int32)
@@ -246,7 +251,7 @@ def _vote_counts(group: np.ndarray, K: int, profile: Profile,
     f = a = 0
     for rows, sizes in sides:
         width = (len(rows) - 1) * K if rooted else max(5 * len(rows) * K, K * K)
-        for nodes in _parts(rows.shape[1], width):
+        for nodes in parts(rows.shape[1], width):
             df, da = (_rooted_votes(H, s, rows[:, nodes]) if rooted
                       else _unrooted_votes(H, s, rows[:, nodes], sizes[:, nodes]))
             f, a = f + df, a + da

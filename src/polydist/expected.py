@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from polydist.oracle import CapacityError
+from polydist.oracle import CapacityError, check_p
 from polydist.quartet import quartet_classification
 from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
 from polydist.triplet import parametric_triplet_distance
@@ -152,9 +152,7 @@ def exact_resolution_probability(n: int, kind: Kind) -> ResolutionStats:
 
 def expected_distance_formula(n: int, p, kind: Kind) -> Fraction:
     """Exact expected d^(p) between two uniform trees on n taxa."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = check_p(p)
     stats = exact_resolution_probability(n, kind)
     per = comb(n, 3) if kind is Kind.ROOTED else comb(n, 4)
     r, u = stats.r, stats.u

@@ -2,36 +2,33 @@
 
 Everything here is ground truth for the fast algorithms: triplet/quartet
 classification by direct enumeration, each subset's topology read as a
-code (`topology_codes`) off the LCA-depth table that
-`Phylogeny.leaf_lca_tables` caches per tree; the induced topology of one
-subset by explicit restriction (`topology_by_restriction`, the route that
-checks `topology_codes`); exhaustive tree-space enumeration,
-full-refinement enumeration, exact Hausdorff distance, and exhaustive
-median search.  Counts are exact integers; distances are exact rationals.
+code (`topology_codes`, named by `TripletTopology` / `QuartetTopology`)
+off the LCA-depth table that `Phylogeny.leaf_lca_tables` caches per tree;
+the induced topology of one subset by explicit restriction
+(`topology_by_restriction`, the route that checks `topology_codes`);
+exhaustive tree-space enumeration, full-refinement enumeration, exact
+Hausdorff distance, and exhaustive median search.  Counts are exact
+integers; distances are exact rationals, and `check_p` is the one check
+of every library entry that p lies in [0, 1].
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from polydist.newick import write_newick
-from polydist.trees import (
-    Kind,
-    Phylogeny,
-    QuartetTopology,
-    TaxonSet,
-    TreeError,
-    TripletTopology,
-    check_pair,
-    restrict,
-)
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, check_pair, restrict
 
 ROOTED_ENUM_CAP = 7
 UNROOTED_ENUM_CAP = 8
+REFINEMENT_CAP = 100_000  # full refinements of one tree
+REFINEMENT_PAIR_CAP = 4_000_000  # pairs of full refinements in hausdorff_exact
 
 UNRESOLVED = 3  # topology code of a fan triplet or a star quartet
 TOPOLOGY_BLOCK_ROWS = 1 << 16  # rows per block of topology_codes
@@ -41,8 +38,16 @@ class CapacityError(RuntimeError):
     """A request beyond a size the library supports: a tree enumeration, a
     refinement set or a pair of refinement sets above its cap, exact quartet
     counts above the int64 bound `quartet.MAX_EXACT_N`, an intersection
-    table above `triplet.MAX_TABLE_N` taxa, or tree counts above
-    `expected.MAX_COUNT_N`."""
+    table above `triplet.MAX_TABLE_N` taxa, vote tallies above their int64
+    bound (`consensus`), or tree counts above `expected.MAX_COUNT_N`."""
+
+
+def check_p(p) -> Fraction:
+    """p as a Fraction, which must lie in [0, 1] (else ValueError)."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,7 @@ class DistancePair:
     r_count: int
 
     def evaluate(self, p) -> Fraction:
-        p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-        return Fraction(self.d_count) + p * self.r_count
+        return Fraction(self.d_count) + check_p(p) * self.r_count
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,27 @@ class Classification:
 
     def swapped(self) -> "Classification":
         return Classification(self.s, self.d, self.r2, self.r1, self.u)
+
+
+class TripletTopology(Enum):
+    """Topology of a rooted tree restricted to a sorted triplet a < b < c.
+
+    A_BC means a is apart (a|bc), and so on; FAN is the unresolved star.
+    """
+
+    A_BC = "a|bc"
+    B_AC = "b|ac"
+    C_AB = "c|ab"
+    FAN = "fan"
+
+
+class QuartetTopology(Enum):
+    """Topology of an unrooted tree restricted to a sorted quartet a < b < c < d."""
+
+    AB_CD = "ab|cd"
+    AC_BD = "ac|bd"
+    AD_BC = "ad|bc"
+    STAR = "star"
 
 
 def topology_codes(tree: Phylogeny, rows: np.ndarray) -> np.ndarray:
@@ -263,14 +286,6 @@ def enumerate_phylogenies(n: int, kind: Kind, taxa: TaxonSet | None = None):
 # Full refinements
 # ---------------------------------------------------------------------------
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def count_full_refinements(tree: Phylogeny) -> int:
     """Product of (2d-3)!! over rooted polytomies ((2d-5)!! unrooted)."""
     total = 1
@@ -279,7 +294,7 @@ def count_full_refinements(tree: Phylogeny) -> int:
             parts = len(tree.children[v])
         else:
             parts = tree.degree(v) - 1  # local shapes counted in rooted form
-        total *= _double_factorial(2 * parts - 3)
+        total *= math.prod(range(2 * parts - 3, 0, -2))
     return total
 
 
@@ -321,11 +336,16 @@ def _refined_nested(tree: Phylogeny, start: int, banned: int) -> list:
     return refined[start]
 
 
-def enumerate_full_refinements(tree: Phylogeny, cap: int = 100_000) -> list[Phylogeny]:
-    """All fully resolved refinements of `tree` (each exactly once)."""
+def enumerate_full_refinements(tree: Phylogeny) -> list[Phylogeny]:
+    """All fully resolved refinements of `tree` (each exactly once), at most
+    REFINEMENT_CAP of them."""
     predicted = count_full_refinements(tree)
-    if predicted > cap:
-        raise CapacityError(f"{predicted} full refinements exceed cap {cap}")
+    if predicted > REFINEMENT_CAP:
+        raise CapacityError(f"{predicted} full refinements exceed cap {REFINEMENT_CAP}")
+    return _full_refinements(tree)
+
+
+def _full_refinements(tree: Phylogeny) -> list[Phylogeny]:
     taxa = tree.taxa
     if tree.kind is Kind.ROOTED:
         return [Phylogeny.rooted(taxa, r) for r in _refined_nested(tree, tree.root, -1)]
@@ -343,8 +363,9 @@ def enumerate_full_refinements(tree: Phylogeny, cap: int = 100_000) -> list[Phyl
 # Exact Hausdorff distance and exhaustive median
 # ---------------------------------------------------------------------------
 
-def hausdorff_exact(t1: Phylogeny, t2: Phylogeny, cap: int = 4_000_000) -> int:
-    """Hausdorff distance between the full-refinement sets of t1 and t2.
+def hausdorff_exact(t1: Phylogeny, t2: Phylogeny) -> int:
+    """Hausdorff distance between the full-refinement sets of t1 and t2, at
+    most REFINEMENT_PAIR_CAP pairs of them.
 
     The inner distance between fully resolved trees is |D| (the number of
     differently resolved triplets/quartets).
@@ -352,10 +373,10 @@ def hausdorff_exact(t1: Phylogeny, t2: Phylogeny, cap: int = 4_000_000) -> int:
     check_pair(t1, t2)
     n1 = count_full_refinements(t1)
     n2 = count_full_refinements(t2)
-    if n1 * n2 > cap:
-        raise CapacityError(f"{n1}x{n2} refinement pairs exceed cap {cap}")
-    f1 = enumerate_full_refinements(t1, cap)
-    f2 = enumerate_full_refinements(t2, cap)
+    if n1 * n2 > REFINEMENT_PAIR_CAP:
+        raise CapacityError(f"{n1}x{n2} refinement pairs exceed cap {REFINEMENT_PAIR_CAP}")
+    f1 = _full_refinements(t1)
+    f2 = _full_refinements(t2)
     dist = [[classify(a, b).d for b in f2] for a in f1]
     forward = max(min(row) for row in dist)
     backward = max(min(dist[i][j] for i in range(len(f1))) for j in range(len(f2)))

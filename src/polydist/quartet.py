@@ -59,7 +59,7 @@ from math import comb
 
 import numpy as np
 
-from polydist.oracle import CapacityError, Classification
+from polydist.oracle import CapacityError, Classification, check_p
 from polydist.trees import Kind, Phylogeny, TreeError, check_pair
 from polydist.triplet import build_tables, c2, node_pair_blocks
 
@@ -94,8 +94,6 @@ def count_R_U_quartets(tree: Phylogeny) -> tuple[int, int]:
     if tree.kind is not Kind.UNROOTED:
         raise TreeError("quartet counts apply to unrooted trees")
     n = tree.n
-    if n < 4:
-        return 0, 0
     if n > MAX_EXACT_N:
         raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
     twice_R = 0
@@ -201,10 +199,8 @@ def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, 
     the last column."""
     check_pair(t1, t2, Kind.UNROOTED)
     n = t1.n
-    if n < 4:
-        return Classification(0, 0, 0, 0, 0), 0
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"exact quartet counts need n <= {MAX_EXACT_N}, got {n}")
+    # the R/U counts refuse n > MAX_EXACT_N before any table is built
+    R1, R2 = count_R_U_quartets(t1)[0], count_R_U_quartets(t2)[0]
     twice_s = four_d = y = 0
     for M, sizes1, sizes2 in node_pair_blocks(build_tables(t1, t2), min_overlap=1):
         s, d = _anchor_counts(M, sizes1, sizes2, n)
@@ -213,8 +209,7 @@ def _count(t1: Phylogeny, t2: Phylogeny, with_y: bool) -> tuple[Classification, 
         if with_y and M.shape[1] > 3:  # T2 nodes with three or more children
             y += int(_y_per_pair(M, sizes1, sizes2).sum())
     s, d = twice_s // 2, four_d // 4
-    r1 = count_R_U_quartets(t1)[0] - s - d
-    r2 = count_R_U_quartets(t2)[0] - s - d
+    r1, r2 = R1 - s - d, R2 - s - d
     return Classification(s, d, r1, r2, comb(n, 4) - s - d - r1 - r2), y
 
 
@@ -254,9 +249,7 @@ def parametric_quartet_distance(t1: Phylogeny, t2: Phylogeny, p,
       = d + (1 - p)·r1 + p·r2 + (2p - 1)·y,
     so that x/2 <= d^(p) <= x.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = check_p(p)
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "approx" and p < Fraction(1, 2):

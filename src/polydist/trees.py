@@ -81,27 +81,6 @@ class TaxonSet:
         return cls(tuple(labels))
 
 
-class TripletTopology(Enum):
-    """Topology of a rooted tree restricted to a sorted triplet a < b < c.
-
-    A_BC means a is apart (a|bc), and so on; FAN is the unresolved star.
-    """
-
-    A_BC = "a|bc"
-    B_AC = "b|ac"
-    C_AB = "c|ab"
-    FAN = "fan"
-
-
-class QuartetTopology(Enum):
-    """Topology of an unrooted tree restricted to a sorted quartet a < b < c < d."""
-
-    AB_CD = "ab|cd"
-    AC_BD = "ac|bd"
-    AD_BC = "ad|bc"
-    STAR = "star"
-
-
 def per_tree(compute):
     """Cache `compute(tree)` on the tree under its name: a Phylogeny never
     changes, so the value is computed on the first call and shared by every

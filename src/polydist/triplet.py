@@ -47,11 +47,19 @@ import numpy as np
 from polydist.oracle import CapacityError, DistancePair
 from polydist.trees import Kind, Phylogeny, check_pair, per_tree
 
-# The number of array cells one block of node pairs may hold.
+# The number of array cells one block may hold.
 BLOCK_CELLS = 1 << 18
 
 # The largest n whose intersection counts the uint16 table holds (I <= n).
 MAX_TABLE_N = (1 << 16) - 1
+
+
+def parts(count: int, width: int) -> Iterator[slice]:
+    """Slices of range(count) of at most BLOCK_CELLS // width items, one at
+    least: the blocks of a loop whose items hold `width` cells each, here
+    and in `polydist.consensus`."""
+    step = max(1, BLOCK_CELLS // width)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
 @dataclass(frozen=True)
@@ -129,13 +137,11 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     hi1 = lo1 + span1
     p = position2[t1.leaf_ranges()[0], None]   # T2 position of each T1 leaf
     I = np.zeros((len(lo1) + 1, len(lo2) + 1), dtype=np.uint16)
-    step = max(1, BLOCK_CELLS // (t1.n + 1))
-    F = np.zeros((t1.n + 1, min(step, len(lo2))), dtype=np.uint16)
-    for c in range(0, len(lo2), step):
-        inside = p - lo2[c:c + step] < span2[c:c + step]
-        w = inside.shape[1]
-        np.cumsum(inside, axis=0, dtype=np.uint16, out=F[1:, :w])
-        np.subtract(F[hi1, :w], F[lo1, :w], out=I[:-1, c:c + w])
+    for cols in parts(len(lo2), t1.n + 1):
+        inside = p - lo2[cols] < span2[cols]
+        F = np.zeros((t1.n + 1, inside.shape[1]), dtype=np.uint16)
+        np.cumsum(inside, axis=0, dtype=np.uint16, out=F[1:])
+        np.subtract(F[hi1], F[lo1], out=I[:-1, cols])
     return RootedIntersectionTables(t1, t2, I)
 
 
@@ -179,15 +185,13 @@ def node_pair_blocks(tables: RootedIntersectionTables, min_children2: int = 0, *
         _, d1, g1 = ints1.shape
         for first2, ints2, cells2 in wide2:
             _, d2, g2 = ints2.shape
-            per_block = max(1, BLOCK_CELLS // (d1 * d2))
-            step = max(1, BLOCK_CELLS // g2)
-            for start in range(first1, first1 + g1, step):
-                # each group's nodes are a contiguous run of rows (columns)
-                a, b = np.nonzero(I[start:min(start + step, first1 + g1), first2:first2 + g2]
-                                  >= min_overlap)
-                a += start - first1
-                for first in range(0, len(a), per_block):
-                    pa, pb = a[first:first + per_block], b[first:first + per_block]
+            # each group's nodes are a contiguous run of rows (columns)
+            grid = I[first1:first1 + g1, first2:first2 + g2]
+            for rows in parts(g1, g2):
+                a, b = np.nonzero(grid[rows] >= min_overlap)
+                a += rows.start
+                for pairs in parts(len(a), d1 * d2):
+                    pa, pb = a[pairs], b[pairs]
                     (rank1, s1), (rank2, s2) = ints1.take(pa, axis=2), ints2.take(pb, axis=2)
                     (x, lo1, inner1), (y, lo2, span2) = (cells1.take(pa, axis=2),
                                                          cells2.take(pb, axis=2))

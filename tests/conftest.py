@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from polydist.expected import add_leaf
 from polydist.hausdorff import classification_counts
-from polydist.oracle import Classification, topology_codes
+from polydist.oracle import Classification, QuartetTopology, TripletTopology, topology_codes
 from polydist.quartet import quartet_classification
 from polydist.randgen import random_binary, random_partial
-from polydist.trees import (Kind, Phylogeny, QuartetTopology, TaxonSet, TripletTopology,
-                            contract, restrict)
+from polydist.trees import Kind, Phylogeny, TaxonSet, contract, restrict
 
 
 def induced(tree: Phylogeny, subset) -> TripletTopology | QuartetTopology:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polydist
+from polydist import consensus as cns
 from polydist import hausdorff, oracle, quartet, triplet
 from polydist.cli import _emit, main
 from polydist.expected import MAX_COUNT_N
@@ -300,6 +302,22 @@ class TestConsensusAndRefine:
                                          trees["profile.nwk"], "--p", "2/3"])
         assert code == 0
         assert rep["result"]["initial_distance"] == rep["result"]["final_distance"]
+
+    def test_refine_past_the_vote_bound_exit_3(self, capsys, tmp_path, monkeypatch):
+        # 13 unrooted members pass the tallies' int64 bound at n = 64240,
+        # below the tables' 65535; the starting profile distance, which
+        # would run the quartet kernel on 13 such pairs first, is stubbed
+        n = 64240
+        labels = [f"t{i}" for i in range(n)]
+        text = "(" + ",".join("(" + ",".join(labels[g::4]) + ")" for g in range(4)) + ");\n"
+        (tmp_path / "tree.nwk").write_text(text)
+        (tmp_path / "profile.nwk").write_text(text * 13)
+        monkeypatch.setattr(cns, "profile_distance", lambda tree, profile, p: Fraction(0))
+        code, out, err = run(capsys, ["refine", str(tmp_path / "tree.nwk"),
+                                      str(tmp_path / "profile.nwk"), "--unrooted"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: vote tallies need") and "k = 13" in err
+        assert "Traceback" not in err
 
 
 class TestEnumerateExpectedSelftest:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_pair, seeded_partial
-from polydist import consensus, hausdorff
+from polydist import consensus, hausdorff, triplet
 from polydist.consensus import (
     Profile,
     best_of_profile,
@@ -20,15 +20,14 @@ from polydist.consensus import (
     unrooted_vote_tally,
 )
 from polydist.newick import parse_newick
-from polydist.oracle import classify, median_exhaustive, topology_by_restriction
+from polydist.oracle import (CapacityError, QuartetTopology, TripletTopology, classify,
+                             median_exhaustive, topology_by_restriction)
 from polydist.randgen import random_binary, random_partial
 from polydist.trees import (
     Kind,
     Phylogeny,
-    QuartetTopology,
     TaxonSet,
     TreeError,
-    TripletTopology,
     pull_2_out,
     pull_out,
 )
@@ -283,7 +282,7 @@ def test_tallies_do_not_depend_on_the_chunks(kind, monkeypatch):
     def tallies():
         return [tally_at(tree, v, p) for tree, p in cases for v in tree.unresolved_nodes()]
     whole = tallies()
-    monkeypatch.setattr(consensus, "BLOCK_CELLS", 64)
+    monkeypatch.setattr(triplet, "BLOCK_CELLS", 64)
     assert tallies() == whole
 
 
@@ -392,6 +391,30 @@ def test_tallies_int64_bound():
         off = ~np.eye(len(M[0]), dtype=bool)
         assert f[off].tolist() == np.array(want_f, dtype=object)[off].tolist()
         assert a[off].tolist() == np.array(want_a, dtype=object)[off].tolist()
+
+
+@pytest.mark.parametrize("k, rooted, largest", [
+    (1, True, 3810779), (1, False, 121977), (2, True, 3024617), (2, False, 102570),
+    # below the tables' n <= 65535: 13 unrooted members are refused there
+    (13, False, 64239),
+])
+def test_vote_bound_at_its_largest_n(k, rooted, largest):
+    size = 3 if rooted else 4
+    assert k * comb(largest, size) < 2**63 <= k * comb(largest + 1, size)
+    consensus._check_vote_bound(k, largest, rooted)
+    with pytest.raises(CapacityError, match=r"2\^63"):
+        consensus._check_vote_bound(k, largest + 1, rooted)
+
+
+def test_tallies_refused_past_their_bound():
+    # one member one taxon past n = 121977: counting would wrap int64, so
+    # the tally is refused, not returned
+    n = 121978
+    parent = [-1, 0, 0, 0, 0] + [1 + 4 * t // n for t in range(n)]
+    tree = Phylogeny(Kind.UNROOTED, TaxonSet(tuple(f"t{i}" for i in range(n))), parent,
+                     [None] * 5 + list(range(n)))
+    with pytest.raises(CapacityError, match=r"2\^63"):
+        unrooted_vote_tally(tree, tree.root, Profile((tree,)))
 
 
 def test_count_of_a_wide_member_stays_small():

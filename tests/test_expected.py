@@ -17,8 +17,9 @@ from polydist.expected import (
     tree_count,
 )
 from conftest import induced
-from polydist.oracle import CapacityError, classify, enumerate_phylogenies
-from polydist.trees import Kind, Phylogeny, QuartetTopology, TreeError, TripletTopology
+from polydist.oracle import (CapacityError, QuartetTopology, TripletTopology, classify,
+                             enumerate_phylogenies)
+from polydist.trees import Kind, Phylogeny, TreeError
 
 
 @functools.cache

@@ -161,7 +161,7 @@ class TestFullRefinements:
     def test_capacity_precheck(self):
         big = Phylogeny.rooted([f"t{i}" for i in range(12)], tuple(range(12)))
         with pytest.raises(CapacityError):
-            enumerate_full_refinements(big, cap=1000)
+            enumerate_full_refinements(big)
 
 
 class TestHausdorffExact:
@@ -179,7 +179,7 @@ class TestHausdorffExact:
     def test_capacity(self):
         fan = Phylogeny.rooted([f"t{i}" for i in range(8)], tuple(range(8)))
         with pytest.raises(CapacityError):
-            hausdorff_exact(fan, fan, cap=100)
+            hausdorff_exact(fan, fan)
 
 
 class TestMedianExhaustive:

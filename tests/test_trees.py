@@ -13,6 +13,8 @@ from polydist.newick import parse_newick
 from polydist.oracle import (
     TOPOLOGY_BLOCK_ROWS,
     UNRESOLVED,
+    QuartetTopology,
+    TripletTopology,
     enumerate_phylogenies,
     topology_by_restriction,
     topology_codes,
@@ -20,10 +22,8 @@ from polydist.oracle import (
 from polydist.trees import (
     Kind,
     Phylogeny,
-    QuartetTopology,
     TaxonSet,
     TreeError,
-    TripletTopology,
     check_pair,
     contract,
     is_refinement,

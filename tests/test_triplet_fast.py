@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from conftest import classification_pairs, induced, rooted_pairs, rooted_trees, seeded_pair
 from polydist.cli import main
 from polydist.hausdorff import classification_counts
-from polydist.oracle import (CapacityError, DistancePair, classify_quartets, classify_triplets,
-                             enumerate_phylogenies)
+from polydist.oracle import (CapacityError, DistancePair, TripletTopology, classify_quartets,
+                             classify_triplets, enumerate_phylogenies)
 from polydist.quartet import _anchor_counts, _y_per_pair, quartet_classification
 from polydist.randgen import random_binary, random_partial
-from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError, TripletTopology
+from polydist.trees import Kind, Phylogeny, TaxonSet, TreeError
 from polydist.triplet import (
     MAX_TABLE_N,
     _block_counts,
