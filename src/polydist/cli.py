@@ -157,6 +157,8 @@ def _cmd_hausdorff(args) -> tuple[int, dict]:
 def _cmd_consensus(args) -> tuple[int, dict]:
     p = _parse_p(args.p)
     profile = cns.Profile(tuple(_load_trees(args.profile, args.kind)))
+    if args.refine:
+        cns.check_vote_bound(profile.k, profile.taxa.n, args.kind is Kind.ROOTED)
     bp = cns.best_of_profile(profile, p)
     report = {
         "command": "consensus",

@@ -14,14 +14,15 @@ sizes, but two approximations have guarantees in the metric range:
 refinements is the one loop that chooses each step from the vote tallies;
 polydist.hausdorff's adversarial refinement runs it against the one-tree
 profile (T2,) with score 2F - A in place of the distance change.  A step
-splits one polytomy v, so the loop counts each polytomy's tallies once
-and keeps them for the run, keyed by the node and its candidate nodes.
-A count sums closed forms of each member's group histograms over its
-nodes, as the distance kernels sum over node pairs (`_vote_counts`), and
-builds no LCA table, and refuses profiles past its int64 bound
-(`_check_vote_bound`).  Scores are Python ints: with p = P/Q the greedy
-compares Q times the exact distance change, with no Fraction per
-candidate."""
+splits one polytomy v, so the loop keeps one map from each polytomy to its
+tallies: every polytomy is counted once, and a split only drops v, counts
+the new node and renames v in its neighbors' candidates.  A count sums
+closed forms of each member's group histograms over its nodes, as the
+distance kernels sum over node pairs (`_vote_counts`), and builds no LCA
+table.  Profiles past the counts' int64 bound are refused before anything
+is computed (`check_vote_bound`).  Scores are Python ints: with p = P/Q
+the greedy compares Q times the exact distance change, with no Fraction
+per candidate."""
 
 from __future__ import annotations
 
@@ -217,7 +218,7 @@ def _unrooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray,
     return f, a
 
 
-def _check_vote_bound(k: int, n: int, rooted: bool) -> None:
+def check_vote_bound(k: int, n: int, rooted: bool) -> None:
     """CapacityError unless k·C(n, 3) rooted or k·C(n, 4) unrooted, the
     bound of k members' vote counts on n taxa, is below 2^63."""
     size = 3 if rooted else 4
@@ -239,7 +240,7 @@ def _vote_counts(group: np.ndarray, K: int, profile: Profile,
     unrooted, exact while that is below 2^63, which is checked first and
     also keeps `_unrooted_votes`' n³ below 2^53: int64 arithmetic is exact
     modulo 2^64, each division is of a pair count below n², `_dot` exact."""
-    _check_vote_bound(profile.k, profile.taxa.n, rooted)
+    check_vote_bound(profile.k, profile.taxa.n, rooted)
     first, sides = profile._sides
     H = np.empty((first[-1], K), dtype=np.int32)
     F = np.zeros((profile.taxa.n + 1, K), dtype=np.int32)
@@ -262,15 +263,11 @@ def _vote_counts(group: np.ndarray, K: int, profile: Profile,
     return f, a, profile.k * seen - f - a
 
 
-def _candidates(tree: Phylogeny, v: int) -> tuple[int, ...]:
-    """The nodes whose groups meet at polytomy v: children, or neighbors unrooted."""
-    return tree.children[v] if tree.kind is Kind.ROOTED else tree.neighbors(v)
-
-
 def _groups(tree: Phylogeny, v: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The candidates at polytomy v and each taxon's group, its candidate's
-    index; outside v's subtree the parent's (last, unrooted) or -1 (rooted)."""
-    nodes = _candidates(tree, v)
+    """The candidates at polytomy v (children, or neighbors unrooted) and
+    each taxon's group, its candidate's index; outside v's subtree the
+    parent's (last, unrooted) or -1 (rooted)."""
+    nodes = tree.children[v] if tree.kind is Kind.ROOTED else tree.neighbors(v)
     order, lo, hi = tree.leaf_ranges()
     group = np.full(tree.n, -1 if tree.kind is Kind.ROOTED else len(nodes) - 1)
     for g, x in enumerate(tree.children[v]):
@@ -297,17 +294,6 @@ def unrooted_vote_tally(tree: Phylogeny, w: int, profile: Profile) -> dict[froze
             for g, h in itertools.combinations(range(len(nbrs)), 2)}
 
 
-def _tallies(tree: Phylogeny, v: int, profile: Profile, cache: dict) -> dict:
-    """The tallies at polytomy v: cached under (v, candidate nodes), else
-    counted fresh.  Node ids survive every split, and a split leaves every
-    other node's groups unchanged, so an equal key means equal tallies."""
-    key = v, _candidates(tree, v)
-    if key not in cache:
-        tally_at = rooted_vote_tally if tree.kind is Kind.ROOTED else unrooted_vote_tally
-        cache[key] = tally_at(tree, v, profile)
-    return cache[key]
-
-
 @dataclass(frozen=True)
 class GreedyResult:
     tree: Phylogeny
@@ -330,19 +316,19 @@ def refinements(tree: Phylogeny, profile: Profile,
     tree); the step changes only the subsets its tally counts, by exactly
     the tally.  The steps end when no candidate is left.
 
-    A polytomy's tallies are counted once and cached for the run under
-    (node, candidate nodes); a step's new node is counted on the next pass.
-    A Pull-2-Out at v leaves each other neighbor x of the new node m with
-    the same groups, m's in place of v's, so x's tallies move to its new
-    key with m for v instead of being counted again.
+    Each polytomy's tallies are counted once and kept for the run.  A step
+    at v leaves v resolved and adds one node m, counted if it is a polytomy.
+    Rooted, no other node's children change.  Unrooted, each other neighbor
+    of m keeps its groups, m's in place of v's, so its tallies name m for v.
     """
     check_pair(tree, profile.trees[0])
     rooted = tree.kind is Kind.ROOTED
-    cache: dict = {}
+    tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
+    tallies = {v: tally_at(tree, v, profile) for v in tree.unresolved_nodes()}
     while True:
         best = None
-        for v in tree.unresolved_nodes():
-            for candidate, votes in _tallies(tree, v, profile, cache).items():
+        for v in tallies:
+            for candidate, votes in tallies[v].items():
                 s = score(votes)
                 if s is None:
                     continue
@@ -352,19 +338,16 @@ def refinements(tree: Phylogeny, profile: Profile,
         if best is None:
             return
         (_, v, nodes), votes = best
-        del cache[v, _candidates(tree, v)]
-        if rooted:
-            tree = pull_out(tree, *nodes)
-        else:
-            moved = [(x, _candidates(tree, x)) for x in tree.neighbors(v) if x not in nodes]
-            tree = pull_2_out(tree, *nodes)
-            m = tree.num_nodes - 1
-            for x, old in moved:
-                if (x, old) in cache:
-                    cache[x, _candidates(tree, x)] = {
-                        frozenset(m if y == v else y for y in pair): tally
-                        for pair, tally in cache.pop((x, old)).items()}
+        del tallies[v]
+        tree = pull_out(tree, *nodes) if rooted else pull_2_out(tree, *nodes)
+        m = tree.num_nodes - 1
+        for x in () if rooted else tree.neighbors(m):
+            if x in tallies:
+                tallies[x] = {frozenset(m if y == v else y for y in pair): tally
+                              for pair, tally in tallies[x].items()}
         yield votes, tree
+        if tree.is_unresolved(m):
+            tallies[m] = tally_at(tree, m, profile)
 
 
 def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:
@@ -373,8 +356,10 @@ def greedy_refine_median(tree: Phylogeny, profile: Profile, p) -> GreedyResult:
     the final distance is the initial one plus each applied tally's delta(p).
 
     With p = P/Q the steps compare Q·delta = −P·f + (Q − P)·a + P·nv in
-    Python ints, which do not overflow for any denominator."""
+    Python ints, which do not overflow for any denominator.  A profile past
+    the tallies' bound raises CapacityError before any distance is computed."""
     p = Fraction(p)
+    check_vote_bound(profile.k, profile.taxa.n, tree.kind is Kind.ROOTED)
     initial = final = profile_distance(tree, profile, p)
     P, Q = p.numerator, p.denominator
     current, steps = tree, 0

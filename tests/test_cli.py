@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -305,19 +304,24 @@ class TestConsensusAndRefine:
 
     def test_refine_past_the_vote_bound_exit_3(self, capsys, tmp_path, monkeypatch):
         # 13 unrooted members pass the tallies' int64 bound at n = 64240,
-        # below the tables' 65535; the starting profile distance, which
-        # would run the quartet kernel on 13 such pairs first, is stubbed
+        # below the tables' 65535; both commands refuse before any distance
+        # kernel, which on these stars would gather blocks of about 2 GB
         n = 64240
         labels = [f"t{i}" for i in range(n)]
         text = "(" + ",".join("(" + ",".join(labels[g::4]) + ")" for g in range(4)) + ");\n"
         (tmp_path / "tree.nwk").write_text(text)
         (tmp_path / "profile.nwk").write_text(text * 13)
-        monkeypatch.setattr(cns, "profile_distance", lambda tree, profile, p: Fraction(0))
-        code, out, err = run(capsys, ["refine", str(tmp_path / "tree.nwk"),
-                                      str(tmp_path / "profile.nwk"), "--unrooted"])
-        assert code == 3 and out == ""
-        assert err.startswith("error: vote tallies need") and "k = 13" in err
-        assert "Traceback" not in err
+
+        def kernel(*args):
+            raise AssertionError("a distance kernel ran past the vote bound")
+
+        monkeypatch.setattr(cns, "_member_distance", kernel)
+        for argv in (["refine", str(tmp_path / "tree.nwk")],
+                     ["consensus", "--refine"]):
+            code, out, err = run(capsys, argv + [str(tmp_path / "profile.nwk"), "--unrooted"])
+            assert code == 3 and out == ""
+            assert err.startswith("error: vote tallies need") and "k = 13" in err
+            assert "Traceback" not in err
 
 
 class TestEnumerateExpectedSelftest:

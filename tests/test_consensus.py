@@ -401,9 +401,9 @@ def test_tallies_int64_bound():
 def test_vote_bound_at_its_largest_n(k, rooted, largest):
     size = 3 if rooted else 4
     assert k * comb(largest, size) < 2**63 <= k * comb(largest + 1, size)
-    consensus._check_vote_bound(k, largest, rooted)
+    consensus.check_vote_bound(k, largest, rooted)
     with pytest.raises(CapacityError, match=r"2\^63"):
-        consensus._check_vote_bound(k, largest + 1, rooted)
+        consensus.check_vote_bound(k, largest + 1, rooted)
 
 
 def test_tallies_refused_past_their_bound():
@@ -601,28 +601,36 @@ def refinement_cases(draw):
 
 
 def _check_cached_tallies(start: Phylogeny, profile: Profile, score) -> set:
-    """Run `refinements` and compare every tally it reads with a fresh count
-    of the current tree; returns how each was read (fresh or cached) and
-    whether an unrooted split put the new node between the split node and
-    its parent, which gives that parent a new candidate node."""
-    fresh = rooted_vote_tally if start.kind is Kind.ROOTED else unrooted_vote_tally
-    read = consensus._tallies
+    """Run `refinements` and compare every step it yields, (votes, parent
+    array), with a reference that recounts every polytomy at every step.
+    Returns how the chosen tallies were kept: counted at the start and kept
+    past a split ("start") or counted at a node a split made ("new"); and
+    whether an unrooted split left another polytomy beside the new node,
+    whose tallies name it from then on ("renamed"), or put the new node
+    between the split node and its parent ("between")."""
+    rooted = start.kind is Kind.ROOTED
+    tally_at = rooted_vote_tally if rooted else unrooted_vote_tally
+    first = start.num_nodes
     seen = set()
-
-    def checked_read(tree, v, profile, cache):
-        seen.add("cached" if (v, consensus._candidates(tree, v)) in cache else "fresh")
-        tallies = read(tree, v, profile, cache)
-        assert tallies == fresh(tree, v, profile)
-        return tallies
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(consensus, "_tallies", checked_read)
-        before = start
-        for _, tree in consensus.refinements(start, profile, score):
-            up = tree.parent[tree.num_nodes - 1]
-            if tree.kind is Kind.UNROOTED and tree.degree(up) == before.degree(up):
-                seen.add("between")
-            before = tree
+    tree = start
+    for step, (votes, refined) in enumerate(consensus.refinements(start, profile, score)):
+        scored = [(s, v, (c,) if rooted else tuple(sorted(c)), t)
+                  for v in tree.unresolved_nodes() for c, t in tally_at(tree, v, profile).items()
+                  if (s := score(t)) is not None]
+        _, v, nodes, expected = min(scored, key=lambda x: x[:3])
+        before, tree = tree, pull_out(tree, *nodes) if rooted else pull_2_out(tree, *nodes)
+        assert (votes, refined.parent) == (expected, tree.parent)
+        if v >= first:
+            seen.add("new")
+        elif step:
+            seen.add("start")
+        m = tree.num_nodes - 1
+        if not rooted and any(x != v and tree.is_unresolved(x) for x in tree.neighbors(m)):
+            seen.add("renamed")
+        if not rooted and tree.degree(tree.parent[m]) == before.degree(tree.parent[m]):
+            seen.add("between")
+    assert all(score(t) is None for v in tree.unresolved_nodes()
+               for t in tally_at(tree, v, profile).values())
     return seen
 
 
@@ -634,15 +642,15 @@ class TestRefinements:
 
     @pytest.mark.parametrize("kind", list(Kind))
     def test_cache_reads_every_way(self, kind):
-        # fan / star and partial starts reach every way of reading a tally
+        # fan / star and partial starts reach every way of keeping a tally
         rng = random.Random(5)
         seen = set()
-        for contract_prob in (1.0, 0.7, 0.7, 0.7):
+        for contract_prob in (1.0, 0.7, 0.7, 0.7, 0.5):
             start = random_partial(10, kind, rng, contract_prob=contract_prob)
             profile = Profile(tuple(random_partial(10, kind, rng, taxa=start.taxa)
                                     for _ in range(3)))
             seen |= _check_cached_tallies(start, profile, lambda t: t.a - 2 * t.f)
-        assert seen == {"fresh", "cached"} | (set() if kind is Kind.ROOTED else {"between"})
+        assert seen == {"start", "new"} | (set() if kind is Kind.ROOTED else {"renamed", "between"})
 
     @pytest.mark.parametrize("kind,n", [(Kind.ROOTED, 30), (Kind.UNROOTED, 14)])
     def test_large_denominator_p(self, kind, n):
@@ -666,12 +674,15 @@ class TestRefinements:
         assert (g.tree.parent, g.steps, g.final_distance) == (tree.parent, steps, final)
         assert g.final_distance == profile_distance(g.tree, profile, p)
 
+    @pytest.mark.parametrize("kind", list(Kind))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_unrooted_run_counts_each_partition_once(self, seed):
-        # a split keeps the groups of every neighbor of the new node, so a
-        # run never counts the same group partition twice
+    def test_run_counts_each_partition_once(self, seed, kind):
+        # a split leaves every other polytomy's groups as they were (an
+        # unrooted one may see the new node in place of the split one), so
+        # a run never counts the same group partition twice
         counted = []
-        count = consensus.unrooted_vote_tally
+        name = "rooted_vote_tally" if kind is Kind.ROOTED else "unrooted_vote_tally"
+        count = getattr(consensus, name)
 
         def recorded(tree, w, profile):
             nodes, group = consensus._groups(tree, w)
@@ -680,11 +691,11 @@ class TestRefinements:
             return count(tree, w, profile)
 
         rng = random.Random(seed)
-        start = random_partial(50, Kind.UNROOTED, rng, contract_prob=0.7)
-        profile = Profile(tuple(random_partial(50, Kind.UNROOTED, rng, contract_prob=0.7,
+        start = random_partial(50, kind, rng, contract_prob=0.7)
+        profile = Profile(tuple(random_partial(50, kind, rng, contract_prob=0.7,
                                                taxa=start.taxa) for _ in range(5)))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(consensus, "unrooted_vote_tally", recorded)
+            patch.setattr(consensus, name, recorded)
             for run in (lambda: greedy_refine_median(start, profile, Fraction(3, 4)),
                         lambda: hausdorff.adversarial_refinement(start, profile.trees[0])):
                 counted.clear()
