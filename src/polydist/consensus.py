@@ -19,8 +19,11 @@ tallies: every polytomy is counted once, and a split only drops v, counts
 the new node and renames v in its neighbors' candidates.  A count sums
 closed forms of each member's group histograms over its nodes, as the
 distance kernels sum over node pairs (`_vote_counts`), and builds no LCA
-table.  Profiles past the counts' int64 bound are refused before anything
-is computed (`check_vote_bound`).  Scores are Python ints: with p = P/Q
+table: `polydist.triplet`'s `range_counts` fills the histograms, each chunk
+of member nodes gathers its sides once, and the rooted f is `_block_counts`'
+R1 summand, within count_S_R1's int64 bound, and sums to |R1| over every
+polytomy of T2 for the profile (T1,).  Profiles past the counts' int64
+bound are refused before anything is computed (`check_vote_bound`).  Scores are Python ints: with p = P/Q
 the greedy compares Q times the exact distance change, with no Fraction
 per candidate."""
 
@@ -38,7 +41,7 @@ import numpy as np
 from polydist.oracle import CapacityError, check_p
 from polydist.quartet import parametric_quartet_distance
 from polydist.trees import Kind, Phylogeny, TreeError, check_pair, pull_2_out, pull_out
-from polydist.triplet import parametric_triplet_distance, parts
+from polydist.triplet import parametric_triplet_distance, parts, range_counts, split_counts
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,13 @@ class Profile:
     @cached_property
     def _sides(self) -> tuple:
         """(first, sides): per child count, every member's `node_sides`
-        (rows, sizes), node x of member i renumbered first[i] + x."""
+        rows, node x of member i renumbered first[i] + x."""
         first = np.cumsum([0] + [t.num_nodes for t in self.trees]).tolist()
         by_count: dict[int, list] = {}
         for tree, base in zip(self.trees, first):
-            for rows, sizes in tree.node_sides():
-                by_count.setdefault(len(rows), []).append((rows + base, sizes))
-        return first, [tuple(np.concatenate(x, axis=1) for x in zip(*by_count[d]))
-                       for d in sorted(by_count)]
+            for rows, _ in tree.node_sides():
+                by_count.setdefault(len(rows), []).append(rows + base)
+        return first, [np.concatenate(by_count[d], axis=1) for d in sorted(by_count)]
 
 
 def _member_distance(tree: Phylogeny, member: Phylogeny, p: Fraction) -> Fraction:
@@ -146,47 +148,40 @@ def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
                for r in range(0, len(U), step))
 
 
-def _rooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """f and a per group, summed over member nodes with children rows[:-1].
-
-    A resolved triplet xy|z counts at w = lca(x, y).  With C[j, q] the taxa
-    of w's child j in group q, Q its column sums, O = s - Q, P the pairs in
-    distinct rows and columns of C and X[q] those with one in column q,
-    f[q] = O[q]·(P - X[q]) (`_block_counts`' R1 summand) and a[q] = Σ_{r≠q}
-    (pairs split between columns q and r)·(ΣO - O[q] - O[r]) = (ΣO - O[q])·
-    X[q] - Q[q]·(Q·O) + Σ_j C[j, q]·(C O)[j] + O[q]·(Q[q]² - Σ_j C[j, q]²)."""
-    C = H[rows[:-1]].astype(np.int64)
-    Q, R = C.sum(0), np.einsum("jck->jc", C)
-    O, T = s - Q, R.sum(0)
-    squares = np.einsum("jck,jck->ck", C, C)
-    QQ = np.einsum("ck,ck->c", Q, Q)
-    X = Q * (T[:, None] - Q) - np.einsum("jc,jck->ck", R, C) + squares
-    P = (T * T - (R * R).sum(0) - QQ + np.einsum("ck->c", squares)) // 2
-    a = (((s.sum() - T)[:, None] - O) * X - Q * np.einsum("ck,ck->c", Q, O)[:, None]
-         + np.einsum("jc,jck->ck", np.einsum("jck,ck->jc", C, O), C) + O * (Q * Q - squares))
-    return ((P[:, None] - X) * O).sum(0), a.sum(0)
+def _rooted_votes(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f and a per group, summed over member nodes w, from their side block
+    M[j, q, i], the taxa of group q in side j of the i-th w.  A resolved
+    triplet xy|z counts at w = lca(x, y).  With C = M[:-1] the children
+    block, O = M[-1] the group taxa outside w, Q C's column sums and (P, X)
+    = `split_counts`(C), f[q] = O[q]·(P - X[q]) and a[q] = Σ_{r≠q} (pairs
+    split between columns q and r)·(ΣO - O[q] - O[r]) = (ΣO - O[q])·X[q] -
+    Q[q]·(Q·O) + Σ_j C[j, q]·(C O)[j] + O[q]·(Q[q]² - Σ_j C[j, q]²)."""
+    C, O = M[:-1], M[-1]
+    (P, X), Q = split_counts(C), C.sum(0)
+    a = ((O.sum(0) - O) * X - Q * (Q * O).sum(0)
+         + np.einsum("jc,jqc->qc", np.einsum("jqc,qc->jc", C, O), C)
+         + O * (Q * Q - np.einsum("jqc,jqc->qc", C, C)))
+    return (O * (P - X)).sum(1), a.sum(1)
 
 
-def _unrooted_votes(H: np.ndarray, s: np.ndarray, rows: np.ndarray,
-                    sizes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """f and a per ordered group pair (g, h), summed over member nodes with
-    sides `rows` (children, then the subtree's complement) of `sizes` taxa.
+def _unrooted_votes(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f and a per ordered group pair (g, h), summed over member nodes, from
+    their sides M[l, i, k]: the taxa of group k (of s taxa) in side l.
 
     A resolved quartet counts at one of its two anchors, where two of its
-    taxa lie in distinct sides and two together in a third, l.  With M[l, k]
-    side l's taxa in group k (column sums s), R[l] its size, G = MᵀM, m =
-    M[l, g] and μ = M[l, h], f puts g and h apart: Σ_l D·S, D = E[l] - m(R -
-    m) - μ(R - μ) + mμ the pairs of two other groups in side l (E[l] of any
-    two) and S = (s_g - m)(s_h - μ) - G[g, h] + mμ.  a puts g apart from a
-    group r and h together with a group t ≠ r: Σ_l μ·(the pairs g, r in two
-    other sides).  Expanded, both are products UᵀV over the sides (`_dot`)
-    with the h-vectors M, M∘s, M², M²∘s and M³, plus G[g, h]·x[h] = Σ_l M[l]
-    ⊗ (M[l]∘x) and -G∘G per node; a's (G G)[g, h] enters as (G M[l])[g]."""
-    K, c, n = len(s), rows.shape[1], int(s.sum())
-    M = H[rows].astype(np.int64)
-    M[-1] = s - M[-1]
-    R = sizes[..., None]
-    rho, d = np.einsum("lc,lck->ck", sizes, M), np.einsum("lck,lck->ck", M, M)
+    taxa lie in distinct sides and two together in a third, l.  The groups
+    partition the taxa, so M's row sum R[l] is side l's size.  With G = MᵀM,
+    m = M[l, g] and μ = M[l, h], f puts g and h apart: Σ_l D·S, D = E[l] -
+    m(R - m) - μ(R - μ) + mμ the pairs of two other groups in side l (E[l]
+    of any two) and S = (s_g - m)(s_h - μ) - G[g, h] + mμ.  a puts g apart
+    from a group r and h together with a group t ≠ r: Σ_l μ·(the pairs g, r
+    in two other sides).  Expanded, both are products UᵀV over the sides
+    (`_dot`) with the h-vectors M, M∘s, M², M²∘s and M³, plus G[g, h]·x[h]
+    = Σ_l M[l] ⊗ (M[l]∘x) and -G∘G per node; a's (G G)[g, h] enters as (G
+    M[l])[g]."""
+    K, c, n = len(s), M.shape[1], int(s.sum())
+    R = M.sum(2, keepdims=True)
+    rho, d = np.einsum("lc,lck->ck", R[..., 0], M), np.einsum("lck,lck->ck", M, M)
     A, E = rho - d, ((R * R).sum(0) - d.sum(1, keepdims=True)) // 2
     # G <= s_g·s_h and G M <= n^3 sum non-negative integers: exact in float64
     Mf = M.astype(float)
@@ -231,11 +226,12 @@ def _vote_counts(group: np.ndarray, K: int, profile: Profile,
     """f, a and nv at a polytomy whose K groups `group` maps each taxon to
     (-1 for none), per group (rooted) or ordered group pair (unrooted).
 
-    Each member's group histograms H[x, q] = |L(x) ∩ G_q| come from prefix
-    counts over its leaf order, as `build_tables` fills I; chunks of member
-    nodes add their closed forms, and nv = k·seen - f - a.  O(k·n·K)
-    rooted, O(k·n·K²) unrooted.  Besides the prefix counts, the histograms
-    and K × K arrays, an array holds at most BLOCK_CELLS cells or one node's
+    Each member's group histograms H[x, q] = |L(x) ∩ G_q| are filled by
+    `range_counts`, as `build_tables` fills I; per chunk of member nodes,
+    their sides H[rows] are gathered once, the last complemented, and the
+    closed forms added; nv = k·seen - f - a.  O(k·n·K) rooted, O(k·n·K²)
+    unrooted.  Besides the prefix counts, the histograms and K × K
+    arrays, an array holds at most BLOCK_CELLS cells or one node's
     sides.  f, a and nv are at most k·C(n, 3) rooted and k·C(n, 4)
     unrooted, exact while that is below 2^63, which is checked first and
     also keeps `_unrooted_votes`' n³ below 2^53: int64 arithmetic is exact
@@ -243,18 +239,19 @@ def _vote_counts(group: np.ndarray, K: int, profile: Profile,
     check_vote_bound(profile.k, profile.taxa.n, rooted)
     first, sides = profile._sides
     H = np.empty((first[-1], K), dtype=np.int32)
-    F = np.zeros((profile.taxa.n + 1, K), dtype=np.int32)
     for i, member in enumerate(profile.trees):
         order, lo, hi = member.leaf_ranges()
-        np.cumsum(group[order, None] == np.arange(K), axis=0, dtype=np.int32, out=F[1:])
-        np.subtract(F[hi], F[lo], out=H[first[i]:first[i + 1]])
+        range_counts(group[order, None] == np.arange(K), lo, hi, H[first[i]:first[i + 1]])
     s = np.bincount(group[group >= 0], minlength=K)
     f = a = 0
-    for rows, sizes in sides:
-        width = (len(rows) - 1) * K if rooted else max(5 * len(rows) * K, K * K)
+    for rows in sides:
+        width = len(rows) * K if rooted else max(5 * len(rows) * K, K * K)
         for nodes in parts(rows.shape[1], width):
-            df, da = (_rooted_votes(H, s, rows[:, nodes]) if rooted
-                      else _unrooted_votes(H, s, rows[:, nodes], sizes[:, nodes]))
+            M = H[rows[:, nodes]]
+            M[-1] = s - M[-1]
+            # rooted: sides × groups × nodes, contiguous like the triplet blocks
+            df, da = (_rooted_votes(M.transpose(0, 2, 1).astype(np.int64, order="C")) if rooted
+                      else _unrooted_votes(M.astype(np.int64), s))
             f, a = f + df, a + da
     # seen: a taxon of q (of g and of h) times the pairs of two other groups
     named, own, ss = (s, s, s * s) if rooted else (s[:, None] * s, s[:, None] + s,

@@ -348,7 +348,10 @@ class Phylogeny:
                 stack.extend((c, vid) for c in reversed(node))
             else:
                 leaf_taxon.append(taxa.index(node))
-        return cls(kind, taxa, parent, leaf_taxon)
+        tree = cls(kind, taxa, parent, leaf_taxon)
+        if problems := tree.validate():
+            raise TreeError("; ".join(problems))
+        return tree
 
     # -- canonical form / isomorphism -----------------------------------
 
@@ -469,12 +472,19 @@ def is_refinement(coarse: Phylogeny, fine: Phylogeny) -> bool:
     return coarse.splits() <= fine.splits()
 
 
+def _check_nodes(tree: Phylogeny, *nodes: int) -> None:
+    """TreeError unless each id is in range(num_nodes): none wraps."""
+    if any(not 0 <= u < tree.num_nodes for u in nodes):
+        raise TreeError(f"node ids {nodes} out of range")
+
+
 def pull_out(tree: Phylogeny, u: int) -> Phylogeny:
     """Pull-Out: u's parent v, a polytomy, keeps u and its own parent, and
     a new node below v takes v's other children, which makes their union
     a new cluster.  Node ids are kept, the new node is `num_nodes`."""
     if tree.kind is not Kind.ROOTED:
         raise TreeError("pull_out applies to rooted trees")
+    _check_nodes(tree, u)
     v = tree.parent[u]
     if v < 0:
         raise TreeError("pull_out needs a non-root node")
@@ -490,6 +500,7 @@ def pull_2_out(tree: Phylogeny, u1: int, u2: int) -> Phylogeny:
     new node is `num_nodes`."""
     if tree.kind is not Kind.UNROOTED:
         raise TreeError("pull_2_out applies to unrooted trees")
+    _check_nodes(tree, u1, u2)
     if u1 == u2:
         raise TreeError("pull_2_out needs two distinct nodes")
     shared = set(tree.neighbors(u1)) & set(tree.neighbors(u2))
@@ -530,6 +541,7 @@ def contract(tree: Phylogeny, *nodes: int) -> Phylogeny:
     (unrooted) minus those of the given nodes.  Nodes are renumbered in
     preorder; with no nodes the result is an isomorphic copy.
     """
+    _check_nodes(tree, *nodes)
     merged = set(nodes)
     if any(tree.parent[u] < 0 or tree.is_leaf(u) for u in merged):
         raise TreeError("contract needs internal, non-root nodes")

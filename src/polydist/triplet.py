@@ -19,6 +19,8 @@ blocks of node pairs with the same child counts, for these kernels and for
 `polydist.quartet`'s classification and y term.  One block kernel,
 `_block_counts`, reads |S| and |R1| off each block, so `count_S_R1` walks
 a table once for both, as `polydist.quartet` walks one for its classes.
+`range_counts`, which fills I, also fills `polydist.consensus`' histograms,
+and its rooted votes f are the R1 summand O·(P - X) of `split_counts`.
 A block is laid out sides first and node pairs last, M[j, k, i] for the
 i-th pair, so that every kernel's sum over the few sides is a handful of
 adds of contiguous vectors over the pairs, not a reduction per pair over
@@ -120,11 +122,19 @@ def _layout(tree: Phylogeny) -> tuple[np.ndarray, np.ndarray, list]:
     return position, stacked[1:3, inner], groups
 
 
+def range_counts(inside: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
+    """out[i, c] = #{t in [lo[i], hi[i]) : inside[t, c]} for the (n, m)
+    `inside`, as F[hi] - F[lo] of its prefix counts F in out's dtype: the
+    one fill of `build_tables`' I and `polydist.consensus`' histograms."""
+    F = np.zeros((len(inside) + 1, inside.shape[1]), dtype=out.dtype)
+    np.cumsum(inside, axis=0, dtype=out.dtype, out=F[1:])
+    np.subtract(F[hi], F[lo], out=out)
+
+
 def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     """The intersection sizes of every pair of internal nodes, in O(n·k2 +
-    k1·k2) for k internal nodes, from prefix counts over T1's leaf order:
-    F[i, v] = #{first i T1 leaves in T2 node v}, and I[u, v] = F[hi1[u], v]
-    - F[lo1[u], v], in column chunks of at most BLOCK_CELLS cells of F.
+    k1·k2) for k internal nodes, by `range_counts` over T1's leaf order in
+    column chunks of at most BLOCK_CELLS cells of the prefix counts.
     Memory: the (k1 + 1) × (k2 + 1) uint16 table, 2·(k1 + 1)·(k2 + 1)
     bytes, no leaf rows or columns.  uint16 holds it exactly, since
     0 <= I <= n; larger n than MAX_TABLE_N raises CapacityError before
@@ -138,10 +148,7 @@ def build_tables(t1: Phylogeny, t2: Phylogeny) -> RootedIntersectionTables:
     p = position2[t1.leaf_ranges()[0], None]   # T2 position of each T1 leaf
     I = np.zeros((len(lo1) + 1, len(lo2) + 1), dtype=np.uint16)
     for cols in parts(len(lo2), t1.n + 1):
-        inside = p - lo2[cols] < span2[cols]
-        F = np.zeros((t1.n + 1, inside.shape[1]), dtype=np.uint16)
-        np.cumsum(inside, axis=0, dtype=np.uint16, out=F[1:])
-        np.subtract(F[hi1], F[lo1], out=I[:-1, cols])
+        range_counts(p - lo2[cols] < span2[cols], lo1, hi1, I[:-1, cols])
     return RootedIntersectionTables(t1, t2, I)
 
 
@@ -225,32 +232,31 @@ def count_R_U(tree: Phylogeny) -> tuple[int, int]:
     return R, comb(tree.n, 3) - R
 
 
-def _split_pairs(C: np.ndarray) -> np.ndarray:
-    """Per node pair, the pairs of taxa in distinct rows and distinct
-    columns of the children block C[j, k, ...]."""
+def split_counts(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, X) per node pair of the children block C[j, k, ...]: P the pairs of
+    taxa in distinct rows and columns, X[k] those with one in column k,
+    Q[k]·(T - Q[k]) - Σ_j R[j]·C[j, k] + Σ_j C[j, k]² for row sums R,
+    column sums Q and total T.  A pair lies in two columns: P = ΣX / 2."""
     R, Q = C.sum(1), C.sum(0)
-    return c2(R.sum(0)) - c2(R).sum(0) - c2(Q).sum(0) + c2(C).sum((0, 1))
+    X = (Q * (R.sum(0) - Q) - np.einsum("j...,jk...->k...", R, C)
+         + np.einsum("jk...,jk...->k...", C, C))
+    return X.sum(0) // 2, X
 
 
 def _block_counts(M: np.ndarray) -> tuple[int, int]:
-    """|S| and |R1| anchored at a block of node pairs (u, v), from one
-    `_split_pairs` P of the children block C: S counts xy|z with x, y in
-    distinct children of u and of v and z outside both, P·M[-1, -1]; R1
-    counts xy|z with x, y in distinct children of u, z outside u and x, y,
-    z in three distinct children of v, sum_k O[k]·P - sum_k O[k]·X[k] with
-    O[k] the taxa outside u in child k of v and X[k] the split pairs with
-    one taxon in column k.  With two children X[k] = P and R1 is 0, so it
-    is read only when v has three or more."""
-    C = M[:-1, :-1]
-    P = _split_pairs(C)
+    """|S| and |R1| anchored at a block of node pairs (u, v), from the
+    `split_counts` (P, X) of the children block C and the taxa O[k] outside
+    u in child k of v: S counts xy|z with x, y in distinct children of u
+    and of v and z outside both, P·M[-1, -1]; R1 counts xy|z with x, y in
+    distinct children of u, z outside u and x, y, z in three distinct
+    children of v, Σ_k O[k]·(P - X[k]), summed per k as the votes f.  With
+    two children X[k] = P and R1 is 0, so it is read only with three or more."""
+    C, O = M[:-1, :-1], M[-1, :-1]
+    P, X = split_counts(C)
     S = int((P * M[-1, -1]).sum())
     if M.shape[1] <= 3:
         return S, 0
-    O = M[-1, :-1]
-    R, Q = C.sum(1, keepdims=True), C.sum(0, keepdims=True)
-    T = R.sum(0, keepdims=True)
-    X = (C * (T - R - Q + C)).sum(0)
-    return S, int((O.sum(0) * P - (O * X).sum(0)).sum())
+    return S, int((O * (P - X)).sum())
 
 
 def count_S_R1(tables: RootedIntersectionTables) -> tuple[int, int]:
@@ -262,7 +268,7 @@ def count_S_R1(tables: RootedIntersectionTables) -> tuple[int, int]:
     and of v (for S v = lca_T2(x, y), for R1 a polytomy of T2).  So only
     pairs with I[u, v] >= 2 enter: the children block M[:-1, :-1] holds
     the taxa of L(u) ∩ L(v), with I[u, v] <= 1 at most one, so
-    `_split_pairs`, the column counts X and both counts are 0.
+    `split_counts`' P and X and both counts are 0.
 
     int64 bound: every M is cast to int64 as it is gathered from the uint16
     table; numpy's int64 +, - and × are exact modulo 2^64; the only

@@ -87,6 +87,33 @@ def wide_tally_cases(draw):
     return tree, Profile(tuple(members))
 
 
+@st.composite
+def kernel_pairs(draw, kind: Kind):
+    """Two partially resolved trees over 3 (rooted) or 4 (unrooted) to 30
+    taxa, each from binary to a fan / star."""
+    n = draw(st.integers(3 if kind is Kind.ROOTED else 4, 30))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rates = st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0))
+    t1 = random_partial(n, kind, rng, contract_prob=draw(rates))
+    return t1, random_partial(n, kind, rng, contract_prob=draw(rates), taxa=t1.taxa)
+
+
+def _summed_tallies(t1: Phylogeny, t2: Phylogeny) -> tuple[int, int, int]:
+    """f, a and nv of the profile (t1,), summed over every candidate at
+    every polytomy of t2."""
+    tally_at = rooted_vote_tally if t2.kind is Kind.ROOTED else unrooted_vote_tally
+    tallies = [t for v in t2.unresolved_nodes() for t in tally_at(t2, v, Profile((t1,))).values()]
+    return tuple(sum(getattr(t, x) for t in tallies) for x in ("f", "a", "nv"))
+
+
+def _kernel_votes(t1: Phylogeny, t2: Phylogeny, agree: int) -> tuple[int, int, int]:
+    """The summed tallies read off the distance kernels' classes, with
+    `agree` agreeing and 2·`agree` disagreeing candidates per subset that
+    t1 resolves and 3·`agree` per subset neither does."""
+    c = hausdorff.classification_counts(t1, t2)
+    return agree * c.r1, 2 * agree * c.r1, 3 * agree * c.u
+
+
 def test_profile_validation():
     with pytest.raises(TreeError):
         Profile(())
@@ -168,28 +195,22 @@ class TestVoteTallies:
         for tally in tallies.values():
             assert (tally.f, tally.a, tally.nv) == (1, 2, 0)
 
-    def test_vote_conservation_rooted(self):
-        # over a fan, every member votes once f and twice a per triplet
-        rng = random.Random(3)
-        n, k = 5, 3
-        fan = Phylogeny.rooted([f"t{i}" for i in range(n)], tuple(range(n)))
-        profile = Profile(tuple(
-            random_binary(n, Kind.ROOTED, rng, taxa=fan.taxa) for _ in range(k)))
-        tallies = rooted_vote_tally(fan, fan.root, profile)
-        assert sum(t.f for t in tallies.values()) == k * comb(n, 3)
-        assert sum(t.a for t in tallies.values()) == 2 * k * comb(n, 3)
-        assert sum(t.nv for t in tallies.values()) == 0
+    @given(kernel_pairs(Kind.ROOTED))
+    @settings(max_examples=60, deadline=None)
+    def test_vote_conservation_rooted(self, pair):
+        # a triplet over three child groups of a polytomy of T2 is a fan in
+        # T2: resolved in T1, one candidate agrees and two disagree, else all
+        # three see no vote.  Every triplet T2 leaves unresolved is a fan at
+        # exactly one polytomy, so the tallies of (T1,) add up to r1 and u
+        t1, t2 = pair
+        assert _summed_tallies(t1, t2) == _kernel_votes(t1, t2, 1)
 
-    def test_vote_conservation_unrooted(self):
-        rng = random.Random(4)
-        n, k = 6, 3
-        star = Phylogeny.unrooted([f"t{i}" for i in range(n)], tuple(range(n)))
-        profile = Profile(tuple(
-            random_binary(n, Kind.UNROOTED, rng, taxa=star.taxa) for _ in range(k)))
-        tallies = unrooted_vote_tally(star, star.root, profile)
-        assert sum(t.f for t in tallies.values()) == 2 * k * comb(n, 4)
-        assert sum(t.a for t in tallies.values()) == 4 * k * comb(n, 4)
-        assert sum(t.nv for t in tallies.values()) == 0
+    @given(kernel_pairs(Kind.UNROOTED))
+    @settings(max_examples=60, deadline=None)
+    def test_vote_conservation_unrooted(self, pair):
+        # as rooted, with 2 agreeing pairs of the 6 per quartet
+        t1, t2 = pair
+        assert _summed_tallies(t1, t2) == _kernel_votes(t1, t2, 2)
 
     def test_delta_is_exact(self):
         # applying any candidate's pull-out / pull-2-out changes the profile
@@ -367,9 +388,8 @@ def test_tallies_int64_bound():
         cuts = np.diff([0] + sorted(rng.sample(range(1, n), d * K + K - 1)) + [n])
         blocks.append((cuts[:d * K].reshape(d, K).tolist(), cuts[d * K:].tolist()))
     for C, O in blocks:
-        H = np.array(C + [np.sum(C, axis=0).tolist()], dtype=np.int32)
-        s = H[-1] + np.array(O)
-        f, a = consensus._rooted_votes(H, s, np.arange(len(H))[:, None])
+        # one node's side block: its children's rows, then the taxa outside
+        f, a = consensus._rooted_votes(np.array(C + [O], dtype=np.int64)[..., None])
         assert (f.tolist(), a.tolist()) == _rooted_node_reference(C, O)
     n = _largest_n(4)
     assert comb(n, 4) < 2**63 <= comb(n + 1, 4)
@@ -381,12 +401,9 @@ def test_tallies_int64_bound():
         blocks.append(np.diff([0] + sorted(rng.sample(range(1, n), d * K - 1)) + [n])
                       .reshape(d, K).tolist())
     for M in blocks:
-        # the last side is the complement of the node's subtree: the node's
-        # histogram is its children's sum
-        H = np.array(M[:-1] + [np.sum(M[:-1], axis=0).tolist()], dtype=np.int32)
-        rows = np.arange(len(M))[:, None]
-        f, a = consensus._unrooted_votes(H, np.sum(M, axis=0), rows,
-                                         np.sum(M, axis=1)[:, None])
+        # one node's sides, its last the complement of its subtree, over
+        # groups that partition the taxa
+        f, a = consensus._unrooted_votes(np.array(M, dtype=np.int64)[:, None], np.sum(M, axis=0))
         want_f, want_a = _unrooted_node_reference(M)
         off = ~np.eye(len(M[0]), dtype=bool)
         assert f[off].tolist() == np.array(want_f, dtype=object)[off].tolist()

@@ -84,6 +84,17 @@ def test_validate_flags_problems():
             Phylogeny(Kind.ROOTED, taxa, parent, leaf_taxon)
 
 
+@pytest.mark.parametrize("build", [Phylogeny.rooted, Phylogeny.unrooted])
+@pytest.mark.parametrize("nested, problem", [
+    (("a", "b", "c"), "taxa without leaves"),                  # d has no leaf
+    ((("a", "b"), ("a", "c"), "d"), "duplicate taxon 'a'"),
+    (((("a",), "b"), "c", "d"), "internal node with"),         # one child
+])
+def test_builders_refuse_invalid_trees(build, nested, problem):
+    with pytest.raises(TreeError, match=problem):
+        build("abcd", nested)
+
+
 def test_unrooted_degree_rule():
     t = Phylogeny.unrooted("abcd", ("a", "b", "c", "d"))
     assert t.validate() == []
@@ -227,6 +238,18 @@ def test_pull_out_requires_wide_parent():
     t = Phylogeny.rooted("abc", (("a", "b"), "c"))
     with pytest.raises(TreeError):
         pull_out(t, t.children[t.root][0])
+
+
+def test_edits_refuse_node_ids_out_of_range():
+    # a negative id must not index from the end, a large one must not
+    # reach the arrays
+    t = Phylogeny.rooted("abcde", (("a", "b"), "c", "d", "e"))
+    star = Phylogeny.unrooted("abcde", tuple("abcde"))
+    for edit in (lambda: pull_out(t, -1), lambda: pull_out(t, 99),
+                 lambda: pull_2_out(star, -1, -2), lambda: pull_2_out(star, 1, 99),
+                 lambda: contract(t, -6), lambda: contract(t, 7)):
+        with pytest.raises(TreeError, match="out of range"):
+            edit()
 
 
 def test_pull_2_out():
