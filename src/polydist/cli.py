@@ -43,7 +43,7 @@ def _parse_p(text: str) -> Fraction:
 
 def _load_trees(path: str, kind: Kind):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

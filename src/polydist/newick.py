@@ -1,15 +1,21 @@
 """Newick reading and writing for multifurcating phylogenies.
 
 The grammar accepted is the usual one: nested parenthesized groups, comma
-separators, optional branch lengths (":1.5", parsed and discarded),
-optional internal-node labels (discarded), single-quoted labels, and
-bracketed comments "[...]".  Whether the text denotes a rooted or an
+separators, optional branch lengths (":1.5", a number that is parsed and
+discarded), optional internal-node labels (discarded), single-quoted labels,
+and bracketed comments "[...]".  Whether the text denotes a rooted or an
 unrooted tree is the caller's decision; "(A,(B,C));" is ambiguous on its
 own, so no arity-based guessing is done here.
+
+One compiled token pattern reads the text, lazily and one token ahead, so a
+document of any length or depth is read in one pass with no Python
+recursion.  The writer emits a label bare exactly when it reads back as one
+bare-label token, and quotes it otherwise.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from polydist.trees import Kind, Phylogeny, TaxonSet
@@ -23,141 +29,99 @@ class NewickError(ValueError):
         self.pos = pos
 
 
-_LABEL_STOP = set("(),;:[]'")
+_BARE = re.compile(r"[^\s(),;:\[\]']+")
+# whitespace or a comment (group 1), a quoted label (2), a bare label (3),
+# or any other single character, so an unclosed '[' or "'" is a token alone
+_TOKEN = re.compile(rf"(\s+|\[[^\]]*\])|('[^']*(?:''[^']*)*'(?!'))|({_BARE.pattern})|.", re.S)
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_trivia(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif ch == "[":
-                end = self.text.find("]", self.pos)
-                if end < 0:
-                    raise NewickError("unterminated comment", self.pos)
-                self.pos = end + 1
-            else:
-                return
-
-    def peek(self) -> str:
-        self.skip_trivia()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise NewickError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def label(self) -> str:
-        """Read a (possibly quoted, possibly empty) label."""
-        self.skip_trivia()
-        if self.pos < len(self.text) and self.text[self.pos] == "'":
-            start = self.pos
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise NewickError("unterminated quoted label", start)
-                ch = self.text[self.pos]
-                if ch == "'":
-                    if self.text[self.pos + 1 : self.pos + 2] == "'":
-                        out.append("'")
-                        self.pos += 2
-                        continue
-                    self.pos += 1
-                    return "".join(out)
-                out.append(ch)
-                self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace() \
-                and self.text[self.pos] not in _LABEL_STOP:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def skip_branch_length(self):
-        if self.peek() == ":":
-            self.pos += 1
-            self.skip_trivia()
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isdigit()
-                                                 or self.text[self.pos] in ".+-eE"):
-                self.pos += 1
-            if self.pos == start:
-                raise NewickError("expected branch length after ':'", start)
+def _tokens(text: str):
+    """Yield (label, token, position) for each token that is not whitespace
+    or a comment, then (None, "", len(text)).  `label` is the label that a
+    quoted or bare token spells, and None for any other token."""
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastindex, m[0]
+        if kind == 3:
+            yield tok, tok, m.start()
+        elif kind == 2:
+            yield tok[1:-1].replace("''", "'"), tok, m.start()
+        elif kind is None:
+            if tok == "[":
+                raise NewickError("unterminated comment", m.start())
+            if tok == "'":
+                raise NewickError("unterminated quoted label", m.start())
+            yield None, tok, m.start()
+    yield None, "", len(text)
 
 
-def _statement(sc: _Scanner, kind: Kind) -> Phylogeny:
-    """Parse the ';'-terminated statement at the scanner's position.  Errors
-    that concern the whole tree point at the statement's first character."""
-    sc.skip_trivia()
-    first = sc.pos
-    labels: list[str] = []
-    parent: list[int] = []
-    leaf_label: list[str | None] = []
-
-    def new_node(up: int) -> int:
-        parent.append(up)
-        leaf_label.append(None)
-        return len(parent) - 1
-
-    # Iterative descent: `open_groups` holds the internal nodes whose ')'
-    # is still to come, so nesting depth costs no Python recursion.
+def _statement(toks, first: tuple, kind: Kind) -> Phylogeny:
+    """Parse the ';'-terminated statement that starts with token `first`,
+    reading the rest from `toks`.  Errors that concern the whole tree point
+    at the statement's first token."""
+    lab, tok, pos = first
+    parent: list[int] = [-1]
+    leaf_label: list[str | None] = [None]
+    # the node being read is always the last one made; `open_groups` holds
+    # the internal nodes whose ')' is still to come
     open_groups: list[int] = []
-    vid = new_node(-1)
     while True:
-        if sc.peek() == "(":
-            sc.expect("(")
-            open_groups.append(vid)
-            vid = new_node(vid)
-            continue
-        start = sc.pos
-        lab = sc.label()
-        if not lab:
-            raise NewickError("empty leaf label", start)
-        leaf_label[vid] = lab
-        labels.append(lab)
-        sc.skip_branch_length()
-        # the node is complete: close groups until a sibling follows
-        while open_groups and sc.peek() != ",":
-            sc.expect(")")
-            sc.label()  # internal label, discarded
-            sc.skip_branch_length()
-            open_groups.pop()
-        if not open_groups:
-            break
-        sc.expect(",")
-        vid = new_node(open_groups[-1])
+        if tok == "(":
+            open_groups.append(len(parent) - 1)
+        else:
+            if not lab:
+                raise NewickError("empty leaf label", pos)
+            leaf_label[-1] = lab
+            lab, tok, pos = next(toks)
+            # the node is complete: skip its branch length, then close
+            # groups, each with an optional label and length, until a
+            # sibling follows
+            while True:
+                if tok == ":":
+                    lab, tok, pos = next(toks)
+                    if not _NUMBER.fullmatch(tok):
+                        raise NewickError("expected branch length after ':'", pos)
+                    lab, tok, pos = next(toks)
+                if not open_groups or tok == ",":
+                    break
+                if tok != ")":
+                    raise NewickError("expected ')'", pos)
+                open_groups.pop()
+                lab, tok, pos = next(toks)
+                if lab is not None:  # internal label, discarded
+                    lab, tok, pos = next(toks)
+            if not open_groups:
+                break
+        parent.append(open_groups[-1])
+        leaf_label.append(None)
+        lab, tok, pos = next(toks)
+    if tok != ";":
+        raise NewickError("expected ';'", pos)
 
-    sc.expect(";")
-
+    start = first[2]
+    labels = [l for l in leaf_label if l is not None]
     if len(set(labels)) != len(labels):
         counts = Counter(labels)
         dup = next(l for l in labels if counts[l] > 1)
-        raise NewickError(f"duplicate leaf label {dup!r}", first)
-    if not labels:
-        raise NewickError("tree has no leaves", first)
+        raise NewickError(f"duplicate leaf label {dup!r}", start)
     taxa = TaxonSet(tuple(sorted(labels)))
     leaf_taxon = [taxa.index(l) if l is not None else None for l in leaf_label]
     tree = Phylogeny(kind, taxa, parent, leaf_taxon)
     if kind is Kind.UNROOTED and len(tree.children[tree.root]) < 3 and taxa.n > 2:
-        raise NewickError("unrooted tree must have top-level degree >= 3", first)
+        raise NewickError("unrooted tree must have top-level degree >= 3", start)
     problems = tree.validate()
     if problems:
-        raise NewickError("; ".join(problems), first)
+        raise NewickError("; ".join(problems), start)
     return tree
 
 
 def parse_newick(text: str, kind: Kind) -> Phylogeny:
     """Parse one ';'-terminated Newick statement into a Phylogeny."""
-    sc = _Scanner(text)
-    tree = _statement(sc, kind)
-    if sc.peek():
-        raise NewickError("trailing text after ';'", sc.pos)
+    toks = _tokens(text)
+    tree = _statement(toks, next(toks), kind)
+    _, tok, pos = next(toks)
+    if tok:
+        raise NewickError("trailing text after ';'", pos)
     return tree
 
 
@@ -165,32 +129,39 @@ def parse_newick_many(text: str, kind: Kind) -> list[Phylogeny]:
     """Parse a multi-tree document: statements one after another, each
     ended by a ';' outside quotes and comments.  Error positions are
     offsets into the whole text."""
-    sc = _Scanner(text)
+    toks = _tokens(text)
     trees = []
-    while sc.peek():
-        trees.append(_statement(sc, kind))
+    while (first := next(toks))[1]:  # the end token is empty
+        trees.append(_statement(toks, first, kind))
     if not trees:
         raise NewickError("no trees in input", 0)
     return trees
 
 
 def write_newick(tree: Phylogeny) -> str:
-    """Serialize deterministically: children sorted by their smallest leaf."""
-
-    def needs_quotes(lab: str) -> bool:
-        return any(ch.isspace() or ch in _LABEL_STOP for ch in lab)
-
-    def emit_label(t: int) -> str:
-        lab = tree.taxa.label(t)
-        return "'" + lab.replace("'", "''") + "'" if needs_quotes(lab) else lab
-
-    # (smallest taxon, text) per node, children before parents
-    emitted: dict[int, tuple[int, str]] = {}
+    """Serialize deterministically: children sorted by their smallest leaf.
+    One pass finds each node's smallest taxon, and a second one writes the
+    tokens of the whole tree into one list."""
+    children, leaf_taxon = tree.children, tree.leaf_taxon
+    smallest = list(leaf_taxon)
     for v in tree.postorder():
-        t = tree.leaf_taxon[v]
-        if t is not None:
-            emitted[v] = t, emit_label(t)
-            continue
-        parts = sorted(emitted.pop(c) for c in tree.children[v])
-        emitted[v] = parts[0][0], "(" + ",".join(s for _, s in parts) + ")"
-    return emitted[tree.root][1] + ";"
+        if smallest[v] is None:
+            smallest[v] = min(smallest[c] for c in children[v])
+    out: list[str] = []
+    stack: list = [tree.root]  # nodes still to write, and the text between them
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            out.append(v)
+        elif leaf_taxon[v] is not None:
+            lab = tree.taxa.label(leaf_taxon[v])
+            out.append(lab if _BARE.fullmatch(lab) else "'" + lab.replace("'", "''") + "'")
+        else:
+            first, *rest = sorted(children[v], key=smallest.__getitem__)
+            out.append("(")
+            stack.append(")")
+            for c in reversed(rest):
+                stack += (c, ",")
+            stack.append(first)
+    out.append(";")
+    return "".join(out)

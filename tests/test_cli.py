@@ -175,6 +175,16 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, ["dist", "triplet", str(path), trees["t2.nwk"]])
         assert code == 3 and err.startswith("error: cannot read") and "utf-8" in err
 
+    def test_byte_order_mark_skipped(self, capsys, trees, tmp_path):
+        # a UTF-8 file saved with a byte-order mark reads as the same tree
+        path = tmp_path / "bom.nwk"
+        path.write_bytes(b"\xef\xbb\xbf(((a,b),c),d);\n")
+        argv = ["dist", "triplet", str(path), trees["t2.nwk"], "--json"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == json.loads(
+            run(capsys, argv[:2] + [trees["t1.nwk"]] + argv[3:])[1])["result"]
+
     def test_malformed_newick(self, capsys, trees):
         code, out, err = run(capsys, ["dist", "triplet",
                                       trees["bad.nwk"], trees["t2.nwk"]])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import rooted_trees, unrooted_trees
 from polydist.newick import NewickError, parse_newick, parse_newick_many, write_newick
 from polydist.oracle import enumerate_phylogenies
-from polydist.trees import Kind
+from polydist.trees import Kind, Phylogeny, TaxonSet
 
 
 def test_parse_small_rooted():
@@ -68,6 +68,29 @@ def test_branch_lengths_comments_quotes():
     assert parse_newick(out, Kind.ROOTED).isomorphic(t)
 
 
+@pytest.mark.parametrize("length", ["1", "2.5e-1", "1e-3", "-.5", "+2.", "1E+5", "[c] 7 "])
+def test_branch_lengths_that_parse(length):
+    t = parse_newick(f"((a:{length},b):{length},c);", Kind.ROOTED)
+    assert write_newick(t) == "((a,b),c);"
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("(a:1.2.3,b:e,c:--);", 3), ("1:.;", 2), ("e:+ ;", 2), ("(a:1e,b);", 3),
+    ("(a:1.5x,b);", 3), ("((a,b):'1',c);", 7), ("(a,b):;", 6),
+])
+def test_malformed_branch_length_rejected(text, pos):
+    with pytest.raises(NewickError) as exc:
+        parse_newick(text, Kind.ROOTED)
+    assert str(exc.value) == f"expected branch length after ':' (at position {pos})"
+
+
+@pytest.mark.parametrize("text,pos", [("];", 0), ("(a,]);", 3)])
+def test_stray_bracket_is_not_a_label(text, pos):
+    with pytest.raises(NewickError) as exc:
+        parse_newick(text, Kind.ROOTED)
+    assert str(exc.value) == f"empty leaf label (at position {pos})"
+
+
 def test_quoted_label_with_escaped_quote():
     t = parse_newick("(('it''s',b),c);", Kind.ROOTED)
     assert "it's" in t.taxa.labels
@@ -98,6 +121,20 @@ def test_multi_tree_error_positions_are_absolute():
         parse_newick_many(" [only a comment] ", Kind.ROOTED)
 
 
+def test_deep_caterpillar_written_in_linear_time():
+    # a caterpillar 10^5 levels deep: spine node i is the parent of spine
+    # node i + 1 and of taxon i, and the last spine node also holds the last
+    # taxon; a writer that copies each subtree's text per level takes seconds
+    n = 100000
+    parent = [-1] + list(range(n - 2)) + list(range(n - 1)) + [n - 2]
+    taxa = TaxonSet(tuple(f"t{i}" for i in range(n)))
+    tree = Phylogeny(Kind.ROOTED, taxa, parent, [None] * (n - 1) + list(range(n)))
+    start = time.perf_counter()
+    text = write_newick(tree)
+    assert time.perf_counter() - start < 1.5
+    assert text.startswith("(t0,(t1,(t2,") and text.endswith(",t99999" + ")" * (n - 1) + ";")
+
+
 def test_writer_is_canonical():
     a = parse_newick("((b,a),c);", Kind.ROOTED)
     b = parse_newick("(c,(a,b));", Kind.ROOTED)
@@ -125,7 +162,7 @@ def test_round_trip_random_unrooted(tree):
     assert parse_newick(write_newick(tree), Kind.UNROOTED).isomorphic(tree)
 
 
-@given(st.text(alphabet="(),;ab:'[]1. ", max_size=40))
+@given(st.text(alphabet="(),;ab:'[]1.e+- ", max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_fuzz_never_crashes(text):
     try:
